@@ -22,6 +22,7 @@ from .core import (CovMatrix, SymplecticTransform, apply_symplectic,
 from .errors import InvalidInputError, NonPhysicalStateError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
+PURE_TOL = 1e-6            # symplectic eigenvalues up to 1 + PURE_TOL count as pure
 
 
 def db_to_variance(db: float) -> float:
@@ -191,19 +192,39 @@ def cmr_noise(cm, a: float, t: float) -> CovMatrix:
     return CovMatrix(g + np.diag([a, a, t * a, t * a]))
 
 
+def minimal_purification(cm) -> CovMatrix:
+    """Pure CM of the given n modes plus one purifying mode per mixed Williamson mode.
+
+    Williamson-decompose gamma = S (oplus nu_i I) S^T.  Each nu_i > 1 + 1e-6
+    gets a two-mode squeezed vacuum core with m = nu_i whose partner mode is
+    appended after the n system modes (in Williamson order); the other nu_i
+    are set to exactly 1, so their modes need no purifier.  S is then applied
+    on the system modes.  The system reduction is gamma up to that tolerance.
+    """
+    g = _as_matrix(cm)
+    if validate_physical(g) < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError("cannot purify a nonphysical CM")
+    s, nus = williamson(g)
+    n = len(nus)
+    mixed = np.flatnonzero(nus > 1.0 + PURE_TOL)
+    core = np.eye(2 * (n + len(mixed)))
+    for j, i in enumerate(mixed):
+        idx = [2 * i, 2 * i + 1, 2 * (n + j), 2 * (n + j) + 1]
+        core[np.ix_(idx, idx)] = tmsv_cm(nus[i]).entries
+    return apply_symplectic(core, tensor_transform(s, len(mixed)))
+
+
 def purify_single_mode(cm) -> CovMatrix:
     """Two-mode pure CM whose first-mode reduction equals the given single-mode CM.
 
-    Williamson-decompose gamma_1 = S (nu I) S^T, purify the thermal core as a
-    two-mode squeezed vacuum with m = nu, and apply S on the system mode.
+    The :func:`minimal_purification` of gamma_1; a pure input gets a vacuum
+    purifier.
     """
     g1 = _as_matrix(cm)
     if g1.shape != (2, 2):
         raise InvalidInputError("purify_single_mode takes a single-mode CM")
-    if validate_physical(g1) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("cannot purify a nonphysical CM")
-    s, nus = williamson(g1)
-    return apply_symplectic(tmsv_cm(nus[0]), tensor_transform(s, 1))
+    pure = minimal_purification(g1)
+    return pure if pure.n_modes == 2 else tensor(pure, np.eye(2))
 
 
 def tmsv_cm(m: float) -> CovMatrix:
@@ -232,5 +253,6 @@ def tensor_transform(s: SymplecticTransform, extra_modes: int) -> SymplecticTran
 __all__ = [
     "InputSpec", "ChannelXY", "db_to_variance", "loss_channel", "beamsplitter",
     "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
-    "purify_single_mode", "tmsv_cm", "tmsv_from_squeezing", "tensor_transform",
+    "minimal_purification", "purify_single_mode", "tmsv_cm", "tmsv_from_squeezing",
+    "tensor_transform",
 ]

@@ -9,7 +9,7 @@ Subcommands compute the headline correlation numbers and sweep curves as JSON/CS
     gausscorr simulate --config scenario.json --n 100000 --seed 7 --out batch.csv
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  Errors go to
-stderr as one JSON object.  GAUSSCORR_THREADS caps internal parallelism.
+stderr as one JSON object.
 """
 
 from __future__ import annotations

@@ -8,15 +8,17 @@ that minimizes the conditional entropy over pure Gaussian measurement seeds.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
+from .channels import minimal_purification
 from .core import (CovMatrix, symplectic_spectrum,
-                   two_mode_symplectic_values, validate_physical, williamson,
+                   two_mode_symplectic_values, validate_physical,
                    PHYSICALITY_TOL, _as_matrix)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
@@ -278,60 +280,49 @@ def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
 # Gaussian entanglement of formation
 #
 # Definitional minimization of f(sqrt(det gamma_p,A)) over pure gamma_p <= gamma.
-# Candidate pure states are parameterized as conditional states of an internal
-# purification of gamma under pure Gaussian measurements on the purifying
-# modes, which makes every candidate feasible and pure by construction; the
-# unconstrained seed optimization then needs no feasibility penalty.
+# Candidate pure states are parameterized as conditional states of the minimal
+# purification of gamma (one purifying mode per symplectic eigenvalue above
+# 1) under pure Gaussian measurements on the k purifying modes.  Every pure
+# decomposition of a Gaussian state is a rank-one measurement on its minimal
+# purifier (Wolf et al., PRA 69, 052320, 2004), every candidate is feasible
+# and pure by construction, and the unconstrained seed optimization needs no
+# feasibility penalty.
 
-def _orthogonal_symplectic(h_params, n):
-    """Orthogonal symplectic from n^2 parameters via U = exp(iH), H Hermitian."""
-    h = np.zeros((n, n), dtype=complex)
-    k = 0
-    for i in range(n):
-        h[i, i] = h_params[k]
-        k += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = h_params[k] + 1j * h_params[k + 1]
-            h[j, i] = np.conj(h[i, j])
-            k += 2
-    u = expm(1j * h)
-    o_xxpp = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    perm = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        perm[2 * i, i] = 1.0
-        perm[2 * i + 1, n + i] = 1.0
-    return perm @ o_xxpp @ perm.T
+def _passive_unitary(angles, k):
+    """k x k unitary from k phases and k(k-1)/2 two-mode beamsplitters (k^2 angles).
+
+    U = diag(e^{i phi_m}) T_01 T_02 ... T_(k-2)(k-1), where T_ij mixes modes i
+    and j with angle theta and phase phi; this covers U(k) for the k <= 3
+    that GEoF needs.  Zero angles give the identity.
+    """
+    u = np.diag(np.exp(1j * angles[:k]))
+    pos = k
+    for i in range(k):
+        for j in range(i + 1, k):
+            c, sn = math.cos(angles[pos]), math.sin(angles[pos])
+            ph = cmath.exp(1j * angles[pos + 1])
+            pos += 2
+            t = np.eye(k, dtype=complex)
+            t[i, i], t[i, j], t[j, i], t[j, j] = ph * c, -sn, ph * sn, c
+            u = u @ t
+    return u
 
 
-def _pure_cm_from_params(params, n, z_clip=9.0):
-    """Pure n-mode CM O diag(e^{2z}, e^{-2z}, ...) O^T from n + n^2 parameters."""
-    z = np.clip(params[:n], -z_clip, z_clip)
-    o = _orthogonal_symplectic(params[n:], n)
-    d = np.empty(2 * n)
+def _pure_cm_from_params(params, k, z_clip=9.0):
+    """Pure k-mode CM O diag(e^{2z}, e^{-2z}, ...) O^T from k + k^2 parameters.
+
+    O is the (x1, p1, x2, p2, ...) form of :func:`_passive_unitary`.
+    """
+    z = np.minimum(np.maximum(params[:k], -z_clip), z_clip)
+    u = _passive_unitary(params[k:], k)
+    o = np.empty((2 * k, 2 * k))
+    o[0::2, 0::2] = o[1::2, 1::2] = u.real
+    o[0::2, 1::2] = -u.imag
+    o[1::2, 0::2] = u.imag
+    d = np.empty(2 * k)
     d[0::2] = np.exp(2 * z)
-    d[1::2] = np.exp(-2 * z)
-    return o @ np.diag(d) @ o.T
-
-
-def _purification(g):
-    """Pure 2n-mode CM whose first n modes reduce to g (TMSV cores through Williamson)."""
-    n = g.shape[0] // 2
-    s, nus = williamson(g)
-    big = np.zeros((4 * n, 4 * n))
-    sz = np.diag([1.0, -1.0])
-    for i in range(n):
-        m = max(nus[i], 1.0)
-        c = np.sqrt(max(m * m - 1.0, 0.0))
-        si = slice(2 * i, 2 * i + 2)
-        ri = slice(2 * n + 2 * i, 2 * n + 2 * i + 2)
-        big[si, si] = m * np.eye(2)
-        big[ri, ri] = m * np.eye(2)
-        big[si, ri] = c * sz
-        big[ri, si] = c * sz
-    full = np.eye(4 * n)
-    full[:2 * n, :2 * n] = s.entries
-    return full @ big @ full.T
+    d[1::2] = 1.0 / d[0::2]
+    return (o * d) @ o.T
 
 
 def _product_pure_feasible(g, rng, attempts=6):
@@ -385,8 +376,9 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     rng = np.random.default_rng(seed)
     ai = slice(2 * a_mode, 2 * a_mode + 2)
 
-    spectrum = symplectic_spectrum(g)
-    if spectrum.values.max() <= 1.0 + 1e-6:
+    big = minimal_purification(g).entries
+    k = big.shape[0] // 2 - n
+    if k == 0:
         # pure input: the only feasible pure CM is gamma itself
         value = entropy_f(max(np.sqrt(np.linalg.det(g[ai, ai])), 1.0))
         return GEoFResult(value=value, optimal_pure_cm=CovMatrix(g),
@@ -401,28 +393,24 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
                 return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
                                   feasibility_gap=gap, converged=True)
 
-    big = _purification(g)
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
     gsr = big[:2 * n, 2 * n:]
-    n_params = n + n * n
-
-    def candidate(params):
-        sigma = _pure_cm_from_params(params, n)
-        return gs - gsr @ np.linalg.solve(gr + sigma, gsr.T)
+    gs_a, gsr_a = gs[ai, ai], gsr[ai]
 
     def objective(params):
-        det_a = np.linalg.det(candidate(params)[ai, ai])
+        e = gs_a - gsr_a @ np.linalg.solve(gr + _pure_cm_from_params(params, k), gsr_a.T)
+        det_a = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
         if not np.isfinite(det_a):
             return 1e9
         return entropy_f(max(np.sqrt(max(det_a, 0.0)), 1.0))
 
     values = []
     best_val, best_params = np.inf, None
-    starts = [np.zeros(n_params)]
+    starts = [np.zeros(k + k * k)]
     for _ in range(restarts):
-        starts.append(np.concatenate([rng.uniform(-1.5, 1.5, n),
-                                      rng.uniform(-1.5, 1.5, n * n)]))
+        starts.append(np.concatenate([rng.uniform(-1.5, 1.5, k),
+                                      rng.uniform(-1.5, 1.5, k * k)]))
     for p0 in starts:
         res = minimize(objective, p0, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
@@ -436,7 +424,8 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     if res.fun < best_val:
         best_val, best_params = res.fun, res.x
 
-    gamma_p = candidate(best_params)
+    sigma = _pure_cm_from_params(best_params, k)
+    gamma_p = gs - gsr @ np.linalg.solve(gr + sigma, gsr.T)
     gamma_p = (gamma_p + gamma_p.T) / 2
     gap = float(np.linalg.eigvalsh(g - gamma_p).min())
     values.sort()

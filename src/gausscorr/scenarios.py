@@ -25,7 +25,6 @@ from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig
 from .correlations import (KWFlowPoint, classical_correlation, discord, entropy_f,
                            geof)
 from .errors import InvalidInputError
-from ._parallel import parallel_map
 
 MODULATION_SOURCE = "modulation_x"
 PHASE_NOISE_SOURCE = "phase_noise_p"
@@ -257,7 +256,7 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
         return SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
                         classical_corr=rep.classical_corr, s_a=s_a, e_f_ae=e_f)
 
-    return parallel_map(row, t_grid)
+    return [row(t) for t in t_grid]
 
 
 def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
@@ -282,7 +281,7 @@ def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
         e_f = geof(g_aev, a_mode=0, restarts=geof_restarts, seed=seed).value
         return KWFlowPoint(t=t, s_a=s_a, j_ab=j, e_f_ae=e_f)
 
-    return parallel_map(point, list(t_grid))
+    return [point(t) for t in t_grid]
 
 
 # ---------------------------------------------------------------------------

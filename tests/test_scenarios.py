@@ -128,6 +128,16 @@ def test_correlation_flow_small_grid():
     assert pts[1].j_ab < pts[0].j_ab      # classical correlation drops
 
 
+def test_correlation_flow_balance_to_machine_precision():
+    # E_F comes from a search independent of the discord closed form, so the
+    # balance audits both; t = 0.49 and 0.51 are the slowest points of a
+    # search over a full (non-minimal) purification
+    grid = np.concatenate([np.linspace(1.0, 0.2, 9), [0.49, 0.51]])
+    pts = correlation_flow(build_split_state(SQUEEZED, 0.5), grid, geof_restarts=5, seed=42)
+    assert len(pts) == len(grid)
+    assert max(abs(p.residual) for p in pts) <= 1e-10
+
+
 def test_duan_two_vacua_boundary():
     rep = duan_value(np.eye(4), 1.0)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
