@@ -4,6 +4,10 @@ All entropies are in nats.  Discord uses the two-mode closed form in terms of
 the local invariants A = det alpha, B = det beta, C = det delta, D = det gamma
 (measurement on the second subsystem), with an independent numerical oracle
 that minimizes the conditional entropy over pure Gaussian measurement seeds.
+The oracle charts the seeds as P_u / e + e P_v (u = (cos theta, sin theta),
+v perpendicular to u, e in [0, 1]), one chart that runs from heterodyne
+(e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in scalar
+2x2 arithmetic.
 """
 
 from __future__ import annotations
@@ -140,15 +144,15 @@ def _inf_det_eps(a, b, c, d):
     """Closed-form infimum of det eps over Gaussian measurements, with branch label.
 
     Branch condition (D - AB)^2 <= (1 + B) C^2 (A + D) selects the
-    heterodyne-like case; ties within 1e-12 evaluate both branches and keep
-    the minimum (continuity at the boundary).
+    heterodyne-like case; ties within 1e-12 relative evaluate both branches
+    and keep the minimum (continuity at the boundary).
     """
     if abs(b - 1.0) < 1e-9:
         # pure measured mode carries no correlations: eps = alpha
         return a, "heterodyne-case"
     lhs = (d - a * b) ** 2
     rhs = (1 + b) * c * c * (a + d)
-    scale = max(1.0, abs(lhs), abs(rhs))
+    scale = max(abs(lhs), abs(rhs))
     if abs(lhs - rhs) <= BRANCH_TIE_TOL * scale:
         het = _inf_det_eps_heterodyne_case(a, b, c, d)
         hom = _inf_det_eps_homodyne_case(a, b, c, d)
@@ -203,71 +207,103 @@ def classical_correlation(cm, measured_mode: int = 1, allow_measured: bool = Fal
 
 # ---------------------------------------------------------------------------
 # numerical oracle for the measurement infimum
+#
+# Pure seeds are charted as sigma = P_u / e + e P_v, with u = (cos theta,
+# sin theta), v = (-sin theta, cos theta), P_w = w w^T and e in [0, 1]:
+# e = 1 is heterodyne, e = 0 is homodyne of the quadrature v, and the seeds
+# squeezed the other way are the same chart at theta + pi/2.  With
+# N = e beta + P_u + e^2 P_v, (beta + sigma)^-1 = adj(N) / den where
+# den = v^T beta v + e (1 + det beta) + e^2 u^T beta u = det(N) / e stays
+# finite at e = 0.  Since adj is linear on 2x2 matrices, adj(N) =
+# e adj(beta) + P_v + e^2 P_u; with det(alpha - K) = det alpha -
+# tr(adj(alpha) K) + det K and det(delta adj(N) delta^T) = C^2 e den,
+#
+#   det eps = [v^T M v + e m1 + e^2 u^T M u] / den,
+#   M = A beta - Q,  m1 = A (1 + B) - tr(adj(beta) Q) + C^2,
+#
+# where Q = delta^T adj(alpha) delta and A, B, C are the determinants of
+# alpha, beta, delta.  The cancellation between A and the measurement term is
+# taken once, in M and m1, so rounding noise between evaluations stays at a
+# few ulps of det eps rather than of A, and Nelder-Mead's absolute fatol can
+# be met.  No closed-form branch enters.
 
-def _homodyne_det_eps(alpha, beta, delta, theta):
-    """det eps in the s -> infinity limit (homodyne along the rotated axis)."""
-    u = np.array([-np.sin(theta), np.cos(theta)])
-    du = delta @ u
-    denom = u @ beta @ u
-    return float(np.linalg.det(alpha - np.outer(du, du) / denom))
+def _adj(m):
+    """Adjugate of a 2x2 matrix, adj(m) = tr(m) I - m."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def _seed_chart(alpha, beta, delta):
+    """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
+
+    The returned function is plain arithmetic: it takes Python floats in the
+    Nelder-Mead objective and broadcast arrays on the grid alike.
+    """
+    a = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
+    b = beta[0, 0] * beta[1, 1] - beta[0, 1] * beta[1, 0]
+    c = delta[0, 0] * delta[1, 1] - delta[0, 1] * delta[1, 0]
+    q = delta.T @ _adj(alpha) @ delta
+    m = a * beta - q
+    m1 = a * (1.0 + b) - float(np.sum(_adj(beta) * q)) + c * c
+    # w^T x w = tr(x) / 2 +- ((x00 - x11) / 2 cos 2theta + x01 sin 2theta) for w = u, v
+    mt, mc, ms = (m[0, 0] + m[1, 1]) / 2, (m[0, 0] - m[1, 1]) / 2, m[0, 1]
+    bt, bc, bs = (beta[0, 0] + beta[1, 1]) / 2, (beta[0, 0] - beta[1, 1]) / 2, beta[0, 1]
+
+    def det_eps(cos2, sin2, e):
+        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
+        return (((mt - mh) + e * (m1 + e * (mt + mh)))
+                / ((bt - bh) + e * (1.0 + b + e * (bt + bh))))
+
+    return det_eps
 
 
 def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
-                   logs_points: int = 25, refine_starts: int = 5,
-                   s_cap: float = 1e6) -> float:
+                   refine_starts: int = 5) -> float:
     """Discord with the measurement infimum found numerically.
 
-    Minimizes det of the conditional CM over seeds R(theta) diag(s, 1/s)
-    R(theta)^T on a (theta, log s) grid with Nelder-Mead refinement, plus the
-    analytic homodyne limit at each angle (s is additionally capped at 1e6 to
-    avoid conditioning blowup).  Entropy terms outside the infimum reuse the
-    exact symplectic values, so the comparison isolates the measurement term.
+    Minimizes det of the conditional CM over pure seeds P_u / e + e P_v, with
+    u = (cos theta, sin theta), v perpendicular to u and e = sin^2(w) in
+    [0, 1].  The chart contains the homodyne limit e = 0 (homodyne of the
+    quadrature v) and the heterodyne seed e = 1; seeds squeezed the other
+    way sit at theta + pi/2.  det eps is scalar 2x2 arithmetic that stays
+    finite at e = 0.  It is evaluated on a theta_points x theta_points
+    (theta, w) grid in one broadcast pass, then refined by Nelder-Mead in
+    (theta, w) from refine_starts angles at e = 1, as many at e = 0, and the
+    best grid point.  No closed-form branch is used.  Entropy terms outside
+    the infimum reuse the exact symplectic values, so the comparison
+    isolates the measurement term.
     """
     g = _as_matrix(cm)
     if g.shape != (4, 4):
         raise InvalidInputError("discord oracle is implemented for two-mode CMs")
+    if measured_mode not in (0, 1):
+        raise InvalidInputError("measured_mode must be 0 or 1")
     kept = 1 - measured_mode
     alpha = g[2 * kept:2 * kept + 2, 2 * kept:2 * kept + 2]
     beta = g[2 * measured_mode:2 * measured_mode + 2, 2 * measured_mode:2 * measured_mode + 2]
     delta = g[2 * kept:2 * kept + 2, 2 * measured_mode:2 * measured_mode + 2]
+    det_eps = _seed_chart(alpha, beta, delta)
 
-    def det_eps(theta, log_s):
-        c, sn = np.cos(theta), np.sin(theta)
-        r = np.array([[c, -sn], [sn, c]])
-        s = min(np.exp(log_s), s_cap)
-        s = max(s, 1.0 / s_cap)
-        sigma = r @ np.diag([s, 1.0 / s]) @ r.T
-        eps = alpha - delta @ np.linalg.solve(beta + sigma, delta.T)
-        return float(np.linalg.det(eps))
+    def objective(p):
+        th, e = 2.0 * float(p[0]), math.sin(p[1]) ** 2
+        return det_eps(math.cos(th), math.sin(th), e)
 
     thetas = np.linspace(0.0, np.pi, theta_points)
-    logs = np.linspace(-np.log(s_cap), np.log(s_cap), logs_points)
-    best = np.inf
-    best_point = (0.0, 0.0)
-    for th in thetas:
-        best = min(best, _homodyne_det_eps(alpha, beta, delta, th))
-        for ls in logs:
-            v = det_eps(th, ls)
-            if v < best:
-                best, best_point = v, (th, ls)
+    ws = np.linspace(0.0, np.pi / 2, theta_points)
+    grid = det_eps(np.cos(2 * thetas)[:, None], np.sin(2 * thetas)[:, None],
+                   np.sin(ws)[None, :] ** 2)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    best = float(grid[i, j])
 
-    for th0 in np.linspace(0.0, np.pi, refine_starts, endpoint=False):
-        res = minimize(lambda p: det_eps(p[0], p[1]), np.array([th0, 0.0]),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-        best = min(best, res.fun)
-        res_h = minimize(lambda p: _homodyne_det_eps(alpha, beta, delta, p[0]),
-                         np.array([th0]), method="Nelder-Mead",
-                         options={"xatol": 1e-13, "maxiter": 1000})
-        best = min(best, res_h.fun)
-    res = minimize(lambda p: det_eps(p[0], p[1]), np.array(best_point),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    best = min(best, res.fun)
+    options = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000}
+    starts = [(th0, w0) for w0 in (np.pi / 2, 0.0)
+              for th0 in np.linspace(0.0, np.pi, refine_starts, endpoint=False)]
+    starts.append((thetas[i], ws[j]))
+    for x0 in starts:
+        res = minimize(objective, np.array(x0), method="Nelder-Mead", options=options)
+        best = min(best, float(res.fun))
 
-    a, b, _, _ = _oriented_invariants(g, measured_mode)
     nu_minus, nu_plus = two_mode_symplectic_values(g)
-    return (entropy_f(max(np.sqrt(b), 1.0)) - entropy_f(max(nu_minus, 1.0))
+    return (entropy_f(max(np.sqrt(np.linalg.det(beta)), 1.0)) - entropy_f(max(nu_minus, 1.0))
             - entropy_f(nu_plus) + entropy_f(max(np.sqrt(best), 1.0)))
 
 

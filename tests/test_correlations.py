@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gausscorr.channels import tmsv_cm, tmsv_from_squeezing
+from gausscorr.channels import beamsplitter, tmsv_cm, tmsv_from_squeezing
 from gausscorr.core import (apply_symplectic, random_physical_cm, random_symplectic,
                             reduce, tensor)
-from gausscorr.correlations import (MeasurementSeed, classical_correlation,
+from gausscorr.correlations import (MeasurementSeed, _seed_chart, classical_correlation,
                                     conditional_cm, discord, discord_oracle,
                                     entropy_f, kw_audit, mutual_information,
                                     von_neumann_entropy)
@@ -113,6 +113,71 @@ def test_discord_closed_vs_oracle_random(seed):
     rng = np.random.default_rng(seed)
     cm = random_physical_cm(rng, 2)
     assert abs(discord(cm).discord - discord_oracle(cm)) <= 1e-4
+
+
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_discord_oracle_rejects_bad_measured_mode(mode):
+    with pytest.raises(InvalidInputError):
+        discord_oracle(tmsv_cm(2.0), measured_mode=mode)
+
+
+def _blocks(g, measured_mode):
+    kept = 1 - measured_mode
+    return (g[2 * kept:2 * kept + 2, 2 * kept:2 * kept + 2],
+            g[2 * measured_mode:2 * measured_mode + 2, 2 * measured_mode:2 * measured_mode + 2],
+            g[2 * kept:2 * kept + 2, 2 * measured_mode:2 * measured_mode + 2])
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_seed_chart_matches_conditional_update(mode):
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        g = random_physical_cm(rng, 2).entries
+        alpha, beta, delta = _blocks(g, mode)
+        det_eps = _seed_chart(alpha, beta, delta)
+        for theta in np.linspace(0.0, np.pi, 7):
+            c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+            # e = 0: homodyne of the quadrature v perpendicular to u = (cos, sin)
+            v = np.array([-np.sin(theta), np.cos(theta)])
+            dv = delta @ v
+            homodyne = np.linalg.det(alpha - np.outer(dv, dv) / (v @ beta @ v))
+            assert det_eps(c2, s2, 0.0) == pytest.approx(homodyne, rel=1e-13)
+            # e > 0: the seed R(theta) diag(1/e, e) R(theta)^T
+            for e in (1e-3, 0.3, 1.0):
+                eps = conditional_cm(g, mode, MeasurementSeed(theta=theta, s=1.0 / e))
+                assert det_eps(c2, s2, e) == pytest.approx(
+                    np.linalg.det(eps.entries), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]))
+def test_discord_oracle_homodyne_case(seed, mode):
+    cm = random_physical_cm(np.random.default_rng(seed), 2)
+    rep = discord(cm, measured_mode=mode)
+    assume(rep.branch == "homodyne-case")
+    assert abs(rep.discord - discord_oracle(cm, measured_mode=mode)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(-8.0, np.log10(2e-3)), st.sampled_from([0, 1]))
+def test_discord_oracle_near_pure_measured_mode(seed, log_leak, mode):
+    # a squeezed thermal mode leaks 1e-8 to 2e-3 of its power into vacuum
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(1.2, 2.5)
+    inner = np.eye(4)
+    inner[:2, :2] = random_symplectic(rng, 1).entries
+    outer = np.eye(4)
+    outer[:2, :2] = random_symplectic(rng, 1).entries
+    outer[2:, 2:] = random_symplectic(rng, 1).entries
+    g = np.diag([nu, nu, 1.0, 1.0])
+    for s in (inner, beamsplitter(1.0 - 10 ** log_leak).entries, outer):
+        g = s @ g @ s.T
+    if mode == 0:
+        g = g[[2, 3, 0, 1]][:, [2, 3, 0, 1]]
+    _, beta, _ = _blocks(g, mode)
+    assert np.sqrt(np.linalg.det(beta)) - 1.0 <= 1e-2
+    rep = discord(g, measured_mode=mode)
+    assert abs(rep.discord - discord_oracle(g, measured_mode=mode)) <= 1e-10
 
 
 def test_mutual_information_cases(measured_cm):
