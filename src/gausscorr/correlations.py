@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
@@ -82,6 +83,7 @@ class GEoFResult:
     optimal_pure_cm: CovMatrix
     feasibility_gap: float
     converged: bool
+    nfev: int = 0            # GEoF objective evaluations over all starts and the polish
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class KWFlowPoint:
     s_a: float
     j_ab: float
     e_f_ae: float
+    geof_converged: bool | None = None
+    geof_feasibility_gap: float | None = None
+    geof_nfev: int | None = None
 
     @property
     def residual(self) -> float:
@@ -147,8 +152,9 @@ def _inf_det_eps(a, b, c, d):
     heterodyne-like case; ties within 1e-12 relative evaluate both branches
     and keep the minimum (continuity at the boundary).
     """
-    if abs(b - 1.0) < 1e-9:
-        # pure measured mode carries no correlations: eps = alpha
+    if abs(b - 1.0) < 1e-13:
+        # pure measured mode carries no correlations: eps = alpha; the branch
+        # formulas lose their digits to the (b - 1) denominators below this
         return a, "heterodyne-case"
     lhs = (d - a * b) ** 2
     rhs = (1 + b) * c * c * (a + d)
@@ -324,41 +330,89 @@ def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
 # and pure by construction, and the unconstrained seed optimization needs no
 # feasibility penalty.
 
-def _passive_unitary(angles, k):
-    """k x k unitary from k phases and k(k-1)/2 two-mode beamsplitters (k^2 angles).
+def _seed_frame(params, k):
+    """Frame O and weights W, D W of the pure k-mode seed O D O^T.
 
+    params holds w (k values) and the k^2 angles of the passive unitary
     U = diag(e^{i phi_m}) T_01 T_02 ... T_(k-2)(k-1), where T_ij mixes modes i
     and j with angle theta and phase phi; this covers U(k) for the k <= 3
-    that GEoF needs.  Zero angles give the identity.
+    that GEoF needs.  O is U in (x1, p1, x2, p2, ...) form, whose (m, n)
+    block is [[Re U_mn, -Im U_mn], [Im U_mn, Re U_mn]], so zero angles give
+    the identity.  D = diag(tan^2 w_1, cot^2 w_1, ..., tan^2 w_k, cot^2 w_k):
+    w = pi/4 is the vacuum, the squeezing runs smoothly through it, and
+    w = 0 and w = pi/2 are the homodyne limits of the frame's x and p
+    quadratures.  Returns O and the diagonals W = (cos^2 w_1, sin^2 w_1, ...)
+    and D W = (sin^2 w_1, cos^2 w_1, ...), all finite on the whole chart.
+    U is formed in scalar arithmetic and converted once, which keeps the
+    objective's per-evaluation cost down.
     """
-    u = np.diag(np.exp(1j * angles[:k]))
+    params = params.tolist()
+    angles = params[k:]
+    u = [[0j] * k for _ in range(k)]
+    for m in range(k):
+        u[m][m] = cmath.exp(1j * angles[m])
     pos = k
     for i in range(k):
         for j in range(i + 1, k):
             c, sn = math.cos(angles[pos]), math.sin(angles[pos])
             ph = cmath.exp(1j * angles[pos + 1])
             pos += 2
-            t = np.eye(k, dtype=complex)
-            t[i, i], t[i, j], t[j, i], t[j, j] = ph * c, -sn, ph * sn, c
-            u = u @ t
-    return u
+            for row in u:
+                row[i], row[j] = ph * (c * row[i] + sn * row[j]), c * row[j] - sn * row[i]
+    flat = []
+    for row in u:
+        flat += [v for z in row for v in (z.real, -z.imag)]
+        flat += [v for z in row for v in (z.imag, z.real)]
+    cs = [(math.cos(w) ** 2, math.sin(w) ** 2) for w in params[:k]]
+    for c2, s2 in cs:
+        flat += (c2, s2)
+    for c2, s2 in cs:
+        flat += (s2, c2)
+    flat = np.array(flat)
+    n2 = 4 * k * k
+    return flat[:n2].reshape(2 * k, 2 * k), flat[n2:n2 + 2 * k], flat[n2 + 2 * k:]
 
 
-def _pure_cm_from_params(params, k, z_clip=9.0):
-    """Pure k-mode CM O diag(e^{2z}, e^{-2z}, ...) O^T from k + k^2 parameters.
+def _seed_inverse(gr, params, k):
+    """(gr + sigma)^-1 for the seed sigma = O D O^T of :func:`_seed_frame`.
 
-    O is the (x1, p1, x2, p2, ...) form of :func:`_passive_unitary`.
+    (gr + sigma)^-1 = O W (O^T gr O W + D W)^-1 O^T = O W (gr O W + O D W)^-1:
+    one 2k x 2k solve that stays finite in the homodyne limits.
     """
-    z = np.minimum(np.maximum(params[:k], -z_clip), z_clip)
-    u = _passive_unitary(params[k:], k)
-    o = np.empty((2 * k, 2 * k))
-    o[0::2, 0::2] = o[1::2, 1::2] = u.real
-    o[0::2, 1::2] = -u.imag
-    o[1::2, 0::2] = u.imag
-    d = np.empty(2 * k)
-    d[0::2] = np.exp(2 * z)
-    d[1::2] = 1.0 / d[0::2]
-    return (o * d) @ o.T
+    o, w, dw = _seed_frame(params, k)
+    ow = o * w
+    inv, info = dgesv(gr @ ow + o * dw, np.eye(2 * k))[2:]
+    if info:
+        raise NumericalError("seed system is singular")
+    return ow @ inv
+
+
+def _geof_objective(gs_a, gr, gsr_a, k):
+    """f(sqrt(det gamma_p,A)) as a function of the k + k^2 seed parameters.
+
+    gamma_p,A = gs_a - gsr_a (gr + sigma)^-1 gsr_a^T for the seed sigma of
+    :func:`_seed_frame`.  For k = 1 the seed tan^2(w) P_u + cot^2(w) P_v, with
+    u = (cos phi, sin phi), is the oracle's P_u / e + e P_v with e = cot^2 w,
+    or at phi + pi/2 with e = tan^2 w when squeezed the other way, so the
+    objective is :func:`_seed_chart` in scalar arithmetic.
+    """
+    if k == 1:
+        det_eps = _seed_chart(gs_a, gr, gsr_a)
+
+        def objective(params):
+            th = 2.0 * float(params[1])
+            c2, s2 = math.cos(params[0]) ** 2, math.sin(params[0]) ** 2
+            if c2 <= s2:
+                det_a = det_eps(math.cos(th), math.sin(th), c2 / s2)
+            else:
+                det_a = det_eps(-math.cos(th), -math.sin(th), s2 / c2)
+            return entropy_f(max(math.sqrt(max(det_a, 0.0)), 1.0))
+    else:
+        def objective(params):
+            e = gs_a - gsr_a @ _seed_inverse(gr, params, k) @ gsr_a.T
+            det_a = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+            return entropy_f(max(math.sqrt(max(det_a, 0.0)), 1.0))
+    return objective
 
 
 def _product_pure_feasible(g, rng, attempts=6):
@@ -399,7 +453,8 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
     single a_mode)); the rest side must have 1 or 2 modes.  Returns the best
-    optimum over restarts with the certifying pure CM.
+    optimum over restarts with the certifying pure CM and the number of
+    objective evaluations (0 when a shortcut resolves the input).
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -434,40 +489,37 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     gsr = big[:2 * n, 2 * n:]
     gs_a, gsr_a = gs[ai, ai], gsr[ai]
 
-    def objective(params):
-        e = gs_a - gsr_a @ np.linalg.solve(gr + _pure_cm_from_params(params, k), gsr_a.T)
-        det_a = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        if not np.isfinite(det_a):
-            return 1e9
-        return entropy_f(max(np.sqrt(max(det_a, 0.0)), 1.0))
-
+    objective = _geof_objective(gs_a, gr, gsr_a, k)
     values = []
+    nfev = 0
     best_val, best_params = np.inf, None
-    starts = [np.zeros(k + k * k)]
+    # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
+    starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
     for _ in range(restarts):
-        starts.append(np.concatenate([rng.uniform(-1.5, 1.5, k),
+        starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
                                       rng.uniform(-1.5, 1.5, k * k)]))
     for p0 in starts:
         res = minimize(objective, p0, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 6000, "maxfev": 9000})
+        nfev += res.nfev
         values.append(res.fun)
         if res.fun < best_val:
             best_val, best_params = res.fun, res.x
     # polish from the winner
     res = minimize(objective, best_params, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
+    nfev += res.nfev
     if res.fun < best_val:
         best_val, best_params = res.fun, res.x
 
-    sigma = _pure_cm_from_params(best_params, k)
-    gamma_p = gs - gsr @ np.linalg.solve(gr + sigma, gsr.T)
+    gamma_p = gs - gsr @ _seed_inverse(gr, best_params, k) @ gsr.T
     gamma_p = (gamma_p + gamma_p.T) / 2
     gap = float(np.linalg.eigvalsh(g - gamma_p).min())
     values.sort()
     converged = len(values) >= 2 and values[1] - values[0] <= 1e-5
     return GEoFResult(value=float(best_val), optimal_pure_cm=CovMatrix(gamma_p),
-                      feasibility_gap=gap, converged=bool(converged))
+                      feasibility_gap=gap, converged=bool(converged), nfev=int(nfev))
 
 
 __all__ = [

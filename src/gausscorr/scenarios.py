@@ -278,8 +278,10 @@ def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
         s_a = entropy_f(max(np.sqrt(np.linalg.det(g_ab.entries[:2, :2])), 1.0))
         j = classical_correlation(g_ab, measured_mode=1)
         g_aev = g4.effective_cm(["A", "E", "V"])
-        e_f = geof(g_aev, a_mode=0, restarts=geof_restarts, seed=seed).value
-        return KWFlowPoint(t=t, s_a=s_a, j_ab=j, e_f_ae=e_f)
+        res = geof(g_aev, a_mode=0, restarts=geof_restarts, seed=seed)
+        return KWFlowPoint(t=t, s_a=s_a, j_ab=j, e_f_ae=res.value,
+                           geof_converged=res.converged,
+                           geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
 
     return [point(t) for t in t_grid]
 

@@ -7,9 +7,9 @@ from gausscorr.channels import (attenuate, beamsplitter, minimal_purification,
                                 purify_single_mode, tmsv_cm, tmsv_from_squeezing)
 from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
-                            symplectic_spectrum, tensor, two_mode_symplectic_values,
-                            validate_physical)
-from gausscorr.correlations import (_passive_unitary, _pure_cm_from_params, entropy_f,
+                            symplectic_form, symplectic_spectrum, tensor,
+                            two_mode_symplectic_values, validate_physical)
+from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, entropy_f,
                                     geof, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError
 
@@ -120,14 +120,103 @@ def test_minimal_purification_random(seed, n_modes, n_pure, append_pure_mode):
     assert np.abs(reduce(out, range(g.n_modes)).entries - g.entries).max() <= 1e-9
 
 
+def _symmetric_lossy_tmsv(squeezing_db, eta):
+    g = tmsv_from_squeezing(-squeezing_db * np.log(10.0) / 20.0)
+    return attenuate(attenuate(g, 0, eta), 1, eta)
+
+
+def _giedke_geof(g):
+    # Giedke et al. (PRL 91, 107901, 2003): E_F = f((1 + nu^2) / (2 nu)) for a
+    # symmetric state, nu the smallest symplectic eigenvalue of its partial transpose
+    nu = two_mode_symplectic_values(partial_transpose(g, 1))[0]
+    assert nu < 1.0
+    return entropy_f((1.0 + nu * nu) / (2.0 * nu))
+
+
+@pytest.mark.parametrize("squeezing_db", [-10.0, -6.0, -3.0, -1.0])
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.95])
+def test_geof_symmetric_family_to_machine_precision(squeezing_db, eta):
+    # homodyne-like optimal decompositions (k = 2), where a clipped squeezing
+    # coordinate left the objective flat and every start ran to maxfev
+    g = _symmetric_lossy_tmsv(squeezing_db, eta)
+    res = geof(g)
+    assert abs(res.value - _giedke_geof(g)) <= 1e-12
+    assert res.converged
+    assert res.feasibility_gap >= -1e-9
+    if (squeezing_db, eta) == (-6.0, 0.8):
+        assert 0 < res.nfev <= 20000
+
+
+def _pure_seed(o, w, dw):
+    # O diag(tan^2 w_1, cot^2 w_1, ...) O^T, off the homodyne limits
+    return (o * (dw / w)) @ o.T
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_passive_unitary_chart(k):
     rng = np.random.default_rng(k)
-    assert np.array_equal(_passive_unitary(np.zeros(k * k), k), np.eye(k))
-    u = _passive_unitary(rng.uniform(-np.pi, np.pi, k * k), k)
-    assert np.abs(u @ u.conj().T - np.eye(k)).max() <= 1e-12
-    seed_cm = _pure_cm_from_params(rng.uniform(-1.5, 1.5, k + k * k), k)
+    o, w, dw = _seed_frame(np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)]), k)
+    assert np.array_equal(o, np.eye(2 * k))
+    assert np.abs(_pure_seed(o, w, dw) - np.eye(2 * k)).max() <= 1e-15   # vacuum seed
+    o, w, dw = _seed_frame(rng.uniform(-1.5, 1.5, k + k * k), k)
+    omega = symplectic_form(k)
+    assert np.abs(o @ o.T - np.eye(2 * k)).max() <= 1e-12
+    assert np.abs(o @ omega @ o.T - omega).max() <= 1e-12
+    assert np.array_equal(w[0::2], dw[1::2]) and np.array_equal(w[1::2], dw[0::2])
+    assert np.abs(w[0::2] + w[1::2] - 1.0).max() <= 1e-15
+    seed_cm = _pure_seed(o, w, dw)
     assert np.abs(symplectic_spectrum(seed_cm).values - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_seed_inverse_matches_direct_inverse(k):
+    rng = np.random.default_rng(40 + k)
+    gr = random_physical_cm(rng, k).entries
+    # x variances tan^2 w of 1/e and e for e in (1e-3, 0.3, 1)
+    for x_var in (1e3, 1.0 / 0.3, 1.0, 0.3, 1e-3):
+        params = np.concatenate([np.full(k, np.arctan(np.sqrt(x_var))),
+                                 rng.uniform(-np.pi, np.pi, k * k)])
+        direct = np.linalg.inv(gr + _pure_seed(*_seed_frame(params, k)))
+        err = np.abs(_seed_inverse(gr, params, k) - direct).max()
+        assert err <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("quadrature", [0, 1])
+def test_seed_inverse_homodyne_limit(k, quadrature):
+    # w = 0 (w = pi/2) on every purifying mode: homodyne of the frame's x (p) quadratures
+    rng = np.random.default_rng(50 + k)
+    n = max(k, 2)
+    nus = np.ones(n)
+    nus[:k] = rng.uniform(1.2, 2.5, k)
+    g = apply_symplectic(np.diag(np.repeat(nus, 2)), random_symplectic(rng, n))
+    big = minimal_purification(g).entries
+    gs, gr, gsr = big[:2 * n, :2 * n], big[2 * n:, 2 * n:], big[:2 * n, 2 * n:]
+    params = np.concatenate([np.full(k, quadrature * np.pi / 2),
+                             rng.uniform(-np.pi, np.pi, k * k)])
+    inv = _seed_inverse(gr, params, k)
+    assert np.all(np.isfinite(inv))
+    oq = _seed_frame(params, k)[0][:, quadrature::2]
+    homodyne = oq @ np.linalg.inv(oq.T @ gr @ oq) @ oq.T
+    assert np.abs(inv - homodyne).max() <= 1e-12 * np.abs(homodyne).max()
+    gamma_p = gs - gsr @ inv @ gsr.T
+    assert np.abs(symplectic_spectrum((gamma_p + gamma_p.T) / 2).values - 1.0).max() <= 1e-9
+    assert np.linalg.eigvalsh(g.entries - gamma_p).min() >= -1e-9
+
+
+def test_k1_seed_chart_matches_general_path():
+    # one purifying mode: the GEoF objective runs on the discord oracle's chart
+    g = attenuate(tmsv_cm(2.0), 1, 0.7)
+    big = minimal_purification(g).entries
+    assert big.shape == (6, 6)
+    gs_a, gr, gsr_a = big[:2, :2], big[4:, 4:], big[:2, 4:]
+    objective = _geof_objective(gs_a, gr, gsr_a, 1)
+    rng = np.random.default_rng(7)
+    for w in (0.0, 1e-3, 0.4, np.pi / 4, 1.2, np.pi / 2 - 1e-3, np.pi / 2):
+        params = np.array([w, rng.uniform(-np.pi, np.pi)])
+        e = gs_a - gsr_a @ _seed_inverse(gr, params, 1) @ gsr_a.T
+        general = entropy_f(np.sqrt(np.linalg.det(e)))
+        assert objective(params) == pytest.approx(general, rel=1e-12)
 
 
 def test_geof_three_mixed_modes_feasible_and_pure():

@@ -4,7 +4,7 @@ import pytest
 from gausscorr.channels import InputSpec, db_to_variance, tmsv_from_squeezing
 from gausscorr.core import (ppt_min_eig, random_symplectic, symplectic_spectrum,
                             validate_physical)
-from gausscorr.correlations import discord, discord_oracle
+from gausscorr.correlations import KWFlowPoint, discord, discord_oracle
 from gausscorr.errors import InvalidInputError
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
                                  attenuation_sweep, build_split_state,
@@ -136,6 +136,15 @@ def test_correlation_flow_balance_to_machine_precision():
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), grid, geof_restarts=5, seed=42)
     assert len(pts) == len(grid)
     assert max(abs(p.residual) for p in pts) <= 1e-10
+    for p in pts:
+        assert p.geof_converged and p.geof_nfev > 0
+        assert p.geof_feasibility_gap >= -1e-9
+
+
+def test_flow_point_positional_construction():
+    p = KWFlowPoint(0.5, 2.0, 0.75, 1.0)
+    assert p.residual == 0.25
+    assert (p.geof_converged, p.geof_feasibility_gap, p.geof_nfev) == (None, None, None)
 
 
 def test_duan_two_vacua_boundary():
