@@ -9,8 +9,8 @@ from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
-from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, entropy_f,
-                                    geof, von_neumann_entropy)
+from gausscorr.correlations import (_geof_objective, _product_pure_feasible, _seed_frame,
+                                    _seed_inverse, entropy_f, geof, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError
 
 from conftest import make_separable_cm
@@ -44,6 +44,55 @@ def test_geof_separable_random():
         cm = make_separable_cm(np.random.default_rng(100 + k))
         res = geof(cm, restarts=4, seed=k)
         assert res.value <= 1e-4, f"case {k}: {res.value}"
+
+
+def _noisy_tmsv(m, t_a, t_b, noise):
+    """TMSV(m) through thermal loss channels gamma -> t gamma + (1 - t) noise I on each mode."""
+    d = np.sqrt([t_a, t_a, t_b, t_b])
+    return np.outer(d, d) * tmsv_cm(m).entries + np.diag((1 - d * d) * noise)
+
+
+def _local_symplectic(rng):
+    s = np.zeros((4, 4))
+    s[:2, :2] = random_symplectic(rng, 1, squeeze_scale=1.0).entries
+    s[2:, 2:] = random_symplectic(rng, 1, squeeze_scale=1.0).entries
+    return s
+
+
+def _assert_pure_product_below(g, p):
+    assert np.abs(p[:2, 2:]).max() <= 1e-12 * np.abs(p).max()
+    assert np.linalg.det(p[:2, :2]) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.det(p[2:, 2:]) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.eigvalsh(g - p).min() >= -1e-9
+
+
+@pytest.mark.parametrize("m, t_a, t_b", [(1.2, 0.5, 0.5), (3.0, 0.8, 0.3), (20.0, 0.5, 0.9)])
+def test_product_shortcut_near_ppt_boundary(m, t_a, t_b):
+    # thermal noise tuned so that the PPT witness sits at +-eps, in a locally rotated
+    # and squeezed frame: a product is found exactly on the separable side
+    rng = np.random.default_rng(int(10 * m))
+    for eps in (1e-3, 1e-6, 1e-9, -1e-6):
+        lo, hi = 1.0, 1e4
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if ppt_min_eig(_noisy_tmsv(m, t_a, t_b, mid)) < eps else (lo, mid)
+        s = _local_symplectic(rng)
+        g = s @ _noisy_tmsv(m, t_a, t_b, hi) @ s.T
+        p = _product_pure_feasible(g)
+        if eps < 0:
+            assert p is None
+        else:
+            _assert_pure_product_below(g, p)
+
+
+def test_product_shortcut_random_separable_and_pure_local_mode():
+    for k in range(20):
+        g = make_separable_cm(np.random.default_rng(200 + k)).entries
+        _assert_pure_product_below(g, _product_pure_feasible(g))
+    g = tensor(np.eye(2), 2.5 * np.eye(2)).entries
+    _assert_pure_product_below(g, _product_pure_feasible(g))
+    res = geof(g)
+    assert res.value == 0.0 and res.converged and res.nfev == 0
 
 
 def test_geof_entangled_positive():
