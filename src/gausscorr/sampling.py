@@ -183,35 +183,60 @@ def matched_sample_size(cm, std_errors) -> int:
 
 
 def cm_resampling_pipeline(cm, n: int, scalars: dict):
-    """Pipeline re-estimating a CM from n Gaussian draws per trial.
+    """Pipeline re-estimating a CM as if from n Gaussian draws per trial.
+
+    Each trial draws the estimate 2 x sample covariance of n shots with raw
+    covariance gamma / 2, whose law is W / (n - 1) with W ~ Wishart(gamma, n - 1),
+    by the Bartlett decomposition W = (L A)(L A)^T: L is the Cholesky factor
+    of gamma and A is lower-triangular with A_ii = sqrt(chi2(n - 1 - i)) and
+    standard normal entries below the diagonal.  A trial therefore costs
+    d(d + 1)/2 random numbers instead of n x d, and the estimates have the
+    distribution of the shot-by-shot ones; the random stream, and so the
+    values for a given seed, differ from drawing the shots.
 
     Unlike :func:`perturbed_cm_pipeline` the entry fluctuations carry the
     correlations of a real covariance estimate, which is what keeps the
     derived-scalar spreads at the experimentally observed scale.
     """
     g = _as_matrix(cm)
-    chol = np.linalg.cholesky(g / 2 + 1e-15 * np.eye(g.shape[0]))
+    d = g.shape[0]
+    df = n - 1
+    if df < d:
+        raise InvalidInputError(f"sample size {n} too small for a {d} x {d} CM estimate "
+                                f"(need n > {d})")
+    chol = np.linalg.cholesky(g + 2e-15 * np.eye(d))
+    chi2_dofs = df - np.arange(d)
+    below = np.tril_indices(d, -1)
 
     def pipeline(rng):
-        z = rng.standard_normal((n, g.shape[0])) @ chol.T
-        est = 2.0 * np.cov(z.T, ddof=1)
+        a = np.diag(np.sqrt(rng.chisquare(chi2_dofs)))
+        a[below] = rng.standard_normal(below[0].size)
+        la = chol @ a
+        est = la @ la.T / df
         return {name: float(fn(est)) for name, fn in scalars.items()}
 
     return pipeline
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_batch_csv(batch: SampleBatch, path):
-    """CSV export: one header row naming quadratures, then displacement columns."""
+    """CSV export: one header row naming quadratures, then displacement columns.
+
+    Values are written as %.10g with \\r\\n line ends, as :mod:`csv`'s default
+    dialect would, formatting one chunk of rows per string operation.
+    """
     sources = sorted(batch.displacement_record)
     header = list(batch.quadrature_labels) + [f"xbar_{s}" for s in sources]
+    extra = [batch.displacement_record[s] for s in sources]
+    row_fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        extra = [batch.displacement_record[s] for s in sources]
-        for i in range(batch.n):
-            row = [f"{v:.10g}" for v in batch.columns[i]]
-            row += [f"{col[i]:.10g}" for col in extra]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, batch.n, _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            chunk = np.column_stack([batch.columns[rows]] + [col[rows] for col in extra])
+            fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 __all__ = [

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from gausscorr import cli
 from gausscorr.cli import main
+from gausscorr.errors import NumericalError
 from gausscorr.channels import InputSpec
 from gausscorr.scenarios import build_split_state, attenuation_sweep
 
@@ -55,6 +57,18 @@ def test_discord_command_nonphysical_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NonPhysicalStateError"
     assert main(["discord", "--cm", str(path), "--allow-measured"]) == 0
+
+
+def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalError("optimizer did not converge")
+
+    monkeypatch.setattr(cli, "discord", fail)
+    assert main(["discord", "--cm", str(measured_cm_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "NumericalError", "message": "optimizer did not converge"}
 
 
 def test_discord_command_missing_file(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from gausscorr.channels import InputSpec
 from gausscorr.core import ppt_min_eig, reduce
@@ -8,7 +11,7 @@ from gausscorr.errors import InvalidInputError
 from gausscorr.sampling import (cm_resampling_pipeline, electronic_demodulation,
                                 error_monte_carlo, estimate_cm, matched_sample_size,
                                 perturbed_cm_pipeline, sample, sampling_pipeline,
-                                write_batch_csv)
+                                SampleBatch, write_batch_csv)
 from gausscorr.scenarios import (MODULATION_SOURCE, build_split_state,
                                  duan_value, recover_demodulate)
 
@@ -154,6 +157,60 @@ def test_resampling_pipeline_scale(measured_cm, measured_errors):
     assert 0.002 <= summ["min_eig"].std <= 0.04
 
 
+def test_resampling_pipeline_entry_moments(measured_cm, measured_errors):
+    g = measured_cm.entries
+    n = matched_sample_size(measured_cm, measured_errors)
+    trials = 20000
+    entries = {(i, j): (lambda m, i=i, j=j: m[i, j]) for i in range(4) for j in range(i, 4)}
+    summ = error_monte_carlo(cm_resampling_pipeline(measured_cm, n, entries),
+                             trials=trials, seed=31)
+    for (i, j), s in summ.items():
+        var = (g[i, i] * g[j, j] + g[i, j] ** 2) / (n - 1)
+        assert abs(s.mean - g[i, j]) <= 5.0 * np.sqrt(var / trials), (i, j)
+        assert s.std ** 2 == pytest.approx(var, rel=0.05), (i, j)
+
+
+def _direct_resampling_pipeline(cm, n, scalars):
+    """Reference: 2 x sample covariance of n drawn shots with covariance gamma / 2."""
+    chol = np.linalg.cholesky(cm / 2)
+
+    def pipeline(rng):
+        z = rng.standard_normal((n, cm.shape[0])) @ chol.T
+        est = 2.0 * np.cov(z.T, ddof=1)
+        return {name: float(fn(est)) for name, fn in scalars.items()}
+
+    return pipeline
+
+
+def test_resampling_pipeline_matches_direct_draws(measured_cm):
+    scalars = {
+        "discord": lambda m: discord(m, 1, allow_measured=True).discord,
+        "min_eig": lambda m: ppt_min_eig(m),
+    }
+    n, trials = 2000, 2000
+    wishart = error_monte_carlo(cm_resampling_pipeline(measured_cm, n, scalars),
+                                trials=trials, seed=41)
+    direct = error_monte_carlo(_direct_resampling_pipeline(measured_cm.entries, n, scalars),
+                               trials=trials, seed=42)
+    for name in scalars:
+        assert ks_2samp(wishart[name].values, direct[name].values).pvalue > 1e-3, name
+
+
+def test_resampling_pipeline_seeded(measured_cm):
+    pipe = cm_resampling_pipeline(measured_cm, 1000, {"g01": lambda m: m[0, 1]})
+    a = error_monte_carlo(pipe, trials=20, seed=5)["g01"].values
+    b = error_monte_carlo(pipe, trials=20, seed=5)["g01"].values
+    c = error_monte_carlo(pipe, trials=20, seed=6)["g01"].values
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_resampling_pipeline_rejects_small_samples(measured_cm, n):
+    with pytest.raises(InvalidInputError):
+        cm_resampling_pipeline(measured_cm, n, {})
+
+
 def test_sampling_pipeline_runs():
     st = build_split_state(SQUEEZED, 0.5)
     pipe = sampling_pipeline(st, 5000, {"d": lambda m: discord(
@@ -177,3 +234,27 @@ def test_batch_csv_export(tmp_path):
 def test_sample_rejects_bad_sizes():
     with pytest.raises(InvalidInputError):
         sample(vacuum_state(), 0, seed=1)
+
+
+def test_batch_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 4096 + 5  # crosses the writer's chunk boundary
+    cols = rng.normal(0.0, 3.0, (n, 4))
+    cols[:4] = [[-0.0, 1e-300, -1e-300, 1.2345678901234e300],
+                [-1e300, 0.0, -2.5, 123456789012.5],
+                [5e-324, -7.0, 1e-5, 0.1],
+                [np.inf, -np.inf, np.nan, -0.0]]
+    xbar = rng.normal(0.0, 1.0, n)
+    xbar[:2] = [-0.0, 1e-300]
+    batch = SampleBatch(columns=cols, quadrature_labels=("x_A", "p_A", "x_B", "p_B"),
+                        displacement_record={"mod": xbar, "aux": -xbar}, seed=0)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_A", "p_A", "x_B", "p_B", "xbar_aux", "xbar_mod"])
+        for i in range(n):
+            writer.writerow([f"{v:.10g}" for v in cols[i]]
+                            + [f"{-xbar[i]:.10g}", f"{xbar[i]:.10g}"])
+    path = tmp_path / "batch.csv"
+    write_batch_csv(batch, path)
+    assert path.read_bytes() == ref.read_bytes()
