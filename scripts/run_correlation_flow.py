@@ -3,8 +3,10 @@
 
 For each attenuation the marginal entropy of A, the one-way classical
 correlation with B, and the entanglement of formation between A and the
-environment side (purifier plus loss ancilla) are computed by independent
-routines; their balance residual is reported.  Writes results/correlation_flow.csv.
+environment side (purifier plus loss ancilla) are computed, and their balance
+residual is reported.  E_F has one purifying mode here and is the closed-form
+measurement infimum on it (see README, Numerical notes).  Writes
+results/correlation_flow.csv.
 """
 
 import json

@@ -9,7 +9,7 @@ emulation of the measured-data pipeline.
 
 __version__ = "0.1.0"
 
-from .core import (CovMatrix, StandardForm, SymplecticForm, SymplecticSpectrum,
+from .core import (CovMatrix, StandardForm, SymplecticSpectrum,
                    SymplecticTransform, apply_symplectic, cm_from_dict, cm_to_dict,
                    partial_transpose, ppt_min_eig, random_physical_cm,
                    random_symplectic, read_cm_file, reduce, seralian,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import ppt_min_eig, read_cm_file, validate_physical
-from .correlations import discord
+from .correlations import discord, kw_audit
 from .errors import (GausscorrError, InvalidInputError, NonPhysicalStateError,
                      NumericalError)
 from .optimality import certify
@@ -103,7 +103,7 @@ def cmd_sweep(args) -> int:
             rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
                    f"{row.classical_corr:.10g}"]
             if cfg.kw_columns:
-                resid = row.s_a - row.classical_corr - row.e_f_ae
+                resid = kw_audit(row.s_a, row.classical_corr, row.e_f_ae)
                 rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
             writer.writerow(rec)
     return EXIT_OK

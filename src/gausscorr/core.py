@@ -11,7 +11,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, sqrtm
@@ -65,24 +65,13 @@ class CovMatrix:
         return CovMatrix(np.eye(2 * n_modes))
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Block-diagonal form Omega = direct sum of [[0, 1], [-1, 0]]."""
-
-    n_modes: int
-    entries: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise InvalidInputError("n_modes must be positive")
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = np.kron(np.eye(self.n_modes), w)
-        out.flags.writeable = False
-        object.__setattr__(self, "entries", out)
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
-    return SymplecticForm(n_modes).entries
+    """Read-only block-diagonal form Omega = direct sum of [[0, 1], [-1, 0]]."""
+    if n_modes < 1:
+        raise InvalidInputError("n_modes must be positive")
+    out = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

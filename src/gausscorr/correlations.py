@@ -22,7 +22,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import xlogy
 
 from .channels import minimal_purification
-from .core import (CovMatrix, standard_form, symplectic_spectrum,
+from .core import (CovMatrix, ppt_min_eig, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
                    PHYSICALITY_TOL, _as_matrix)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
@@ -103,6 +103,12 @@ class KWFlowPoint:
         return self.s_a - self.j_ab - self.e_f_ae
 
 
+def _blocks(g: np.ndarray, measured_mode: int):
+    """(alpha, beta, delta): kept-mode, measured-mode and cross blocks of a two-mode CM."""
+    k, m = 2 * (1 - measured_mode), 2 * measured_mode
+    return g[k:k + 2, k:k + 2], g[m:m + 2, m:m + 2], g[k:k + 2, m:m + 2]
+
+
 def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
     """Kept-mode CM after a Gaussian measurement with seed sigma0 on the other mode.
 
@@ -113,10 +119,7 @@ def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
         raise InvalidInputError("conditional update is implemented for two-mode CMs")
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
-    kept = 1 - measured_mode
-    alpha = g[2 * kept:2 * kept + 2, 2 * kept:2 * kept + 2]
-    beta = g[2 * measured_mode:2 * measured_mode + 2, 2 * measured_mode:2 * measured_mode + 2]
-    delta = g[2 * kept:2 * kept + 2, 2 * measured_mode:2 * measured_mode + 2]
+    alpha, beta, delta = _blocks(g, measured_mode)
     s0 = sigma0.covariance() if isinstance(sigma0, MeasurementSeed) else np.asarray(sigma0, float)
     m = beta + s0
     if abs(np.linalg.det(m)) < 1e-14:
@@ -127,10 +130,7 @@ def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
 
 def _oriented_invariants(g: np.ndarray, measured_mode: int):
     """(A, B, C, D) with the measured mode in the beta slot."""
-    kept = 1 - measured_mode
-    alpha = g[2 * kept:2 * kept + 2, 2 * kept:2 * kept + 2]
-    beta = g[2 * measured_mode:2 * measured_mode + 2, 2 * measured_mode:2 * measured_mode + 2]
-    delta = g[2 * kept:2 * kept + 2, 2 * measured_mode:2 * measured_mode + 2]
+    alpha, beta, delta = _blocks(g, measured_mode)
     return (float(np.linalg.det(alpha)), float(np.linalg.det(beta)),
             float(np.linalg.det(delta)), float(np.linalg.det(g)))
 
@@ -238,12 +238,8 @@ def _adj(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def _seed_chart(alpha, beta, delta):
-    """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
-
-    The returned function is plain arithmetic: it takes Python floats in the
-    Nelder-Mead objective and broadcast arrays on the grid alike.
-    """
+def _chart_coefficients(alpha, beta, delta):
+    """Numerator (mt, mc, ms, m1) and denominator (bt, bc, bs, 1 + B) of det eps on the chart."""
     a = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
     b = beta[0, 0] * beta[1, 1] - beta[0, 1] * beta[1, 0]
     c = delta[0, 0] * delta[1, 1] - delta[0, 1] * delta[1, 0]
@@ -251,15 +247,39 @@ def _seed_chart(alpha, beta, delta):
     m = a * beta - q
     m1 = a * (1.0 + b) - float(np.sum(_adj(beta) * q)) + c * c
     # w^T x w = tr(x) / 2 +- ((x00 - x11) / 2 cos 2theta + x01 sin 2theta) for w = u, v
-    mt, mc, ms = (m[0, 0] + m[1, 1]) / 2, (m[0, 0] - m[1, 1]) / 2, m[0, 1]
-    bt, bc, bs = (beta[0, 0] + beta[1, 1]) / 2, (beta[0, 0] - beta[1, 1]) / 2, beta[0, 1]
+    return (((m[0, 0] + m[1, 1]) / 2, (m[0, 0] - m[1, 1]) / 2, m[0, 1], m1),
+            ((beta[0, 0] + beta[1, 1]) / 2, (beta[0, 0] - beta[1, 1]) / 2, beta[0, 1], 1.0 + b))
+
+
+def _seed_chart(alpha, beta, delta):
+    """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
+
+    The returned function is plain arithmetic: it takes Python floats in the
+    Nelder-Mead objective and broadcast arrays on the grid alike.
+    """
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
 
     def det_eps(cos2, sin2, e):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
         return (((mt - mh) + e * (m1 + e * (mt + mh)))
-                / ((bt - bh) + e * (1.0 + b + e * (bt + bh))))
+                / ((bt - bh) + e * (b1 + e * (bt + bh))))
 
     return det_eps
+
+
+def _chart_argmin(alpha, beta, delta, d_star):
+    """(theta, e) on the seed chart where det eps attains its infimum d_star.
+
+    With P = mt - d bt, Q = (mc - d bc, ms - d bs) and R = m1 - d (1 + B),
+    numerator - d denominator = P (1 + e^2) + R e - (1 - e^2) Q.(cos 2theta,
+    sin 2theta) >= 0 at d = d_star, with equality at the argmin: 2theta points
+    along Q, and e minimizes (P + |Q|) e^2 + R e + P - |Q| on [0, 1].
+    """
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
+    p, qc, qs, r = mt - d_star * bt, mc - d_star * bc, ms - d_star * bs, m1 - d_star * b1
+    lead = p + math.hypot(qc, qs)
+    e = min(max(-r / (2.0 * lead), 0.0), 1.0) if lead > 0 else float(lead + r < 0)
+    return 0.5 * math.atan2(qs, qc), e
 
 
 def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
@@ -283,10 +303,7 @@ def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
         raise InvalidInputError("discord oracle is implemented for two-mode CMs")
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
-    kept = 1 - measured_mode
-    alpha = g[2 * kept:2 * kept + 2, 2 * kept:2 * kept + 2]
-    beta = g[2 * measured_mode:2 * measured_mode + 2, 2 * measured_mode:2 * measured_mode + 2]
-    delta = g[2 * kept:2 * kept + 2, 2 * measured_mode:2 * measured_mode + 2]
+    alpha, beta, delta = _blocks(g, measured_mode)
     det_eps = _seed_chart(alpha, beta, delta)
 
     def objective(p):
@@ -328,7 +345,8 @@ def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
 # decomposition of a Gaussian state is a rank-one measurement on its minimal
 # purifier (Wolf et al., PRA 69, 052320, 2004), every candidate is feasible
 # and pure by construction, and the unconstrained seed optimization needs no
-# feasibility penalty.
+# feasibility penalty.  With k = 1 the minimum is the closed-form discord infimum
+# on the two-mode (A, P) block (Adesso & Datta, PRL 105, 030501, 2010).
 
 def _seed_frame(params, k):
     """Frame O and weights W, D W of the pure k-mode seed O D O^T.
@@ -391,27 +409,12 @@ def _geof_objective(gs_a, gr, gsr_a, k):
     """f(sqrt(det gamma_p,A)) as a function of the k + k^2 seed parameters.
 
     gamma_p,A = gs_a - gsr_a (gr + sigma)^-1 gsr_a^T for the seed sigma of
-    :func:`_seed_frame`.  For k = 1 the seed tan^2(w) P_u + cot^2(w) P_v, with
-    u = (cos phi, sin phi), is the oracle's P_u / e + e P_v with e = cot^2 w,
-    or at phi + pi/2 with e = tan^2 w when squeezed the other way, so the
-    objective is :func:`_seed_chart` in scalar arithmetic.
+    :func:`_seed_frame`.
     """
-    if k == 1:
-        det_eps = _seed_chart(gs_a, gr, gsr_a)
-
-        def objective(params):
-            th = 2.0 * float(params[1])
-            c2, s2 = math.cos(params[0]) ** 2, math.sin(params[0]) ** 2
-            if c2 <= s2:
-                det_a = det_eps(math.cos(th), math.sin(th), c2 / s2)
-            else:
-                det_a = det_eps(-math.cos(th), -math.sin(th), s2 / c2)
-            return entropy_f(max(math.sqrt(max(det_a, 0.0)), 1.0))
-    else:
-        def objective(params):
-            e = gs_a - gsr_a @ _seed_inverse(gr, params, k) @ gsr_a.T
-            det_a = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-            return entropy_f(max(math.sqrt(max(det_a, 0.0)), 1.0))
+    def objective(params):
+        e = gs_a - gsr_a @ _seed_inverse(gr, params, k) @ gsr_a.T
+        det_a = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+        return entropy_f(max(math.sqrt(max(det_a, 0.0)), 1.0))
     return objective
 
 
@@ -469,9 +472,11 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     """Gaussian entanglement of formation across (a_mode | rest).
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
-    single a_mode)); the rest side must have 1 or 2 modes.  Returns the best
-    optimum over restarts with the certifying pure CM and the number of
-    objective evaluations (0 when a shortcut resolves the input).
+    single a_mode)); the rest side must have 1 or 2 modes.  Pure inputs,
+    PPT two-mode inputs and one purifying mode (k = 1) are resolved in closed
+    form; k >= 2 takes the best optimum over restarts.  Returns the value with
+    the certifying pure CM and the number of objective evaluations (0 for the
+    closed forms).  converged asks that two starts end within 1e-9 of it.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -481,7 +486,6 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         raise InvalidInputError("rest side must have 1 or 2 modes")
     if validate_physical(g) < -PHYSICALITY_TOL:
         raise NonPhysicalStateError("GEoF needs a physical CM")
-    rng = np.random.default_rng(seed)
     ai = slice(2 * a_mode, 2 * a_mode + 2)
 
     big = minimal_purification(g).entries
@@ -492,49 +496,52 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         return GEoFResult(value=value, optimal_pure_cm=CovMatrix(g),
                           feasibility_gap=0.0, converged=True)
 
-    if n == 2:
-        from .core import ppt_min_eig  # two-mode separability shortcut
-        if ppt_min_eig(g) >= -PHYSICALITY_TOL:
-            product = _product_pure_feasible(g)
-            if product is not None:
-                gap = float(np.linalg.eigvalsh(g - product).min())
-                return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
-                                  feasibility_gap=gap, converged=True)
+    if n == 2 and ppt_min_eig(g) >= -PHYSICALITY_TOL:  # two-mode separability shortcut
+        product = _product_pure_feasible(g)
+        if product is not None:
+            gap = float(np.linalg.eigvalsh(g - product).min())
+            return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
+                              feasibility_gap=gap, converged=True)
 
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
     gsr = big[:2 * n, 2 * n:]
     gs_a, gsr_a = gs[ai, ai], gsr[ai]
 
-    objective = _geof_objective(gs_a, gr, gsr_a, k)
-    values = []
-    nfev = 0
-    best_val, best_params = np.inf, None
-    # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
-    starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
-    for _ in range(restarts):
-        starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
-                                      rng.uniform(-1.5, 1.5, k * k)]))
-    for p0 in starts:
-        res = minimize(objective, p0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 6000, "maxfev": 9000})
-        nfev += res.nfev
-        values.append(res.fun)
-        if res.fun < best_val:
-            best_val, best_params = res.fun, res.x
-    # polish from the winner
-    res = minimize(objective, best_params, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
-    nfev += res.nfev
-    if res.fun < best_val:
-        best_val, best_params = res.fun, res.x
+    if k == 1:
+        # (A, P) is a two-mode state and f is monotone: the optimum is the
+        # measurement infimum on P, met at the chart's argmin, where the seed
+        # tan^2 w P_u + cot^2 w P_v of _seed_frame has tan^2 w = 1 / e
+        block = np.block([[gs_a, gsr_a], [gsr_a.T, gr]])
+        d_star = _inf_det_eps(*_oriented_invariants(block, 1))[0]
+        theta, e = _chart_argmin(gs_a, gr, gsr_a, d_star)
+        best_val = entropy_f(max(math.sqrt(max(d_star, 0.0)), 1.0))
+        best_params = np.array([math.atan2(1.0, math.sqrt(e)), theta])
+        converged, nfev = True, 0
+    else:
+        objective = _geof_objective(gs_a, gr, gsr_a, k)
+        rng = np.random.default_rng(seed)
+        # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
+        starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
+        for _ in range(restarts):
+            starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
+                                          rng.uniform(-1.5, 1.5, k * k)]))
+        runs = [minimize(objective, p0, method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000})
+                for p0 in starts]
+        best = min(runs, key=lambda r: r.fun)
+        # polish from the winner
+        res = minimize(objective, best.x, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
+        best = res if res.fun < best.fun else best
+        best_val, best_params = best.fun, best.x
+        nfev = sum(r.nfev for r in runs) + res.nfev
+        # two starts must reach the returned value: starts stalled near it are no evidence
+        converged = sum(r.fun <= best_val + 1e-9 for r in runs) >= 2
 
     gamma_p = gs - gsr @ _seed_inverse(gr, best_params, k) @ gsr.T
     gamma_p = (gamma_p + gamma_p.T) / 2
     gap = float(np.linalg.eigvalsh(g - gamma_p).min())
-    values.sort()
-    converged = len(values) >= 2 and values[1] - values[0] <= 1e-5
     return GEoFResult(value=float(best_val), optimal_pure_cm=CovMatrix(gamma_p),
                       feasibility_gap=gap, converged=bool(converged), nfev=int(nfev))
 

@@ -224,6 +224,18 @@ def pure_global_state(spec: InputSpec, bs_t: float) -> ScenarioState:
 # ---------------------------------------------------------------------------
 # sweeps
 
+def _pure_twin(state: ScenarioState) -> ScenarioState:
+    if state.input_spec is None or state.bs_t is None:
+        raise InvalidInputError("state lacks input metadata needed for the pure model")
+    return pure_global_state(state.input_spec, state.bs_t)
+
+
+def _environment_geof(twin: ScenarioState, t: float, geof_restarts: int, seed: int):
+    """The pure model with B attenuated to t (loss ancilla V), and GEoF of A against (E, V)."""
+    g4 = twin.attenuate_mode("B", t, keep_environment=True, env_name="V")
+    return g4, geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts, seed=seed)
+
+
 def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
                       include_ef: bool = False, geof_restarts: int = 6,
                       seed: int = 0) -> list:
@@ -232,27 +244,19 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
     Per grid point the effective (A, B') CM gains the common-mode-rejection
     noise diag(a, a, t a, t a) before the discord report; the optional
     entanglement-with-environment column is evaluated on the noiseless pure
-    model (it relies on global purity).
+    model (it relies on global purity), as in :func:`correlation_flow`.
     """
     t_grid = list(t_grid)
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
-    twin = None
-    if include_ef:
-        if state.input_spec is None or state.bs_t is None:
-            raise InvalidInputError("state lacks input metadata needed for E_F columns")
-        twin = pure_global_state(state.input_spec, state.bs_t)
+    twin = _pure_twin(state) if include_ef else None
 
     def row(t):
         eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
         noisy = cmr_noise(eff, cmr_a, t)
         rep = discord(noisy, measured_mode=1)
         s_a = entropy_f(max(np.sqrt(np.linalg.det(noisy.entries[:2, :2])), 1.0))
-        e_f = None
-        if include_ef:
-            g4 = twin.attenuate_mode("B", t, keep_environment=True, env_name="V")
-            g_aev = g4.effective_cm(["A", "E", "V"])
-            e_f = geof(g_aev, a_mode=0, restarts=geof_restarts, seed=seed).value
+        e_f = _environment_geof(twin, t, geof_restarts, seed)[1].value if include_ef else None
         return SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
                         classical_corr=rep.classical_corr, s_a=s_a, e_f_ae=e_f)
 
@@ -263,22 +267,20 @@ def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
                      seed: int = 0) -> list:
     """Marginal-entropy balance along the attenuation grid, on the pure model.
 
-    Per point: S(A) from the A marginal, J from the discord machinery on
-    (A, B'), and the A-to-environment entanglement of formation from the
-    independent constrained minimization over the 1x2 partition (E plus the
-    loss ancilla V).
+    Per point: S(A) from the A marginal, J from the discord closed form on
+    (A, B'), and the entanglement of formation of A with the environment (E
+    plus the loss ancilla V).  The complement of (A, E, V) is the one mode B',
+    so that GEoF has one purifying mode P and is the closed-form infimum on
+    (A, P); geof_restarts and seed have no effect.  B' and P are local-symplectic
+    images of each other: the residual compares J on (A, B') with J on (A, P).
     """
-    if state.input_spec is None or state.bs_t is None:
-        raise InvalidInputError("state lacks input metadata needed for the flow")
-    twin = pure_global_state(state.input_spec, state.bs_t)
+    twin = _pure_twin(state)
 
     def point(t):
-        g4 = twin.attenuate_mode("B", t, keep_environment=True, env_name="V")
+        g4, res = _environment_geof(twin, t, geof_restarts, seed)
         g_ab = g4.effective_cm(["A", "B"])
         s_a = entropy_f(max(np.sqrt(np.linalg.det(g_ab.entries[:2, :2])), 1.0))
         j = classical_correlation(g_ab, measured_mode=1)
-        g_aev = g4.effective_cm(["A", "E", "V"])
-        res = geof(g_aev, a_mode=0, restarts=geof_restarts, seed=seed)
         return KWFlowPoint(t=t, s_a=s_a, j_ab=j, e_f_ae=res.value,
                            geof_converged=res.converged,
                            geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, minimize
 
 from gausscorr.channels import (attenuate, beamsplitter, minimal_purification,
                                 purify_single_mode, tmsv_cm, tmsv_from_squeezing)
@@ -9,8 +10,10 @@ from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
+from gausscorr import correlations
 from gausscorr.correlations import (_geof_objective, _product_pure_feasible, _seed_frame,
-                                    _seed_inverse, entropy_f, geof, von_neumann_entropy)
+                                    _seed_inverse, discord, entropy_f, geof,
+                                    von_neumann_entropy)
 from gausscorr.errors import InvalidInputError
 
 from conftest import make_separable_cm
@@ -253,19 +256,72 @@ def test_seed_inverse_homodyne_limit(k, quadrature):
     assert np.linalg.eigvalsh(g.entries - gamma_p).min() >= -1e-9
 
 
+def _k1_state(rng, n):
+    # one symplectic eigenvalue above 1: the minimal purification adds one mode
+    nus = np.ones(n)
+    nus[0] = rng.uniform(1.1, 3.0)
+    return apply_symplectic(np.diag(np.repeat(nus, 2)), random_symplectic(rng, n, 1.0))
+
+
 def test_k1_seed_chart_matches_general_path():
-    # one purifying mode: the GEoF objective runs on the discord oracle's chart
-    g = attenuate(tmsv_cm(2.0), 1, 0.7)
-    big = minimal_purification(g).entries
-    assert big.shape == (6, 6)
-    gs_a, gr, gsr_a = big[:2, :2], big[4:, 4:], big[:2, 4:]
-    objective = _geof_objective(gs_a, gr, gsr_a, 1)
-    rng = np.random.default_rng(7)
-    for w in (0.0, 1e-3, 0.4, np.pi / 4, 1.2, np.pi / 2 - 1e-3, np.pi / 2):
-        params = np.array([w, rng.uniform(-np.pi, np.pi)])
-        e = gs_a - gsr_a @ _seed_inverse(gr, params, 1) @ gsr_a.T
-        general = entropy_f(np.sqrt(np.linalg.det(e)))
-        assert objective(params) == pytest.approx(general, rel=1e-12)
+    # independent route for one purifying mode: Nelder-Mead over the general
+    # seed-inverse objective, never the oracle chart or the closed form
+    rng = np.random.default_rng(2024)
+    branches = set()
+    for i in range(30):
+        g = _k1_state(rng, 2 + i % 2)
+        n = g.n_modes
+        big = minimal_purification(g).entries
+        assert big.shape[0] == 2 * n + 2
+        gs_a, gr, gsr_a = big[:2, :2], big[2 * n:, 2 * n:], big[:2, 2 * n:]
+        objective = _geof_objective(gs_a, gr, gsr_a, 1)
+        search = min(minimize(objective, np.array([w, phi]), method="Nelder-Mead",
+                              options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000}).fun
+                     for w in (0.3, 1.3) for phi in (0.0, 1.6))
+        branches.add(discord(np.block([[gs_a, gsr_a], [gsr_a.T, gr]])).branch)
+        res = geof(g)
+        assert res.converged and res.nfev == 0
+        assert abs(res.value - search) <= 1e-10
+        pure = res.optimal_pure_cm
+        assert np.abs(symplectic_spectrum(pure).values - 1.0).max() <= 1e-9
+        assert res.feasibility_gap >= -1e-9
+        assert np.linalg.eigvalsh(g.entries - pure.entries).min() >= -1e-9
+        det_a = np.linalg.det(pure.entries[:2, :2])
+        assert abs(entropy_f(max(np.sqrt(det_a), 1.0)) - res.value) <= 1e-12
+    assert branches == {"homodyne-case", "heterodyne-case"}
+
+
+def test_k1_decoupled_pure_mode():
+    # A uncorrelated with the rest: det eps is 1 on the whole chart and the
+    # argmin quadratic has a zero leading coefficient
+    rng = np.random.default_rng(1)
+    rest = _k1_state(rng, 2)
+    for a in (np.eye(2), apply_symplectic(np.eye(2), random_symplectic(rng, 1, 1.0)).entries):
+        g = tensor(a, rest)
+        res = geof(g)
+        assert res.value == 0.0 and res.converged and res.nfev == 0
+        assert res.feasibility_gap >= -1e-9
+        assert np.abs(symplectic_spectrum(res.optimal_pure_cm).values - 1.0).max() <= 1e-9
+
+
+def _fake_minimize(first, rest):
+    # each start ends at its x0; the first start at `first`, every later one and the polish at `rest`
+    calls = []
+
+    def fake(fun, x0, **kwargs):
+        calls.append(x0)
+        return OptimizeResult(x=np.asarray(x0), fun=first if len(calls) == 1 else rest, nfev=1)
+    return fake
+
+
+@pytest.mark.parametrize("rest, converged", [(0.5 + 1e-7, False), (0.5 + 1e-10, True)])
+def test_geof_converged_needs_two_starts_at_the_value(monkeypatch, rest, converged):
+    # k = 2: one start at 0.5 and a shared stall just above it is not convergence
+    g = _symmetric_lossy_tmsv(-6.0, 0.8)
+    monkeypatch.setattr(correlations, "minimize", _fake_minimize(0.5, rest))
+    res = geof(g, restarts=4)
+    assert res.value == 0.5 and res.nfev == 6
+    assert res.converged is converged
 
 
 def test_geof_three_mixed_modes_feasible_and_pure():

@@ -4,6 +4,7 @@ import pytest
 from gausscorr.channels import InputSpec, db_to_variance, tmsv_from_squeezing
 from gausscorr.core import (ppt_min_eig, random_symplectic, symplectic_spectrum,
                             validate_physical)
+from gausscorr import correlations
 from gausscorr.correlations import KWFlowPoint, discord, discord_oracle
 from gausscorr.errors import InvalidInputError
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
@@ -129,16 +130,26 @@ def test_correlation_flow_small_grid():
 
 
 def test_correlation_flow_balance_to_machine_precision():
-    # E_F comes from a search independent of the discord closed form, so the
-    # balance audits both; t = 0.49 and 0.51 are the slowest points of a
+    # E_F has one purifying mode P here, so it is the closed-form measurement
+    # infimum on (A, P) and the balance compares J on (A, B') with J on (A, P);
+    # test_geof.test_k1_seed_chart_matches_general_path is the
+    # independent search.  t = 0.49 and 0.51 were the slowest points of a
     # search over a full (non-minimal) purification
     grid = np.concatenate([np.linspace(1.0, 0.2, 9), [0.49, 0.51]])
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), grid, geof_restarts=5, seed=42)
     assert len(pts) == len(grid)
     assert max(abs(p.residual) for p in pts) <= 1e-10
     for p in pts:
-        assert p.geof_converged and p.geof_nfev > 0
+        assert p.geof_converged and p.geof_nfev == 0
         assert p.geof_feasibility_gap >= -1e-9
+
+
+def test_correlation_flow_runs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("correlation_flow ran a Nelder-Mead search")
+    monkeypatch.setattr(correlations, "minimize", no_search)
+    pts = correlation_flow(build_split_state(SQUEEZED, 0.5), np.linspace(1.0, 0.2, 9))
+    assert max(abs(p.residual) for p in pts) <= 1e-10
 
 
 def test_flow_point_positional_construction():
