@@ -103,7 +103,9 @@ def cmd_sweep(args) -> int:
             rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
                    f"{row.classical_corr:.10g}"]
             if cfg.kw_columns:
-                resid = kw_audit(row.s_a, row.classical_corr, row.e_f_ae)
+                # rounding noise near 1e-15 must not rewrite the file: an absolute
+                # 1e-12 grid, far below the audit's 1e-10 gate, with -0.0 made 0
+                resid = round(kw_audit(row.s_a, row.classical_corr, row.e_f_ae), 12) + 0.0
                 rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
             writer.writerow(rec)
     return EXIT_OK

@@ -346,7 +346,9 @@ def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
 # purifier (Wolf et al., PRA 69, 052320, 2004), every candidate is feasible
 # and pure by construction, and the unconstrained seed optimization needs no
 # feasibility penalty.  With k = 1 the minimum is the closed-form discord infimum
-# on the two-mode (A, P) block (Adesso & Datta, PRL 105, 030501, 2010).
+# on the two-mode (A, P) block (Adesso & Datta, PRL 105, 030501, 2010); a
+# two-mode input with k = 2 reduces to one angle in its standard form
+# (Marian & Marian, PRL 101, 220403, 2008), so only 1x2 inputs with k >= 2 search.
 
 def _seed_frame(params, k):
     """Frame O and weights W, D W of the pure k-mode seed O D O^T.
@@ -418,6 +420,21 @@ def _geof_objective(gs_a, gr, gsr_a, k):
     return objective
 
 
+def _xp_pure_cm(sf, x):
+    """Pure CM X (+) X^-1 of a standard form's x-p picture, mapped back to gamma's frame.
+
+    X is the covariance of (x_A, x_B) and X^-1 that of (p_A, p_B); the inverse
+    local symplectics of sf then undo the reduction to standard form.
+    """
+    pure = np.zeros((4, 4))
+    pure[0::2, 0::2], pure[1::2, 1::2] = x, np.linalg.inv(x)
+    s = np.zeros((4, 4))
+    s[:2, :2], s[2:, 2:] = (op.entries for op in sf.local_ops)
+    s_inv = np.linalg.inv(s)
+    pure = s_inv @ pure @ s_inv.T
+    return (pure + pure.T) / 2
+
+
 def _product_pure_feasible(g):
     """A feasible pure *product* CM below a two-mode CM (certifies GEoF = 0); None if none found.
 
@@ -457,26 +474,76 @@ def _product_pure_feasible(g):
     y1, y2 = bounds_at(x)
     if min(y1, y2) <= 0.0:
         return None
-    y = math.sqrt(y1 / y2)
-    s = np.zeros((4, 4))
-    s[:2, :2], s[2:, 2:] = (op.entries for op in sf.local_ops)
-    s_inv = np.linalg.inv(s)
-    product = s_inv @ np.diag([x, 1.0 / x, y, 1.0 / y]) @ s_inv.T
-    product = (product + product.T) / 2
+    product = _xp_pure_cm(sf, np.diag([x, math.sqrt(y1 / y2)]))
     if np.linalg.eigvalsh(g - product).min() < -1e-9:
         return None
     return product
+
+
+XP_GRID = 64
+
+
+def _xp_geof(g):
+    """GEoF of a two-mode CM with both symplectic eigenvalues above 1, by a 1-D search.
+
+    In standard form, ordered (x_A, x_B | p_A, p_B), gamma = Gx (+) Gp with
+    Gx = [[a, c_plus], [c_plus, b]] and Gp = [[a, c_minus], [c_minus, b]].
+    The pure x-p block CM X (+) X^-1 lies below gamma iff Gp^-1 <= X <= Gx,
+    and both its marginals have det X11 X22 / det X.  M = Gx - Gp^-1 = L L^T
+    is positive definite, and the optimum has both constraints tight (Marian
+    & Marian, PRL 101, 220403, 2008): X(phi) = Gp^-1 + L n n^T L^T with
+    n = (cos phi, sin phi), so that Gx - X = L n' n'^T L^T for n' perpendicular
+    to n.  This is X = Gx - u u^T / (u^T M^-1 u) with u = L^-T n'.  Charting
+    by n rather than u spreads the angle evenly when M is nearly singular
+    (near k = 1), and forms no det M, whose rounding would leave X infeasible
+    there.  A grid of XP_GRID angles over [0, pi), evaluated in one broadcast
+    pass, picks the cell, and a bounded Brent search refines it.  Returns the
+    marginal det, the certifying pure CM in gamma's frame, the evaluation
+    count (grid plus refine) and whether the refined minimum lies inside its
+    grid bracket at or below every grid value (to 1e-13 relative, rounding).
+    """
+    sf = standard_form(g)
+    a, b, cm = sf.a, sf.b, sf.c_minus
+    dp = a * b - cm * cm                   # det Gp
+    p11, p22, p12 = b / dp, a / dp, -cm / dp
+    (l11, _), (l21, l22) = np.linalg.cholesky(
+        np.array([[a - p11, sf.c_plus - p12], [sf.c_plus - p12, b - p22]])).tolist()
+
+    def tight(c, s):
+        v1, v2 = l11 * c, l21 * c + l22 * s
+        return p11 + v1 * v1, p22 + v2 * v2, p12 + v1 * v2
+
+    def marginal_det(c, s):
+        x11, x22, x12 = tight(c, s)
+        return x11 * x22 / (x11 * x22 - x12 * x12)
+
+    step = math.pi / XP_GRID
+    phis = step * np.arange(XP_GRID)
+    grid = marginal_det(np.cos(phis), np.sin(phis))
+    i = int(np.argmin(grid))
+    lo, hi = phis[i] - step, phis[i] + step
+    res = minimize_scalar(lambda phi: marginal_det(math.cos(phi), math.sin(phi)),
+                          bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    # a grid point at the exact optimum (symmetric states) can beat the refine by a few ulps
+    converged = bool(lo < res.x < hi and res.fun <= grid[i] * (1.0 + 1e-13))
+    x11, x22, x12 = tight(math.cos(res.x), math.sin(res.x))
+    return (float(res.fun), _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])),
+            XP_GRID + int(res.nfev), converged)
 
 
 def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     """Gaussian entanglement of formation across (a_mode | rest).
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
-    single a_mode)); the rest side must have 1 or 2 modes.  Pure inputs,
-    PPT two-mode inputs and one purifying mode (k = 1) are resolved in closed
-    form; k >= 2 takes the best optimum over restarts.  Returns the value with
-    the certifying pure CM and the number of objective evaluations (0 for the
-    closed forms).  converged asks that two starts end within 1e-9 of it.
+    single a_mode)); the rest side must have 1 or 2 modes.  Two-mode inputs
+    never search: pure inputs, PPT products and one purifying mode (k = 1)
+    are closed forms, and k = 2 is a 1-D search in the standard form's x-p
+    picture (:func:`_xp_geof`), whose nfev counts its grid and refine
+    evaluations.  Only 1x2 inputs with k >= 2 take the best Nelder-Mead
+    optimum over restarts; there converged asks that two starts end within
+    1e-9 of the value.  restarts and seed do nothing on two-mode inputs.
+    Returns the value with the certifying pure CM and the number of objective
+    evaluations (0 for the closed forms).
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -502,6 +569,14 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
             gap = float(np.linalg.eigvalsh(g - product).min())
             return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
                               feasibility_gap=gap, converged=True)
+
+    if n == 2 and k == 2:
+        # both marginals of a pure two-mode CM have the same det: a_mode drops out
+        det_a, gamma_p, nfev, converged = _xp_geof(g)
+        return GEoFResult(value=entropy_f(max(math.sqrt(det_a), 1.0)),
+                          optimal_pure_cm=CovMatrix(gamma_p),
+                          feasibility_gap=float(np.linalg.eigvalsh(g - gamma_p).min()),
+                          converged=converged, nfev=nfev)
 
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]

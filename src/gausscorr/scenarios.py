@@ -64,6 +64,9 @@ class SweepRow:
     classical_corr: float
     s_a: float
     e_f_ae: float | None = None
+    geof_converged: bool | None = None
+    geof_feasibility_gap: float | None = None
+    geof_nfev: int | None = None
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,8 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
     Per grid point the effective (A, B') CM gains the common-mode-rejection
     noise diag(a, a, t a, t a) before the discord report; the optional
     entanglement-with-environment column is evaluated on the noiseless pure
-    model (it relies on global purity), as in :func:`correlation_flow`.
+    model (it relies on global purity), as in :func:`correlation_flow`, and
+    comes with the GEoF's converged flag, feasibility gap and nfev.
     """
     t_grid = list(t_grid)
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
@@ -256,9 +260,13 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
         noisy = cmr_noise(eff, cmr_a, t)
         rep = discord(noisy, measured_mode=1)
         s_a = entropy_f(max(np.sqrt(np.linalg.det(noisy.entries[:2, :2])), 1.0))
-        e_f = _environment_geof(twin, t, geof_restarts, seed)[1].value if include_ef else None
-        return SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
-                        classical_corr=rep.classical_corr, s_a=s_a, e_f_ae=e_f)
+        out = SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
+                       classical_corr=rep.classical_corr, s_a=s_a)
+        if not include_ef:
+            return out
+        res = _environment_geof(twin, t, geof_restarts, seed)[1]
+        return replace(out, e_f_ae=res.value, geof_converged=res.converged,
+                       geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
 
     return [row(t) for t in t_grid]
 

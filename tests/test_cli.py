@@ -106,6 +106,20 @@ def test_sweep_command_byte_identical_reruns(fig3_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_command_residual_on_fixed_grid(tmp_path):
+    # the flow residual is rounding noise near 1e-15: written on an absolute
+    # 1e-12 grid it reads 0 (never -0), so last-ulp changes keep the bytes
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "input": {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4},
+        "bs_t": 0.5, "attenuation_grid": [1.0, 0.9, 0.7, 0.5, 0.2], "kw_columns": True}))
+    out = tmp_path / "flow.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].endswith("E_F_AE,S_A,residual")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["0"] * 5
+
+
 def test_sweep_command_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"input": {"v_x": 7.1, "v_p": 1.0}, "bs_t": 0.5,

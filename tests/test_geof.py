@@ -314,18 +314,82 @@ def _fake_minimize(first, rest):
     return fake
 
 
+def _three_mixed_modes():
+    return random_physical_cm(np.random.default_rng(3), 3, max_thermal=1.3, squeeze_scale=1.0)
+
+
 @pytest.mark.parametrize("rest, converged", [(0.5 + 1e-7, False), (0.5 + 1e-10, True)])
 def test_geof_converged_needs_two_starts_at_the_value(monkeypatch, rest, converged):
-    # k = 2: one start at 0.5 and a shared stall just above it is not convergence
-    g = _symmetric_lossy_tmsv(-6.0, 0.8)
+    # 1x2 with k = 3, a search input: one start at 0.5 and a shared stall just
+    # above it is not convergence
     monkeypatch.setattr(correlations, "minimize", _fake_minimize(0.5, rest))
-    res = geof(g, restarts=4)
+    res = geof(_three_mixed_modes(), restarts=4)
     assert res.value == 0.5 and res.nfev == 6
     assert res.converged is converged
 
 
+def _k2_two_mode_states(rng):
+    # entangled, both symplectic eigenvalues above 1: random (strongly squeezed
+    # and asymmetric among them), two with the smaller one at 1 + 2e-6, just
+    # above the k = 1 cut, then near-PPT lossy TMSVs with the witness at -1e-6
+    # before a random local frame
+    states = []
+    while len(states) < 16:
+        g = random_physical_cm(rng, 2, max_thermal=2.5,
+                               squeeze_scale=(0.6, 1.2, 2.0)[len(states) % 3]).entries
+        if ppt_min_eig(g) < -1e-3 and symplectic_spectrum(g).values.min() > 1.01:
+            states.append(g)
+    while len(states) < 18:
+        g = apply_symplectic(np.diag([1 + 2e-6] * 2 + [2.5] * 2),
+                             random_symplectic(rng, 2, 1.5)).entries
+        if ppt_min_eig(g) < 0:
+            states.append(g)
+    for m, t_a, t_b in [(1.2, 0.5, 0.5), (3.0, 0.8, 0.3), (20.0, 0.5, 0.9), (5.0, 0.9, 0.9)]:
+        lo, hi = 1.0, 1e4
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if ppt_min_eig(_noisy_tmsv(m, t_a, t_b, mid)) < -1e-6 else (lo, mid)
+        s = _local_symplectic(rng)
+        states.append(s @ _noisy_tmsv(m, t_a, t_b, lo) @ s.T)
+    return states
+
+
+def test_geof_two_mode_k2_matches_search(monkeypatch):
+    # the x-p 1-D search against an independent route: Nelder-Mead over the
+    # general seed-inverse objective on the two purifying modes
+    rng = np.random.default_rng(2025)
+    states = _k2_two_mode_states(rng)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("geof ran a Nelder-Mead search on a two-mode input")
+    monkeypatch.setattr(correlations, "minimize", no_search)
+    for i, g in enumerate(states):
+        a_mode = i % 2
+        ai = slice(2 * a_mode, 2 * a_mode + 2)
+        res = geof(g, a_mode=a_mode)
+        assert res.converged and res.nfev > 0
+        big = minimal_purification(g).entries
+        assert big.shape == (8, 8)
+        objective = _geof_objective(big[ai, ai], big[4:, 4:], big[ai, 4:], 2)
+        starts = [np.concatenate([np.full(2, np.pi / 4), np.zeros(4)]),
+                  np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, 2))),
+                                  rng.uniform(-1.5, 1.5, 4)])]
+        best = min((minimize(objective, p0, method="Nelder-Mead",
+                             options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 9000})
+                    for p0 in starts), key=lambda r: r.fun)
+        polish = minimize(objective, best.x, method="Nelder-Mead",
+                          options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 3000})
+        assert abs(res.value - min(best.fun, polish.fun)) <= 1e-10
+        pure = res.optimal_pure_cm.entries
+        assert np.abs(symplectic_spectrum(pure).values - 1.0).max() <= 1e-9
+        assert res.feasibility_gap >= -1e-9
+        assert np.linalg.eigvalsh(g - pure).min() >= -1e-9
+        det_a = np.linalg.det(pure[ai, ai])
+        assert abs(entropy_f(max(np.sqrt(det_a), 1.0)) - res.value) <= 1e-12
+
+
 def test_geof_three_mixed_modes_feasible_and_pure():
-    g = random_physical_cm(np.random.default_rng(3), 3, max_thermal=1.3, squeeze_scale=1.0)
+    g = _three_mixed_modes()
     assert np.all(symplectic_spectrum(g).values > 1.0 + 1e-6)  # k = 3 purifying modes
     res = geof(g, restarts=0, seed=0)
     assert res.value > 0.1

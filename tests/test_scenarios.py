@@ -152,6 +152,20 @@ def test_correlation_flow_runs_no_search(monkeypatch):
     assert max(abs(p.residual) for p in pts) <= 1e-10
 
 
+def test_sweep_carries_geof_diagnostics():
+    st = build_split_state(SQUEEZED, 0.5)
+    rows = attenuation_sweep(st, [1.0, 0.5], include_ef=True)
+    flow = correlation_flow(st, [1.0, 0.5])
+    for row, p in zip(rows, flow):
+        assert row.e_f_ae == p.e_f_ae
+        assert (row.geof_converged, row.geof_feasibility_gap, row.geof_nfev) == (
+            p.geof_converged, p.geof_feasibility_gap, p.geof_nfev)
+        assert row.geof_converged and row.geof_nfev == 0 and row.geof_feasibility_gap >= -1e-9
+    plain = attenuation_sweep(st, [0.5])[0]
+    assert (plain.e_f_ae, plain.geof_converged, plain.geof_feasibility_gap,
+            plain.geof_nfev) == (None, None, None, None)
+
+
 def test_flow_point_positional_construction():
     p = KWFlowPoint(0.5, 2.0, 0.75, 1.0)
     assert p.residual == 0.25
