@@ -1,41 +1,33 @@
 #!/usr/bin/env python3
 """Discord-versus-attenuation curves for the coherent and squeezed runs.
 
-Writes one CSV per configured scenario into results/ (created if missing).
-Equivalent to `gausscorr sweep --config scripts/configs/<name>.json`.
+Runs `gausscorr sweep --config scripts/configs/<name>.json` for each scenario
+and writes the CSVs into results/ (created if missing).
 """
 
-import json
 import os
+import sys
 
-from gausscorr.scenarios import ScenarioConfig, attenuation_sweep, build_split_state
+from gausscorr.cli import main as gausscorr
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT_DIR = os.path.join(os.path.dirname(HERE), "results")
-
-
-def run(config_name, out_name):
-    with open(os.path.join(HERE, "configs", config_name)) as fh:
-        cfg = ScenarioConfig.from_dict(json.load(fh))
-    state = build_split_state(cfg.input_spec, cfg.bs_t)
-    rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
-    path = os.path.join(OUT_DIR, out_name)
-    with open(path, "w") as fh:
-        fh.write("t,discord,mutual_info,classical_corr\n")
-        for r in rows:
-            fh.write(f"{r.t:.10g},{r.discord:.10g},{r.mutual_info:.10g},"
-                     f"{r.classical_corr:.10g}\n")
-    print(f"wrote {path}")
-    for r in rows:
-        print(f"  t={r.t:.2f}  D={r.discord:.5f}  I={r.mutual_info:.5f}  "
-              f"J={r.classical_corr:.5f}")
+RUNS = (("coherent_sweep.json", "discord_vs_loss_coherent.csv"),
+        ("squeezed_sweep.json", "discord_vs_loss_squeezed.csv"))
 
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    run("coherent_sweep.json", "discord_vs_loss_coherent.csv")
-    run("squeezed_sweep.json", "discord_vs_loss_squeezed.csv")
+    for config, out_name in RUNS:
+        path = os.path.join(OUT_DIR, out_name)
+        code = gausscorr(["sweep", "--config", os.path.join(HERE, "configs", config),
+                          "--out", path])
+        if code:
+            return code
+        with open(path) as fh:
+            print(f"wrote {path}\n{fh.read()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,8 +6,6 @@ bars obtained by re-estimating the CM with the sample size implied by the
 measured per-entry errors.
 """
 
-import numpy as np
-
 from gausscorr import (discord, error_monte_carlo, cm_resampling_pipeline,
                        matched_sample_size, ppt_min_eig, validate_physical)
 from gausscorr.reference import (MEASURED_CM_STD_ERRORS,

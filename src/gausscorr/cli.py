@@ -21,8 +21,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import ppt_min_eig, read_cm_file, validate_physical
 from .correlations import discord, kw_audit

@@ -141,20 +141,20 @@ def validate_physical(cm) -> float:
     return float(np.linalg.eigvalsh(g + 1j * om).min())
 
 
-def symplectic_spectrum(cm, clamp_tol: float = SPECTRUM_CLAMP_TOL) -> SymplecticSpectrum:
+def symplectic_spectrum(cm) -> SymplecticSpectrum:
     """Symplectic eigenvalues as |eig(i Omega gamma)|, paired and sorted.
 
-    Values in [1 - clamp_tol, 1) are clamped to 1 (pure states sit exactly on
-    the boundary); anything lower raises NonPhysicalStateError.
+    Values in [1 - SPECTRUM_CLAMP_TOL, 1) are clamped to 1 (pure states sit
+    exactly on the boundary); anything lower raises NonPhysicalStateError.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
     ev = np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ g))
     ev.sort()
     values = 0.5 * (ev[0::2] + ev[1::2])  # average degenerate pairs
-    if values.min() < 1.0 - clamp_tol:
+    if values.min() < 1.0 - SPECTRUM_CLAMP_TOL:
         raise NonPhysicalStateError(
-            f"minimum symplectic value {values.min():.6g} < 1 - {clamp_tol:g}")
+            f"minimum symplectic value {values.min():.6g} < 1 - {SPECTRUM_CLAMP_TOL:g}")
     return SymplecticSpectrum(np.maximum(values, 1.0))
 
 

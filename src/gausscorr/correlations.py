@@ -282,8 +282,11 @@ def _chart_argmin(alpha, beta, delta, d_star):
     return 0.5 * math.atan2(qs, qc), e
 
 
-def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
-                   refine_starts: int = 5) -> float:
+ORACLE_GRID = 25
+ORACLE_STARTS = 5
+
+
+def discord_oracle(cm, measured_mode: int = 1) -> float:
     """Discord with the measurement infimum found numerically.
 
     Minimizes det of the conditional CM over pure seeds P_u / e + e P_v, with
@@ -291,9 +294,9 @@ def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
     [0, 1].  The chart contains the homodyne limit e = 0 (homodyne of the
     quadrature v) and the heterodyne seed e = 1; seeds squeezed the other
     way sit at theta + pi/2.  det eps is scalar 2x2 arithmetic that stays
-    finite at e = 0.  It is evaluated on a theta_points x theta_points
+    finite at e = 0.  It is evaluated on an ORACLE_GRID x ORACLE_GRID
     (theta, w) grid in one broadcast pass, then refined by Nelder-Mead in
-    (theta, w) from refine_starts angles at e = 1, as many at e = 0, and the
+    (theta, w) from ORACLE_STARTS angles at e = 1, as many at e = 0, and the
     best grid point.  No closed-form branch is used.  Entropy terms outside
     the infimum reuse the exact symplectic values, so the comparison
     isolates the measurement term.
@@ -310,8 +313,8 @@ def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
         th, e = 2.0 * float(p[0]), math.sin(p[1]) ** 2
         return det_eps(math.cos(th), math.sin(th), e)
 
-    thetas = np.linspace(0.0, np.pi, theta_points)
-    ws = np.linspace(0.0, np.pi / 2, theta_points)
+    thetas = np.linspace(0.0, np.pi, ORACLE_GRID)
+    ws = np.linspace(0.0, np.pi / 2, ORACLE_GRID)
     grid = det_eps(np.cos(2 * thetas)[:, None], np.sin(2 * thetas)[:, None],
                    np.sin(ws)[None, :] ** 2)
     i, j = np.unravel_index(np.argmin(grid), grid.shape)
@@ -319,7 +322,7 @@ def discord_oracle(cm, measured_mode: int = 1, theta_points: int = 25,
 
     options = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000}
     starts = [(th0, w0) for w0 in (np.pi / 2, 0.0)
-              for th0 in np.linspace(0.0, np.pi, refine_starts, endpoint=False)]
+              for th0 in np.linspace(0.0, np.pi, ORACLE_STARTS, endpoint=False)]
     starts.append((thetas[i], ws[j]))
     for x0 in starts:
         res = minimize(objective, np.array(x0), method="Nelder-Mead", options=options)

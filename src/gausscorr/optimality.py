@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+CERTIFY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DecompositionParams:
@@ -113,7 +115,7 @@ def vx_threshold(v_p: float) -> float:
     return 3.0 - 4.0 / (v_p + 1.0)
 
 
-def certify(v_x: float, v_p: float, tol: float = 1e-9) -> OptimalityCertificate:
+def certify(v_x: float, v_p: float) -> OptimalityCertificate:
     """Evaluate all decomposition conditions for the split squeezed state.
 
     certified=True means the Gaussian discord of the state equals the
@@ -124,9 +126,9 @@ def certify(v_x: float, v_p: float, tol: float = 1e-9) -> OptimalityCertificate:
     return OptimalityCertificate(
         m=p.m, tau_channel=p.tau_channel, eta=p.eta, r=p.r, xi=p.xi,
         cond_tau_real=bool(np.isfinite(p.tau_channel)),
-        cond_eta=p.eta >= abs(1.0 - p.tau_channel) - tol,
-        cond_r_range=(1.0 / p.m - tol <= p.r <= p.m + tol),
-        cond_vx_threshold=v_x >= vx_threshold(v_p) - tol,
+        cond_eta=p.eta >= abs(1.0 - p.tau_channel) - CERTIFY_TOL,
+        cond_r_range=(1.0 / p.m - CERTIFY_TOL <= p.r <= p.m + CERTIFY_TOL),
+        cond_vx_threshold=v_x >= vx_threshold(v_p) - CERTIFY_TOL,
     )
 
 

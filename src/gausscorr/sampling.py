@@ -58,6 +58,13 @@ class ScalarSummary:
     values: np.ndarray
 
 
+def _physical_cm(state: ScenarioState) -> CovMatrix:
+    cm = state.effective_cm()
+    if validate_physical(cm) < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError("effective CM is not physical; cannot sample")
+    return cm
+
+
 def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """Draw n shots from a scenario state, recording each classical source.
 
@@ -67,8 +74,7 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
-    if validate_physical(state.effective_cm()) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("effective CM is not physical; cannot sample")
+    _physical_cm(state)
     rng = np.random.default_rng(seed)
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
@@ -153,16 +159,12 @@ def perturbed_cm_pipeline(cm, std_errors, scalars: dict):
 def sampling_pipeline(state: ScenarioState, n: int, scalars: dict):
     """Pipeline re-measuring the scenario with n shots per trial.
 
-    Each trial draws a fresh batch, estimates the CM and applies the scalar
-    functions to the estimate.
+    The CM estimate of each trial is one Wishart draw on the state's effective
+    CM, as in :func:`cm_resampling_pipeline`, so n must exceed the 2m
+    quadratures (n > 6 for the split state).  Nonphysical states are refused,
+    as by :func:`sample`.
     """
-
-    def pipeline(rng):
-        batch = sample(state, n, int(rng.integers(0, 2 ** 63 - 1)))
-        est = estimate_cm(batch)
-        return {name: float(fn(est.cm.entries)) for name, fn in scalars.items()}
-
-    return pipeline
+    return cm_resampling_pipeline(_physical_cm(state), n, scalars)
 
 
 def matched_sample_size(cm, std_errors) -> int:

@@ -13,17 +13,17 @@ rebuilt from the recorded input spec by :func:`pure_global_state`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .channels import (InputSpec, attenuate, beamsplitter, cmr_noise,
-                       purify_single_mode, tensor_transform)
+                       purify_single_mode)
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
                    reduce, tensor, _as_matrix)
-from .correlations import (KWFlowPoint, classical_correlation, discord, entropy_f,
-                           geof)
+from .correlations import KWFlowPoint, discord, entropy_f, geof
 from .errors import InvalidInputError
 
 MODULATION_SOURCE = "modulation_x"
@@ -227,44 +227,42 @@ def pure_global_state(spec: InputSpec, bs_t: float) -> ScenarioState:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _pure_twin(state: ScenarioState) -> ScenarioState:
-    if state.input_spec is None or state.bs_t is None:
-        raise InvalidInputError("state lacks input metadata needed for the pure model")
-    return pure_global_state(state.input_spec, state.bs_t)
-
-
-def _environment_geof(twin: ScenarioState, t: float, geof_restarts: int, seed: int):
-    """The pure model with B attenuated to t (loss ancilla V), and GEoF of A against (E, V)."""
-    g4 = twin.attenuate_mode("B", t, keep_environment=True, env_name="V")
-    return g4, geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts, seed=seed)
-
-
 def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
                       include_ef: bool = False, geof_restarts: int = 6,
                       seed: int = 0) -> list:
     """Discord and companions versus attenuation of mode B.
 
-    Per grid point the effective (A, B') CM gains the common-mode-rejection
-    noise diag(a, a, t a, t a) before the discord report; the optional
-    entanglement-with-environment column is evaluated on the noiseless pure
-    model (it relies on global purity), as in :func:`correlation_flow`, and
-    comes with the GEoF's converged flag, feasibility gap and nfev.
+    Per grid point the split state's effective (A, B') CM gains the
+    common-mode-rejection noise diag(a, a, t a, t a) before the discord report.
+    With include_ef (which needs cmr_a = 0) the row is taken on the noiseless
+    pure model instead, whose (A, B') is the same, and adds E_F of A with the
+    environment (E, V), with the GEoF's converged flag, feasibility gap and nfev.
     """
     t_grid = list(t_grid)
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
-    twin = _pure_twin(state) if include_ef else None
+    if include_ef:
+        if cmr_a != 0.0:
+            raise InvalidInputError("E_F relies on the noiseless pure model: needs cmr_a = 0")
+        if state.input_spec is None or state.bs_t is None:
+            raise InvalidInputError("state lacks input metadata needed for the pure model")
+        pure = pure_global_state(state.input_spec, state.bs_t)
 
     def row(t):
-        eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
-        noisy = cmr_noise(eff, cmr_a, t)
-        rep = discord(noisy, measured_mode=1)
-        s_a = entropy_f(max(np.sqrt(np.linalg.det(noisy.entries[:2, :2])), 1.0))
+        if include_ef:
+            g4 = pure.attenuate_mode("B", t, keep_environment=True, env_name="V")
+            g_ab = g4.effective_cm(["A", "B"])
+        else:
+            eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+            g_ab = cmr_noise(eff, cmr_a, t)
+        rep = discord(g_ab, measured_mode=1)
+        s_a = entropy_f(max(np.sqrt(np.linalg.det(g_ab.entries[:2, :2])), 1.0))
         out = SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
                        classical_corr=rep.classical_corr, s_a=s_a)
         if not include_ef:
             return out
-        res = _environment_geof(twin, t, geof_restarts, seed)[1]
+        res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts,
+                   seed=seed)
         return replace(out, e_f_ae=res.value, geof_converged=res.converged,
                        geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
 
@@ -275,25 +273,20 @@ def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
                      seed: int = 0) -> list:
     """Marginal-entropy balance along the attenuation grid, on the pure model.
 
-    Per point: S(A) from the A marginal, J from the discord closed form on
-    (A, B'), and the entanglement of formation of A with the environment (E
-    plus the loss ancilla V).  The complement of (A, E, V) is the one mode B',
-    so that GEoF has one purifying mode P and is the closed-form infimum on
-    (A, P); geof_restarts and seed have no effect.  B' and P are local-symplectic
+    The points are the rows of ``attenuation_sweep(include_ef=True)``: S(A)
+    from the A marginal, J from the discord closed form on (A, B'), and the
+    entanglement of formation of A with the environment (E plus the loss
+    ancilla V).  The complement of (A, E, V) is the one mode B', so that GEoF
+    has one purifying mode P and is the closed-form infimum on (A, P);
+    geof_restarts and seed have no effect.  B' and P are local-symplectic
     images of each other: the residual compares J on (A, B') with J on (A, P).
     """
-    twin = _pure_twin(state)
-
-    def point(t):
-        g4, res = _environment_geof(twin, t, geof_restarts, seed)
-        g_ab = g4.effective_cm(["A", "B"])
-        s_a = entropy_f(max(np.sqrt(np.linalg.det(g_ab.entries[:2, :2])), 1.0))
-        j = classical_correlation(g_ab, measured_mode=1)
-        return KWFlowPoint(t=t, s_a=s_a, j_ab=j, e_f_ae=res.value,
-                           geof_converged=res.converged,
-                           geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
-
-    return [point(t) for t in t_grid]
+    rows = attenuation_sweep(state, t_grid, include_ef=True,
+                             geof_restarts=geof_restarts, seed=seed)
+    return [KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=r.e_f_ae,
+                        geof_converged=r.geof_converged,
+                        geof_feasibility_gap=r.geof_feasibility_gap, geof_nfev=r.geof_nfev)
+            for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -479,34 +472,41 @@ class ScenarioConfig:
         unknown = set(obj) - allowed
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            inp = obj["input"]
-            bs_t = float(obj["bs_t"])
-        except KeyError as exc:
-            raise InvalidInputError(f"missing config key: {exc}") from None
+        inp = obj.get("input")
         in_allowed = {"kind", "squeezing_db", "v_x", "v_p"}
         if not isinstance(inp, dict) or set(inp) - in_allowed:
-            raise InvalidInputError(f"input block allows keys {sorted(in_allowed)}")
+            raise InvalidInputError(f"input must be an object with keys from {sorted(in_allowed)}")
         spec = InputSpec(kind=inp.get("kind", "coherent"),
-                         squeezing_db=float(inp.get("squeezing_db", 0.0)),
-                         v_x=float(inp["v_x"]), v_p=float(inp["v_p"]))
-        grid = tuple(float(t) for t in obj.get("attenuation_grid", ()))
+                         squeezing_db=_number(inp.get("squeezing_db", 0.0), "squeezing_db"),
+                         v_x=_number(inp.get("v_x"), "v_x"),
+                         v_p=_number(inp.get("v_p"), "v_p"))
+        grid = obj.get("attenuation_grid", [])
+        if not isinstance(grid, list):
+            raise InvalidInputError(f"attenuation_grid must be an array, got {grid!r}")
+        kw_columns = obj.get("kw_columns", False)
+        if not isinstance(kw_columns, bool):
+            raise InvalidInputError(f"kw_columns must be true or false, got {kw_columns!r}")
         rec = None
         if obj.get("recovery") is not None:
             r = obj["recovery"]
             r_allowed = {"mode", "gain", "bs_t_be"}
             if not isinstance(r, dict) or set(r) - r_allowed:
                 raise InvalidInputError(f"recovery block allows keys {sorted(r_allowed)}")
-            gain = r.get("gain")
-            bst = r.get("bs_t_be")
-            rec = RecoveryConfig(
-                mode=r.get("mode", "demodulate"),
-                gain=None if gain in (None, "optimized") else float(gain),
-                bs_t_be=None if bst in (None, "optimized") else float(bst))
-        return ScenarioConfig(input_spec=spec, bs_t=bs_t, attenuation_grid=grid,
-                              cmr_a=float(obj.get("cmr_a", 0.0)),
-                              kw_columns=bool(obj.get("kw_columns", False)),
-                              recovery=rec)
+            gain, bst = (None if r.get(k) in (None, "optimized") else _number(r[k], k)
+                         for k in ("gain", "bs_t_be"))
+            rec = RecoveryConfig(mode=r.get("mode", "demodulate"), gain=gain, bs_t_be=bst)
+        return ScenarioConfig(input_spec=spec, bs_t=_number(obj.get("bs_t"), "bs_t"),
+                              attenuation_grid=tuple(_number(t, "attenuation_grid entry")
+                                                     for t in grid),
+                              cmr_a=_number(obj.get("cmr_a", 0.0), "cmr_a"),
+                              kw_columns=kw_columns, recovery=rec)
+
+
+def _number(value, name: str) -> float:
+    """A config value as a float; it must be a finite JSON number (a missing key reads None)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 __all__ = [

@@ -120,6 +120,52 @@ def test_sweep_command_residual_on_fixed_grid(tmp_path):
     assert [line.split(",")[-1] for line in lines[1:]] == ["0"] * 5
 
 
+def test_sweep_command_rejects_kw_columns_with_cmr_noise(tmp_path, capsys):
+    # J on the noisy CM against E_F on the noiseless pure model would leave a
+    # residual of about 0.03 nats that is no property of the state
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "input": {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4},
+        "bs_t": 0.5, "attenuation_grid": [1.0, 0.5], "cmr_a": 0.047, "kw_columns": True}))
+    out = tmp_path / "flow.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert not out.exists()
+
+
+_GOOD_SWEEP = {"input": {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4},
+               "bs_t": 0.5, "attenuation_grid": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("bs_t",), None, id="bs_t-null"),
+    pytest.param(("attenuation_grid",), ["x"], id="grid-string-entry"),
+    pytest.param(("attenuation_grid",), 1.0, id="grid-number"),
+    pytest.param(("input", "v_x"), "abc", id="v_x-string"),
+    pytest.param(("input", "v_p"), None, id="v_p-null"),
+    pytest.param(("input", "v_x"), float("nan"), id="v_x-nan"),
+    pytest.param(("cmr_a",), float("inf"), id="cmr_a-infinity"),
+    pytest.param(("input", "squeezing_db"), "abc", id="squeezing_db-string"),
+    pytest.param(("cmr_a",), "abc", id="cmr_a-string"),
+    pytest.param(("cmr_a",), True, id="cmr_a-bool"),
+    pytest.param(("kw_columns",), "false", id="kw_columns-string"),
+    pytest.param(("recovery",), {"mode": "demodulate", "gain": "abc"}, id="gain-string"),
+    pytest.param(("recovery",), {"mode": "interfere", "bs_t_be": [0.5]}, id="bs_t_be-array"),
+])
+def test_sweep_command_malformed_config_exit_code(tmp_path, capsys, path, value):
+    obj = json.loads(json.dumps(_GOOD_SWEEP))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
 def test_sweep_command_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"input": {"v_x": 7.1, "v_p": 1.0}, "bs_t": 0.5,

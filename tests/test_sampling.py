@@ -219,6 +219,36 @@ def test_sampling_pipeline_runs():
     assert summ["d"].values.shape == (5,)
 
 
+def _shot_sampling_pipeline(state, n, scalars):
+    """Reference: the CM estimate of a fresh n-shot batch per trial."""
+
+    def pipeline(rng):
+        est = estimate_cm(sample(state, n, int(rng.integers(0, 2 ** 63 - 1)))).cm.entries
+        return {name: float(fn(est)) for name, fn in scalars.items()}
+
+    return pipeline
+
+
+def test_sampling_pipeline_matches_shot_draws():
+    st = build_split_state(SQUEEZED, 0.5)
+    scalars = {
+        "discord": lambda m: discord(m[:4, :4], 1, allow_measured=True).discord,
+        "min_eig": lambda m: ppt_min_eig(m[:4, :4]),
+    }
+    n, trials = 2000, 1000
+    wishart = error_monte_carlo(sampling_pipeline(st, n, scalars), trials=trials, seed=43)
+    shots = error_monte_carlo(_shot_sampling_pipeline(st, n, scalars), trials=trials, seed=44)
+    for name in scalars:
+        assert ks_2samp(wishart[name].values, shots[name].values).pvalue > 1e-3, name
+
+
+def test_sampling_pipeline_needs_more_shots_than_quadratures():
+    st = build_split_state(SQUEEZED, 0.5)
+    with pytest.raises(InvalidInputError):
+        sampling_pipeline(st, 6, {})
+    sampling_pipeline(st, 7, {})
+
+
 def test_batch_csv_export(tmp_path):
     st = build_split_state(SQUEEZED, 0.5)
     batch = sample(st, 50, seed=6)

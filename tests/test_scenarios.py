@@ -166,6 +166,12 @@ def test_sweep_carries_geof_diagnostics():
             plain.geof_nfev) == (None, None, None, None)
 
 
+def test_sweep_rejects_ef_with_cmr_noise():
+    st = build_split_state(SQUEEZED, 0.5)
+    with pytest.raises(InvalidInputError):
+        attenuation_sweep(st, [1.0], cmr_a=0.047, include_ef=True)
+
+
 def test_flow_point_positional_construction():
     p = KWFlowPoint(0.5, 2.0, 0.75, 1.0)
     assert p.residual == 0.25
