@@ -7,7 +7,9 @@ that minimizes the conditional entropy over pure Gaussian measurement seeds.
 The oracle charts the seeds as P_u / e + e P_v (u = (cos theta, sin theta),
 v perpendicular to u, e in [0, 1]), one chart that runs from heterodyne
 (e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in scalar
-2x2 arithmetic.
+2x2 arithmetic.  det eps is a ratio of two quadratics in e, which the oracle
+minimizes exactly at each theta; only theta is searched, on a grid refined
+by a bounded Brent search.
 """
 
 from __future__ import annotations
@@ -230,8 +232,9 @@ def classical_correlation(cm, measured_mode: int = 1, allow_measured: bool = Fal
 # where Q = delta^T adj(alpha) delta and A, B, C are the determinants of
 # alpha, beta, delta.  The cancellation between A and the measurement term is
 # taken once, in M and m1, so rounding noise between evaluations stays at a
-# few ulps of det eps rather than of A, and Nelder-Mead's absolute fatol can
-# be met.  No closed-form branch enters.
+# few ulps of det eps rather than of A.  At fixed theta both numerator and
+# denominator are quadratics in e, so the minimum over e is found exactly;
+# only theta is searched.  No closed-form branch enters.
 
 def _adj(m):
     """Adjugate of a 2x2 matrix, adj(m) = tr(m) I - m."""
@@ -254,8 +257,8 @@ def _chart_coefficients(alpha, beta, delta):
 def _seed_chart(alpha, beta, delta):
     """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
 
-    The returned function is plain arithmetic: it takes Python floats in the
-    Nelder-Mead objective and broadcast arrays on the grid alike.
+    The returned function is plain arithmetic: it takes Python floats and
+    broadcast arrays alike.
     """
     (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
 
@@ -282,24 +285,83 @@ def _chart_argmin(alpha, beta, delta, d_star):
     return 0.5 * math.atan2(qs, qc), e
 
 
-ORACLE_GRID = 25
-ORACLE_STARTS = 5
+def _e_profile(alpha, beta, delta):
+    """Minimum over e in [0, 1] of det eps on the seed chart, and its argmin, at given 2 theta.
+
+    At fixed theta, det eps = (n0 + n1 e + n2 e^2) / (d0 + d1 e + d2 e^2)
+    with a positive denominator on [0, 1], and n1 = m1, d1 = 1 + B in the
+    terms of :func:`_chart_coefficients`.  Its minimum there is at e = 0,
+    e = 1 or a root of N' D - N D'.  The cubic terms cancel, leaving
+    a2 e^2 + 2 a1 e + a0 with a2 = n2 d1 - n1 d2, a1 = n2 d0 - n0 d2 and
+    a0 = n1 d0 - n0 d1, whose roots are taken in the cancellation-free form
+    q / a2 and a0 / q; a vanishing a2 leaves a0 / q as the linear root.
+    Every candidate is scored by :func:`_seed_chart`, so a misplaced root can
+    only raise the minimum, never report a value the chart does not take.
+    The returned function broadcasts over (cos 2theta, sin 2theta) and
+    returns (det, e).
+    """
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
+    det_eps = _seed_chart(alpha, beta, delta)
+
+    def profile(cos2, sin2):
+        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
+        n0, n2, d0, d2 = mt - mh, mt + mh, bt - bh, bt + bh
+        a2, a1, a0 = n2 * b1 - m1 * d2, n2 * d0 - n0 * d2, m1 * d0 - n0 * b1
+        q = -(a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - a2 * a0, 0.0)), a1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack((q / a2, a0 / q))
+        # roots outside [0, 1], or undefined (a constant profile), fall back to e = 0
+        roots = np.where(np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
+        es = np.concatenate([np.zeros_like(roots[:1]), np.ones_like(roots[:1]), roots])
+        values = det_eps(cos2, sin2, es)
+        # the first minimum wins, so ties keep the homodyne limit e = 0
+        i = np.argmin(values, axis=0)[None]
+        return (np.take_along_axis(values, i, axis=0)[0],
+                np.take_along_axis(es, i, axis=0)[0])
+
+    return profile
+
+
+ORACLE_GRID = 64
+
+
+def _oracle_infimum(alpha, beta, delta):
+    """(inf det eps, theta, e) over pure seeds P_u / e + e P_v, found numerically.
+
+    e is minimized exactly at each theta (:func:`_e_profile`); theta is
+    searched on an ORACLE_GRID-point grid over [0, pi), evaluated in one
+    broadcast pass, and the best cell is refined by one bounded Brent search.
+    """
+    profile = _e_profile(alpha, beta, delta)
+    step = math.pi / ORACLE_GRID
+    thetas = step * np.arange(ORACLE_GRID)
+    grid, grid_e = profile(np.cos(2 * thetas), np.sin(2 * thetas))
+    i = int(np.argmin(grid))
+    # Brent's tolerance is sqrt(eps) |theta| + xatol / 3; xatol keeps it near
+    # 1e-8 at theta = 0, where symmetric states put their optimum.  At a
+    # smooth minimum that moves the value by about 1e-16 relative.
+    res = minimize_scalar(lambda th: float(profile(math.cos(2 * th), math.sin(2 * th))[0]),
+                          bounds=(thetas[i] - step, thetas[i] + step), method="bounded",
+                          options={"xatol": 3e-8})
+    if res.fun < grid[i]:
+        det, e = profile(math.cos(2 * res.x), math.sin(2 * res.x))
+        return float(det), float(res.x) % math.pi, float(e)
+    return float(grid[i]), float(thetas[i]), float(grid_e[i])
 
 
 def discord_oracle(cm, measured_mode: int = 1) -> float:
     """Discord with the measurement infimum found numerically.
 
     Minimizes det of the conditional CM over pure seeds P_u / e + e P_v, with
-    u = (cos theta, sin theta), v perpendicular to u and e = sin^2(w) in
-    [0, 1].  The chart contains the homodyne limit e = 0 (homodyne of the
-    quadrature v) and the heterodyne seed e = 1; seeds squeezed the other
-    way sit at theta + pi/2.  det eps is scalar 2x2 arithmetic that stays
-    finite at e = 0.  It is evaluated on an ORACLE_GRID x ORACLE_GRID
-    (theta, w) grid in one broadcast pass, then refined by Nelder-Mead in
-    (theta, w) from ORACLE_STARTS angles at e = 1, as many at e = 0, and the
-    best grid point.  No closed-form branch is used.  Entropy terms outside
-    the infimum reuse the exact symplectic values, so the comparison
-    isolates the measurement term.
+    u = (cos theta, sin theta), v perpendicular to u and e in [0, 1].  The
+    chart contains the homodyne limit e = 0 (homodyne of the quadrature v)
+    and the heterodyne seed e = 1; seeds squeezed the other way sit at
+    theta + pi/2.  det eps is a ratio of two quadratics in e, so e is
+    minimized exactly by calculus at each theta, and theta is searched on a
+    grid refined by Brent (:func:`_oracle_infimum`).  No closed-form branch,
+    branch condition or Nelder-Mead is used.  Entropy terms outside the
+    infimum reuse the exact symplectic values, so the comparison isolates
+    the measurement term.
     """
     g = _as_matrix(cm)
     if g.shape != (4, 4):
@@ -307,26 +369,7 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
     alpha, beta, delta = _blocks(g, measured_mode)
-    det_eps = _seed_chart(alpha, beta, delta)
-
-    def objective(p):
-        th, e = 2.0 * float(p[0]), math.sin(p[1]) ** 2
-        return det_eps(math.cos(th), math.sin(th), e)
-
-    thetas = np.linspace(0.0, np.pi, ORACLE_GRID)
-    ws = np.linspace(0.0, np.pi / 2, ORACLE_GRID)
-    grid = det_eps(np.cos(2 * thetas)[:, None], np.sin(2 * thetas)[:, None],
-                   np.sin(ws)[None, :] ** 2)
-    i, j = np.unravel_index(np.argmin(grid), grid.shape)
-    best = float(grid[i, j])
-
-    options = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000}
-    starts = [(th0, w0) for w0 in (np.pi / 2, 0.0)
-              for th0 in np.linspace(0.0, np.pi, ORACLE_STARTS, endpoint=False)]
-    starts.append((thetas[i], ws[j]))
-    for x0 in starts:
-        res = minimize(objective, np.array(x0), method="Nelder-Mead", options=options)
-        best = min(best, float(res.fun))
+    best = _oracle_infimum(alpha, beta, delta)[0]
 
     nu_minus, nu_plus = two_mode_symplectic_values(g)
     return (entropy_f(max(np.sqrt(np.linalg.det(beta)), 1.0)) - entropy_f(max(nu_minus, 1.0))

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from gausscorr.channels import beamsplitter, tmsv_cm, tmsv_from_squeezing
 from gausscorr.core import (apply_symplectic, random_physical_cm, random_symplectic,
                             reduce, tensor)
-from gausscorr.correlations import (MeasurementSeed, _seed_chart, classical_correlation,
-                                    conditional_cm, discord, discord_oracle,
-                                    entropy_f, kw_audit, mutual_information,
-                                    von_neumann_entropy)
+import gausscorr.correlations as corr
+from gausscorr.correlations import (BRANCH_TIE_TOL, MeasurementSeed, _e_profile,
+                                    _oracle_infimum, _oriented_invariants, _seed_chart,
+                                    classical_correlation, conditional_cm, discord,
+                                    discord_oracle, entropy_f, kw_audit,
+                                    mutual_information, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
 
@@ -179,6 +181,79 @@ def test_discord_oracle_near_pure_measured_mode(seed, log_leak, mode):
     assert np.sqrt(np.linalg.det(beta)) - 1.0 <= 1e-2
     rep = discord(g, measured_mode=mode)
     assert abs(rep.discord - discord_oracle(g, measured_mode=mode)) <= 1e-10
+
+
+def _split_coherent_cm():
+    # rank-one cross block: the e quadratic of the profile vanishes at theta = pi/4
+    gin = np.diag([7.1, 1.0])
+    return 0.5 * np.block([[gin + np.eye(2), gin - np.eye(2)],
+                           [gin - np.eye(2), gin + np.eye(2)]])
+
+
+def test_e_profile_is_the_minimum_over_e():
+    # the exact e step against a dense e grid of the chart, no closed form involved
+    rng = np.random.default_rng(31)
+    cms = [random_physical_cm(rng, 2).entries for _ in range(20)]
+    squeezed_vacuum = apply_symplectic(np.eye(2), random_symplectic(rng, 1, 1.0))
+    cms += [np.diag([2.0, 2.0, 3.0, 3.0]),                              # product state
+            tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,  # decoupled mode
+            _split_coherent_cm()]
+    es = np.linspace(0.0, 1.0, 2001)
+    thetas = np.append(np.linspace(0.0, np.pi, 7, endpoint=False), np.pi / 4)
+    for i, g in enumerate(cms):
+        blocks = _blocks(g, i % 2)
+        det_eps, profile = _seed_chart(*blocks), _e_profile(*blocks)
+        for theta in thetas:
+            c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+            value, e = profile(c2, s2)
+            floor = det_eps(c2, s2, es).min()
+            assert 0.0 <= e <= 1.0
+            assert value <= floor + 1e-12 * abs(floor)
+            assert value == det_eps(c2, s2, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]))
+def test_oracle_optimum_matches_closed_form_branch(seed, mode):
+    cm = random_physical_cm(np.random.default_rng(seed), 2).entries
+    a, b, c, d = _oriented_invariants(cm, mode)
+    lhs, rhs = (d - a * b) ** 2, (1 + b) * c * c * (a + d)
+    assume(abs(lhs - rhs) > BRANCH_TIE_TOL * max(abs(lhs), abs(rhs)))
+    det, _, e = _oracle_infimum(*_blocks(cm, mode))
+    rep = discord(cm, measured_mode=mode)
+    # the homodyne limit wins exactly where the closed form takes its homodyne branch
+    assert (e == 0.0) == (rep.branch == "homodyne-case")
+    assert det == pytest.approx(rep.inf_det_eps, rel=1e-12)
+
+
+def test_discord_oracle_strong_squeezing_high_thermal():
+    # about 2% of these are homodyne-case: draw until four of them are checked
+    rng = np.random.default_rng(2500)
+    counts = {"homodyne-case": 0, "heterodyne-case": 0}
+    while counts["homodyne-case"] < 4 or counts["heterodyne-case"] < 80:
+        cm = random_physical_cm(rng, 2, max_thermal=200.0, squeeze_scale=2.5)
+        for mode in (0, 1):
+            rep = discord(cm, measured_mode=mode)
+            counts[rep.branch] += 1
+            assert abs(rep.discord - discord_oracle(cm, measured_mode=mode)) <= 1e-8
+
+
+def test_discord_oracle_calls_no_nelder_mead_or_closed_form(monkeypatch):
+    rng = np.random.default_rng(3)
+    cases = {}
+    while len(cases) < 2:
+        cm = random_physical_cm(rng, 2)
+        rep = discord(cm)
+        cases.setdefault(rep.branch, (cm, rep.discord))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call this")
+
+    for name in ("minimize", "_inf_det_eps", "_inf_det_eps_heterodyne_case",
+                 "_inf_det_eps_homodyne_case"):
+        monkeypatch.setattr(corr, name, refuse)
+    for cm, closed in cases.values():
+        assert abs(discord_oracle(cm) - closed) <= 1e-10
 
 
 def test_mutual_information_cases(measured_cm):
