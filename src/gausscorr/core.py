@@ -163,12 +163,22 @@ def two_mode_symplectic_values(cm) -> tuple[float, float]:
     g = _as_matrix(cm)
     if g.shape != (4, 4):
         raise InvalidInputError("two-mode closed form needs a 4x4 matrix")
-    delta = seralian(g)
-    det_g = np.linalg.det(g)
+    return _symplectic_pair(seralian(g), float(np.linalg.det(g)))
+
+
+def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
+    """(nu_minus, nu_plus) from the Seralian delta and det gamma, no clamping.
+
+    nu_plus^2 = (delta + sqrt(delta^2 - 4 det)) / 2 and nu_minus^2 =
+    det / nu_plus^2, which avoids the cancellation in (delta - sqrt(...)) / 2:
+    that difference loses about eps * delta, which near a pure mode
+    (nu_minus -> 1, where f is steep) moves f(nu_minus) by a few 1e-13.
+    A negative discriminant (nonphysical input) gives nu_minus = nu_plus.
+    """
     root = np.sqrt(max(delta * delta - 4 * det_g, 0.0))
-    nu_minus = np.sqrt(max((delta - root) / 2, 0.0))
-    nu_plus = np.sqrt((delta + root) / 2)
-    return float(nu_minus), float(nu_plus)
+    plus_sq = (delta + root) / 2
+    minus_sq = min(det_g / plus_sq, plus_sq) if plus_sq > 0 else 0.0
+    return float(np.sqrt(max(minus_sq, 0.0))), float(np.sqrt(plus_sq))
 
 
 def seralian(cm) -> float:

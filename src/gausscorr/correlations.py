@@ -26,7 +26,7 @@ from scipy.special import xlogy
 from .channels import minimal_purification
 from .core import (CovMatrix, ppt_min_eig, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
-                   PHYSICALITY_TOL, _as_matrix)
+                   PHYSICALITY_TOL, _as_matrix, _symplectic_pair)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -86,6 +86,9 @@ class GEoFResult:
     feasibility_gap: float
     converged: bool
     nfev: int = 0            # GEoF objective evaluations over all starts and the polish
+    # how the value was obtained: "pure", "ppt-product", "k1-closed-form",
+    # "xp-search" or "nelder-mead"
+    method: str = "nelder-mead"
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,9 @@ class KWFlowPoint:
 
 
 def _blocks(g: np.ndarray, measured_mode: int):
-    """(alpha, beta, delta): kept-mode, measured-mode and cross blocks of a two-mode CM."""
+    """(alpha, beta, delta): kept, measured and cross blocks of a two-mode CM or stack."""
     k, m = 2 * (1 - measured_mode), 2 * measured_mode
-    return g[k:k + 2, k:k + 2], g[m:m + 2, m:m + 2], g[k:k + 2, m:m + 2]
+    return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
 
 
 def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
@@ -131,10 +134,14 @@ def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
 
 
 def _oriented_invariants(g: np.ndarray, measured_mode: int):
-    """(A, B, C, D) with the measured mode in the beta slot."""
-    alpha, beta, delta = _blocks(g, measured_mode)
-    return (float(np.linalg.det(alpha)), float(np.linalg.det(beta)),
-            float(np.linalg.det(delta)), float(np.linalg.det(g)))
+    """(A, B, C, D) with the measured mode in the beta slot, as Python floats.
+
+    g is one 4x4 CM or a (..., 4, 4) stack; a stack gives each invariant as
+    a (nested) list over its leading axes.  One det call covers the three
+    2x2 blocks, one the whole matrix.
+    """
+    dets = np.linalg.det(np.stack(_blocks(g, measured_mode), axis=-3))
+    return (*np.moveaxis(dets, -1, 0).tolist(), np.linalg.det(g).tolist())
 
 
 def _inf_det_eps_heterodyne_case(a, b, c, d):
@@ -170,23 +177,16 @@ def _inf_det_eps(a, b, c, d):
     return _inf_det_eps_homodyne_case(a, b, c, d), "homodyne-case"
 
 
-def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> DiscordReport:
-    """Gaussian discord of a two-mode CM with measurement on the given mode.
+def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
+    """Discord decomposition from the oriented invariants A, B, C, D (Python floats).
 
-    allow_measured accepts slightly nonphysical reconstructed matrices;
-    symplectic values below 1 are then clamped and flagged in the report.
+    The symplectic values follow from the Seralian A + B + 2C and D, the
+    measurement term from :func:`_inf_det_eps`.  Entropy arguments below
+    1 - 1e-6 raise unless allow_measured, which clamps them to 1 and flags
+    the report.  This is the one scalar closed form behind :func:`discord`
+    and every :func:`~gausscorr.scenarios.attenuation_sweep` row.
     """
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("discord is implemented for two-mode CMs")
-    if measured_mode not in (0, 1):
-        raise InvalidInputError("measured_mode must be 0 or 1")
-    if not allow_measured and validate_physical(g) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError(
-            "CM is not physical; use allow_measured for reconstructed data")
-
-    a, b, c, d = _oriented_invariants(g, measured_mode)
-    nu_minus, nu_plus = two_mode_symplectic_values(g)
+    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
     inf_det, branch = _inf_det_eps(a, b, c, d)
 
     args = [np.sqrt(max(a, 0.0)), np.sqrt(max(b, 0.0)), nu_minus, nu_plus,
@@ -201,6 +201,26 @@ def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> Discord
     return DiscordReport(mutual_info=mutual_info, classical_corr=classical_corr,
                          discord=mutual_info - classical_corr, branch=branch,
                          inf_det_eps=float(inf_det), clamped=clamped)
+
+
+def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> DiscordReport:
+    """Gaussian discord of a two-mode CM with measurement on the given mode.
+
+    Validation, then the four local invariants A, B, C, D
+    (:func:`_oriented_invariants`), then the closed form on them
+    (:func:`_discord_report`).  allow_measured accepts slightly nonphysical
+    reconstructed matrices; symplectic values below 1 are then clamped and
+    flagged in the report.
+    """
+    g = _as_matrix(cm)
+    if g.shape != (4, 4):
+        raise InvalidInputError("discord is implemented for two-mode CMs")
+    if measured_mode not in (0, 1):
+        raise InvalidInputError("measured_mode must be 0 or 1")
+    if not allow_measured and validate_physical(g) < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError(
+            "CM is not physical; use allow_measured for reconstructed data")
+    return _discord_report(*_oriented_invariants(g, measured_mode), allow_measured)
 
 
 def mutual_information(cm, allow_measured: bool = False) -> float:
@@ -588,8 +608,8 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     evaluations.  Only 1x2 inputs with k >= 2 take the best Nelder-Mead
     optimum over restarts; there converged asks that two starts end within
     1e-9 of the value.  restarts and seed do nothing on two-mode inputs.
-    Returns the value with the certifying pure CM and the number of objective
-    evaluations (0 for the closed forms).
+    Returns the value with the certifying pure CM, the number of objective
+    evaluations (0 for the closed forms) and the method that produced it.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -607,14 +627,14 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         # pure input: the only feasible pure CM is gamma itself
         value = entropy_f(max(np.sqrt(np.linalg.det(g[ai, ai])), 1.0))
         return GEoFResult(value=value, optimal_pure_cm=CovMatrix(g),
-                          feasibility_gap=0.0, converged=True)
+                          feasibility_gap=0.0, converged=True, method="pure")
 
     if n == 2 and ppt_min_eig(g) >= -PHYSICALITY_TOL:  # two-mode separability shortcut
         product = _product_pure_feasible(g)
         if product is not None:
             gap = float(np.linalg.eigvalsh(g - product).min())
             return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
-                              feasibility_gap=gap, converged=True)
+                              feasibility_gap=gap, converged=True, method="ppt-product")
 
     if n == 2 and k == 2:
         # both marginals of a pure two-mode CM have the same det: a_mode drops out
@@ -622,7 +642,7 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         return GEoFResult(value=entropy_f(max(math.sqrt(det_a), 1.0)),
                           optimal_pure_cm=CovMatrix(gamma_p),
                           feasibility_gap=float(np.linalg.eigvalsh(g - gamma_p).min()),
-                          converged=converged, nfev=nfev)
+                          converged=converged, nfev=nfev, method="xp-search")
 
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
@@ -638,7 +658,7 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         theta, e = _chart_argmin(gs_a, gr, gsr_a, d_star)
         best_val = entropy_f(max(math.sqrt(max(d_star, 0.0)), 1.0))
         best_params = np.array([math.atan2(1.0, math.sqrt(e)), theta])
-        converged, nfev = True, 0
+        converged, nfev, method = True, 0, "k1-closed-form"
     else:
         objective = _geof_objective(gs_a, gr, gsr_a, k)
         rng = np.random.default_rng(seed)
@@ -659,12 +679,14 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         nfev = sum(r.nfev for r in runs) + res.nfev
         # two starts must reach the returned value: starts stalled near it are no evidence
         converged = sum(r.fun <= best_val + 1e-9 for r in runs) >= 2
+        method = "nelder-mead"
 
     gamma_p = gs - gsr @ _seed_inverse(gr, best_params, k) @ gsr.T
     gamma_p = (gamma_p + gamma_p.T) / 2
     gap = float(np.linalg.eigvalsh(g - gamma_p).min())
     return GEoFResult(value=float(best_val), optimal_pure_cm=CovMatrix(gamma_p),
-                      feasibility_gap=gap, converged=bool(converged), nfev=int(nfev))
+                      feasibility_gap=gap, converged=bool(converged), nfev=int(nfev),
+                      method=method)
 
 
 __all__ = [

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .channels import (InputSpec, attenuate, beamsplitter, cmr_noise,
-                       purify_single_mode)
+from .channels import InputSpec, attenuate, beamsplitter, purify_single_mode
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
-                   reduce, tensor, _as_matrix)
-from .correlations import KWFlowPoint, discord, entropy_f, geof
-from .errors import InvalidInputError
+                   reduce, symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix)
+from .correlations import (KWFlowPoint, entropy_f, geof, _discord_report,
+                           _oriented_invariants)
+from .errors import InvalidInputError, NonPhysicalStateError
 
 MODULATION_SOURCE = "modulation_x"
 PHASE_NOISE_SOURCE = "phase_noise_p"
@@ -232,12 +232,25 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
                       seed: int = 0) -> list:
     """Discord and companions versus attenuation of mode B.
 
-    Per grid point the split state's effective (A, B') CM gains the
-    common-mode-rejection noise diag(a, a, t a, t a) before the discord report.
-    With include_ef (which needs cmr_a = 0) the row is taken on the noiseless
-    pure model instead, whose (A, B') is the same, and adds E_F of A with the
-    environment (E, V), with the GEoF's converged flag, feasibility gap and nfev.
+    At power transmittance t the effective (A, B') CM is affine in t: alpha
+    stays, beta becomes t beta + (1 - t) I and delta becomes sqrt(t) delta,
+    plus the common-mode-rejection noise diag(a, a, t a, t a).  The (A, B)
+    blocks are therefore taken once, at t = 1, and the whole grid is built
+    as one (N, 4, 4) stack.  One stacked eigvalsh(gamma + i Omega) checks
+    every point's physicality (NonPhysicalStateError names the first bad t),
+    one stacked det pass gives the invariants A, B, C, D, and each row is the
+    scalar discord closed form on its invariants, the same one
+    :func:`~gausscorr.correlations.discord` uses.  cmr_a must be nonnegative
+    and every t in [0, 1], checked before any point is computed.
+
+    With include_ef (which needs cmr_a = 0) the (A, B) blocks come from the
+    noiseless pure model, whose (A, B') is the same, and each row adds E_F
+    of A with the environment (E, V), with the GEoF's converged flag,
+    feasibility gap and nfev; the attenuated 4-mode pure state is built per
+    point for that GEoF only.
     """
+    if cmr_a < 0:
+        raise InvalidInputError("CMR variance must be nonnegative")
     t_grid = list(t_grid)
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
@@ -247,26 +260,36 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
         if state.input_spec is None or state.bs_t is None:
             raise InvalidInputError("state lacks input metadata needed for the pure model")
         pure = pure_global_state(state.input_spec, state.bs_t)
+        g1 = pure.effective_cm(["A", "B"]).entries
+    else:
+        g1 = state.effective_cm(["A", "B"]).entries
 
-    def row(t):
+    t = np.array(t_grid, dtype=float)[:, None, None]
+    eye = np.eye(2)
+    g = np.empty((len(t_grid), 4, 4))
+    g[:, :2, :2] = g1[:2, :2] + cmr_a * eye
+    g[:, 2:, 2:] = t * g1[2:, 2:] + (1.0 - t) * eye + (t * cmr_a) * eye
+    g[:, :2, 2:] = np.sqrt(t) * g1[:2, 2:]
+    g[:, 2:, :2] = np.swapaxes(g[:, :2, 2:], 1, 2)
+    worst = np.linalg.eigvalsh(g + 1j * symplectic_form(2)).min(axis=-1)
+    bad = np.flatnonzero(worst < -PHYSICALITY_TOL)
+    if bad.size:
+        raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
+
+    rows = []
+    for t_i, *inv in zip(t_grid, *_oriented_invariants(g, 1)):
+        rep = _discord_report(*inv, allow_measured=False)
+        row = SweepRow(t=t_i, discord=rep.discord, mutual_info=rep.mutual_info,
+                       classical_corr=rep.classical_corr,
+                       s_a=entropy_f(max(math.sqrt(inv[0]), 1.0)))
         if include_ef:
-            g4 = pure.attenuate_mode("B", t, keep_environment=True, env_name="V")
-            g_ab = g4.effective_cm(["A", "B"])
-        else:
-            eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
-            g_ab = cmr_noise(eff, cmr_a, t)
-        rep = discord(g_ab, measured_mode=1)
-        s_a = entropy_f(max(np.sqrt(np.linalg.det(g_ab.entries[:2, :2])), 1.0))
-        out = SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
-                       classical_corr=rep.classical_corr, s_a=s_a)
-        if not include_ef:
-            return out
-        res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts,
-                   seed=seed)
-        return replace(out, e_f_ae=res.value, geof_converged=res.converged,
-                       geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
-
-    return [row(t) for t in t_grid]
+            g4 = pure.attenuate_mode("B", t_i, keep_environment=True, env_name="V")
+            res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts,
+                       seed=seed)
+            row = replace(row, e_f_ae=res.value, geof_converged=res.converged,
+                          geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
+        rows.append(row)
+    return rows
 
 
 def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
@@ -312,18 +335,41 @@ def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     return DuanReport(g=float(g), signs=(sx, sp), value=value, entangled=value < 1.0)
 
 
+DUAN_GRID = 128
+
+
 def duan_optimize(cm) -> DuanReport:
-    """Minimize the Duan value over gain (both sign pairs)."""
+    """Minimize the Duan value over gain g in [e^-6, e^6] (both sign pairs).
+
+    At signs (s, -s) the value is (g^2 m00 + 2 s g m02 + m22)
+    (g^2 m11 - 2 s g m13 + m33) / (g^2 + 1)^2, which can have three local
+    minima in log g.  A DUAN_GRID-point log g grid for both sign pairs,
+    evaluated in one broadcast pass, picks the best cell, and one bounded
+    Brent search refines it; a search started from one bracket alone can stop
+    in a local minimum.
+    """
     m = _as_matrix(cm)
-    best = None
-    for sx in (1, -1):
-        res = minimize_scalar(lambda lg: duan_value(m, np.exp(lg), (sx, -sx)).value,
-                              bounds=(-6.0, 6.0), method="bounded",
-                              options={"xatol": 1e-12})
-        rep = duan_value(m, np.exp(res.x), (sx, -sx))
-        if best is None or rep.value < best.value:
-            best = rep
-    return best
+    if m.shape != (4, 4):
+        raise InvalidInputError("Duan criterion needs a two-mode CM")
+    e = m.tolist()
+    mx, mp = e[0][2] + e[2][0], e[1][3] + e[3][1]
+
+    def value(g, sx):
+        g2 = g * g
+        return ((g2 * e[0][0] + sx * g * mx + e[2][2]) * (g2 * e[1][1] - sx * g * mp + e[3][3])
+                / (g2 + 1) ** 2)
+
+    step = 12.0 / (DUAN_GRID - 1)
+    lgs = -6.0 + step * np.arange(DUAN_GRID)
+    gs = np.exp(lgs)
+    grid = np.stack([value(gs, 1.0), value(gs, -1.0)])
+    si, i = np.unravel_index(int(np.argmin(grid)), grid.shape)
+    sx = (1, -1)[si]
+    res = minimize_scalar(lambda lg: value(math.exp(lg), sx),
+                          bounds=(max(lgs[i] - step, -6.0), min(lgs[i] + step, 6.0)),
+                          method="bounded", options={"xatol": 1e-12})
+    lg = res.x if res.fun < grid[si, i] else lgs[i]
+    return duan_value(m, math.exp(lg), (sx, -sx))
 
 
 def recover_demodulate(state: ScenarioState, g: float) -> ScenarioState:

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gausscorr import cli
+from gausscorr import cli, scenarios
 from gausscorr.cli import main
+from gausscorr.core import CovMatrix
 from gausscorr.errors import NumericalError
 from gausscorr.channels import InputSpec
-from gausscorr.scenarios import build_split_state, attenuation_sweep
+from gausscorr.scenarios import ScenarioState, build_split_state, attenuation_sweep
 
 
 @pytest.fixture
@@ -164,6 +165,39 @@ def test_sweep_command_malformed_config_exit_code(tmp_path, capsys, path, value)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("grid", [[], [1.0, 0.5]])
+def test_sweep_command_rejects_negative_cmr_noise(tmp_path, capsys, grid):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_GOOD_SWEEP, attenuation_grid=grid, cmr_a=-1.0)))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert not out.exists()
+
+
+def test_sweep_command_nonphysical_point_exit_code(tmp_path, capsys, monkeypatch):
+    # no config builds a nonphysical split state, so the state is swapped in:
+    # mode B below the vacuum, physical after attenuation only at t = 0; the
+    # stacked physicality check must reject it before any closed form runs
+    def below_vacuum(spec, bs_t):
+        g = np.eye(6)
+        g[2:4, 2:4] = 0.5 * np.eye(2)
+        return ScenarioState(mode_names=("A", "B", "E"), quantum_cm=CovMatrix(g),
+                             mean=np.zeros(6))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a nonphysical point reached the closed form")
+    monkeypatch.setattr(cli, "build_split_state", below_vacuum)
+    monkeypatch.setattr(scenarios, "_discord_report", forbidden)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_GOOD_SWEEP, attenuation_grid=[0.0, 0.5, 1.0])))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonPhysicalStateError" and "t = 0.5 " in err["message"]
+    assert not out.exists()
 
 
 def test_sweep_command_rejects_unknown_config_keys(tmp_path, capsys):

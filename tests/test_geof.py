@@ -395,3 +395,18 @@ def test_geof_three_mixed_modes_feasible_and_pure():
     assert res.value > 0.1
     assert res.feasibility_gap >= -1e-9
     assert np.abs(symplectic_spectrum(res.optimal_pure_cm).values - 1.0).max() <= 1e-6
+
+
+def test_geof_reports_its_method(monkeypatch):
+    # one input per branch; the closed forms name themselves instead of a bare nfev == 0
+    lossy = attenuate(tmsv_cm(3.0), 1, 0.6)                       # one purifying mode
+    symmetric = attenuate(attenuate(tmsv_cm(3.0), 0, 0.8), 1, 0.8)  # two, entangled
+    cases = [(tmsv_cm(2.2), "pure"), (make_separable_cm(np.random.default_rng(4)), "ppt-product"),
+             (lossy, "k1-closed-form"), (symmetric, "xp-search")]
+    for g, method in cases:
+        res = geof(g)
+        assert res.method == method
+        assert (res.nfev > 0) == (method == "xp-search")
+    assert ppt_min_eig(lossy) < 0 and ppt_min_eig(symmetric) < 0
+    monkeypatch.setattr(correlations, "minimize", _fake_minimize(0.5, 0.5))
+    assert geof(_three_mixed_modes(), restarts=2).method == "nelder-mead"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gausscorr.channels import InputSpec, db_to_variance, tmsv_from_squeezing
-from gausscorr.core import (ppt_min_eig, random_symplectic, symplectic_spectrum,
-                            validate_physical)
-from gausscorr import correlations
-from gausscorr.correlations import KWFlowPoint, discord, discord_oracle
+from gausscorr.channels import InputSpec, cmr_noise, db_to_variance, tmsv_from_squeezing
+from gausscorr.core import (ppt_min_eig, random_physical_cm, random_symplectic,
+                            symplectic_spectrum, validate_physical)
+from gausscorr import channels, correlations, scenarios
+from gausscorr.correlations import (KWFlowPoint, _oriented_invariants, discord,
+                                    discord_oracle, entropy_f)
 from gausscorr.errors import InvalidInputError
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
                                  attenuation_sweep, build_split_state,
@@ -103,6 +106,92 @@ def test_sweep_empty_grid():
     assert attenuation_sweep(st, []) == []
 
 
+def test_sweep_rejects_negative_cmr_on_every_grid():
+    st = build_split_state(COHERENT, 0.5)
+    for grid in ([], [1.0, 0.5]):
+        with pytest.raises(InvalidInputError):
+            attenuation_sweep(st, grid, cmr_a=-1.0)
+
+
+def _reference_row(state, t, cmr_a):
+    """One sweep point the per-point way: attenuate, add CMR noise, scalar discord."""
+    eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+    g = cmr_noise(eff, cmr_a, t)
+    rep = discord(g, measured_mode=1)
+    s_a = entropy_f(max(np.sqrt(np.linalg.det(g.entries[:2, :2])), 1.0))
+    return rep.discord, rep.mutual_info, rep.classical_corr, s_a
+
+
+def _assert_rows_match_reference(state, grid, cmr_a, tol=1e-13):
+    rows = attenuation_sweep(state, grid, cmr_a=cmr_a)
+    assert [r.t for r in rows] == list(grid)
+    for r, t in zip(rows, grid):
+        got = (r.discord, r.mutual_info, r.classical_corr, r.s_a)
+        assert np.abs(np.subtract(got, _reference_row(state, t, cmr_a))).max() <= tol, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=st.sampled_from([COHERENT, SQUEEZED]),
+       cmr_a=st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(1e-14, 1e-6)),
+       grid=st.lists(st.one_of(st.sampled_from([0.0, 1e-15, 1e-12, 1.0]), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=12))
+def test_stacked_sweep_matches_per_point_reference(run, cmr_a, grid):
+    # B' near pure (t -> 0, |B - 1| below and above the 1e-13 shortcut) included
+    _assert_rows_match_reference(build_split_state(run, 0.5), grid, cmr_a)
+
+
+@pytest.mark.parametrize("run, cmr_a", [(COHERENT, 0.0), (COHERENT, 3.9e-3),
+                                         (SQUEEZED, 0.0), (SQUEEZED, 0.047)])
+def test_stacked_sweep_dense_grid_matches_per_point_reference(run, cmr_a):
+    # without CMR noise both runs have nu_minus = 1, where f is steep: the two
+    # paths agree to 1e-13 only because nu_minus^2 is taken as D / nu_plus^2
+    grid = np.random.default_rng(1).uniform(0.0, 1.0, 301)
+    _assert_rows_match_reference(build_split_state(run, 0.5), grid, cmr_a)
+
+
+def test_stacked_sweep_at_the_branch_tie():
+    # the squeezed run crosses the branch condition near t = 0.17; bisect t
+    # until the two sides agree within the 1e-12 tie band, then sweep across it
+    state = build_split_state(SQUEEZED, 0.5)
+
+    def gap(t):
+        eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+        a, b, c, d = _oriented_invariants(cmr_noise(eff, 0.047, t).entries, 1)
+        lhs, rhs = (d - a * b) ** 2, (1 + b) * c * c * (a + d)
+        return (lhs - rhs) / max(lhs, rhs)
+
+    lo, hi = 0.1, 0.3
+    assert gap(lo) > 0 > gap(hi)
+    while hi - lo > 1e-15:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+    assert abs(gap(lo)) <= 1e-12
+    grid = [lo, hi, np.nextafter(lo, 0.0), lo - 1e-13, hi + 1e-13, lo - 1e-9, hi + 1e-9]
+    rows = attenuation_sweep(state, grid, cmr_a=0.047)
+    assert {discord(cmr_noise(state.attenuate_mode("B", t, keep_environment=False)
+                              .effective_cm(["A", "B"]), 0.047, t)).branch
+            for t in (lo - 1e-9, hi + 1e-9)} == {"heterodyne-case", "homodyne-case"}
+    assert len(rows) == len(grid)
+    _assert_rows_match_reference(state, grid, 0.047)
+
+
+def test_stacked_sweep_takes_no_per_point_path(monkeypatch):
+    # without E_F the sweep builds no per-point state and runs no scalar discord
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep took the per-point path")
+    state = build_split_state(SQUEEZED, 0.5)
+    grid = list(np.linspace(1.0, 0.0, 21))
+    expect = [_reference_row(state, t, 0.047) for t in grid]
+    for module in (correlations, scenarios):
+        monkeypatch.setattr(module, "discord", forbidden, raising=False)
+    for module in (channels, scenarios):
+        monkeypatch.setattr(module, "cmr_noise", forbidden, raising=False)
+    monkeypatch.setattr(ScenarioState, "attenuate_mode", forbidden)
+    rows = attenuation_sweep(state, grid, cmr_a=0.047)
+    got = [(r.discord, r.mutual_info, r.classical_corr, r.s_a) for r in rows]
+    assert np.abs(np.subtract(got, expect)).max() <= 1e-13
+
+
 def test_sweep_s_a_constant():
     st = build_split_state(SQUEEZED, 0.5)
     rows = attenuation_sweep(st, [1.0, 0.6, 0.2], cmr_a=0.0)
@@ -191,6 +280,17 @@ def test_duan_tmsv_value():
     best = duan_optimize(tmsv_from_squeezing(r))
     assert best.value <= np.exp(-4 * r) + 1e-12
     assert best.signs == (-1, 1)
+
+
+@pytest.mark.parametrize("seed", [50, 190])
+def test_duan_optimize_finds_the_global_minimum(seed):
+    # a bounded Brent search over log g alone stops in a local minimum on these
+    m = random_physical_cm(np.random.default_rng(seed), 2).entries
+    dense = min(duan_value(m, g, (s, -s)).value
+                for s in (1, -1) for g in np.exp(np.linspace(-6.0, 6.0, 2001)))
+    best = duan_optimize(m)
+    assert best.value <= dense * (1 + 1e-12)
+    assert best.value == duan_value(m, best.g, best.signs).value
 
 
 def test_duan_measured_cm_separable(measured_cm):
