@@ -28,7 +28,7 @@ from .optimality import (DecompositionParams, OptimalityCertificate, certify,
                          split_standard_form, vx_threshold)
 from .scenarios import (DuanReport, NoiseLoading, RecoveryConfig, ScenarioConfig,
                         ScenarioState, SweepRow, attenuation_sweep,
-                        build_split_state, correlation_flow, demodulation_duan,
+                        build_split_state, correlation_flow,
                         duan_optimize, duan_value, optimal_demodulation,
                         pure_global_state, recover_demodulate, recover_interfere,
                         recovery_closed_form, run_recovery,

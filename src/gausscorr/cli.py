@@ -90,7 +90,7 @@ def cmd_sweep(args) -> int:
     _check_out_path(args.out)
     state = build_split_state(cfg.input_spec, cfg.bs_t)
     rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a,
-                             include_ef=cfg.kw_columns, seed=args.seed)
+                             include_ef=cfg.kw_columns)
     header = ["t", "discord", "mutual_info", "classical_corr"]
     if cfg.kw_columns:
         header += ["E_F_AE", "S_A", "residual"]
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="discord-vs-attenuation curve as CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("recover", help="entanglement recovery Duan report")

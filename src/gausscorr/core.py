@@ -10,6 +10,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -56,17 +57,14 @@ class CovMatrix:
     def n_modes(self) -> int:
         return self.entries.shape[0] // 2
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """2x2 block coupling modes i and j."""
-        return self.entries[2 * i:2 * i + 2, 2 * j:2 * j + 2].copy()
 
-    @staticmethod
-    def vacuum(n_modes: int) -> "CovMatrix":
-        return CovMatrix(np.eye(2 * n_modes))
-
-
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Read-only block-diagonal form Omega = direct sum of [[0, 1], [-1, 0]]."""
+    """Read-only block-diagonal form Omega = direct sum of [[0, 1], [-1, 0]].
+
+    One shared array per mode count: the physicality and symplecticity
+    checks ask for it on every call.
+    """
     if n_modes < 1:
         raise InvalidInputError("n_modes must be positive")
     out = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))

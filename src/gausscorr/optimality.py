@@ -10,7 +10,7 @@ discord, so interpreting the Gaussian value as discord is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,12 +29,7 @@ class DecompositionParams:
 
 
 @dataclass(frozen=True)
-class OptimalityCertificate:
-    m: float
-    tau_channel: float
-    eta: float
-    r: float
-    xi: float
+class OptimalityCertificate(DecompositionParams):
     cond_tau_real: bool
     cond_eta: bool
     cond_r_range: bool
@@ -46,14 +41,7 @@ class OptimalityCertificate:
                 and self.cond_r_range and self.cond_vx_threshold)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m, "tau_channel": self.tau_channel, "eta": self.eta,
-            "r": self.r, "xi": self.xi,
-            "cond_tau_real": self.cond_tau_real, "cond_eta": self.cond_eta,
-            "cond_r_range": self.cond_r_range,
-            "cond_vx_threshold": self.cond_vx_threshold,
-            "certified": self.certified,
-        }
+        return {**asdict(self), "certified": self.certified}
 
 
 def _check_ordering(v_x: float, v_p: float):
@@ -124,7 +112,7 @@ def certify(v_x: float, v_p: float) -> OptimalityCertificate:
     """
     p = decomposition_params(v_x, v_p)
     return OptimalityCertificate(
-        m=p.m, tau_channel=p.tau_channel, eta=p.eta, r=p.r, xi=p.xi,
+        **asdict(p),
         cond_tau_real=bool(np.isfinite(p.tau_channel)),
         cond_eta=p.eta >= abs(1.0 - p.tau_channel) - CERTIFY_TOL,
         cond_r_range=(1.0 / p.m - CERTIFY_TOL <= p.r <= p.m + CERTIFY_TOL),

@@ -145,27 +145,25 @@ class ScenarioState:
                        mean=np.concatenate([self.mean, [0.0, 0.0]]),
                        loadings=tuple(new_loadings))
 
-    def modulate_mode(self, name: str, w_x: float, w_p: float,
-                      source_prefix: str | None = None) -> "ScenarioState":
+    def modulate_mode(self, name: str, w_x: float, w_p: float) -> "ScenarioState":
         """Register classical displacement noise on one mode as new loadings."""
         if w_x < 0 or w_p < 0:
             raise InvalidInputError("noise variances must be nonnegative")
         mode = self.mode_index(name)
-        prefix = source_prefix or f"modulation_{name}"
         new = list(self.loadings)
         for offset, w, tag in ((0, w_x, "x"), (1, w_p, "p")):
             if w > 0:
                 vec = np.zeros(2 * self.n_modes)
                 vec[2 * mode + offset] = 1.0
-                new.append(NoiseLoading(f"{prefix}_{tag}", w, vec))
+                new.append(NoiseLoading(f"modulation_{name}_{tag}", w, vec))
         return replace(self, loadings=tuple(new))
 
-    def attenuate_mode(self, name: str, t: float, keep_environment: bool = True,
-                       env_name: str = "V") -> "ScenarioState":
-        """Attenuate one mode; with keep_environment the loss port becomes env_name."""
+    def attenuate_mode(self, name: str, t: float,
+                       keep_environment: bool = True) -> "ScenarioState":
+        """Attenuate one mode; with keep_environment the loss port becomes mode "V"."""
         mode = self.mode_index(name)
         if keep_environment:
-            st = self.with_vacuum_mode(env_name)
+            st = self.with_vacuum_mode("V")
             bs = beamsplitter(t, st.n_modes, (mode, st.n_modes - 1))
             return st.apply_symplectic(bs)
         scale = np.ones(2 * self.n_modes)
@@ -228,8 +226,7 @@ def pure_global_state(spec: InputSpec, bs_t: float) -> ScenarioState:
 # sweeps
 
 def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
-                      include_ef: bool = False, geof_restarts: int = 6,
-                      seed: int = 0) -> list:
+                      include_ef: bool = False) -> list:
     """Discord and companions versus attenuation of mode B.
 
     At power transmittance t the effective (A, B') CM is affine in t: alpha
@@ -283,29 +280,26 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
                        classical_corr=rep.classical_corr,
                        s_a=entropy_f(max(math.sqrt(inv[0]), 1.0)))
         if include_ef:
-            g4 = pure.attenuate_mode("B", t_i, keep_environment=True, env_name="V")
-            res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0, restarts=geof_restarts,
-                       seed=seed)
+            g4 = pure.attenuate_mode("B", t_i)
+            res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0)
             row = replace(row, e_f_ae=res.value, geof_converged=res.converged,
                           geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
         rows.append(row)
     return rows
 
 
-def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
-                     seed: int = 0) -> list:
+def correlation_flow(state: ScenarioState, t_grid) -> list:
     """Marginal-entropy balance along the attenuation grid, on the pure model.
 
     The points are the rows of ``attenuation_sweep(include_ef=True)``: S(A)
     from the A marginal, J from the discord closed form on (A, B'), and the
     entanglement of formation of A with the environment (E plus the loss
     ancilla V).  The complement of (A, E, V) is the one mode B', so that GEoF
-    has one purifying mode P and is the closed-form infimum on (A, P);
-    geof_restarts and seed have no effect.  B' and P are local-symplectic
-    images of each other: the residual compares J on (A, B') with J on (A, P).
+    has one purifying mode P and is the closed-form infimum on (A, P).  B'
+    and P are local-symplectic images of each other: the residual compares
+    J on (A, B') with J on (A, P).
     """
-    rows = attenuation_sweep(state, t_grid, include_ef=True,
-                             geof_restarts=geof_restarts, seed=seed)
+    rows = attenuation_sweep(state, t_grid, include_ef=True)
     return [KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=r.e_f_ae,
                         geof_converged=r.geof_converged,
                         geof_feasibility_gap=r.geof_feasibility_gap, geof_nfev=r.geof_nfev)
@@ -314,6 +308,24 @@ def correlation_flow(state: ScenarioState, t_grid, geof_restarts: int = 6,
 
 # ---------------------------------------------------------------------------
 # Duan product criterion and recovery protocols
+
+def _duan(e, g, sx):
+    """Duan value at gain g and signs (sx, -sx) of the 4x4 nested list e.
+
+    (g^2 m00 + sx g mx + m22)(g^2 m11 - sx g mp + m33) / (g^2 + 1)^2 with
+    mx = m02 + m20 and mp = m13 + m31; g may be an array.
+    """
+    g2 = g * g
+    return ((g2 * e[0][0] + sx * g * (e[0][2] + e[2][0]) + e[2][2])
+            * (g2 * e[1][1] - sx * g * (e[1][3] + e[3][1]) + e[3][3]) / (g2 + 1) ** 2)
+
+
+def _two_mode_list(cm) -> list:
+    m = _as_matrix(cm)
+    if m.shape != (4, 4):
+        raise InvalidInputError("Duan criterion needs a two-mode CM")
+    return m.tolist()
+
 
 def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     """Normalized product criterion value for combinations (g x_A + s x_B, g p_A - s p_B).
@@ -326,50 +338,42 @@ def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     sx, sp = signs
     if sx not in (1, -1) or sp != -sx:
         raise InvalidInputError("signs must be (+1, -1) or (-1, +1)")
-    m = _as_matrix(cm)
-    if m.shape != (4, 4):
-        raise InvalidInputError("Duan criterion needs a two-mode CM")
-    vx = np.array([g, 0.0, sx, 0.0])
-    vp = np.array([0.0, g, 0.0, -sx])
-    value = float((vx @ m @ vx / 2) * (vp @ m @ vp / 2) / ((g * g + 1) ** 2 / 4))
+    value = float(_duan(_two_mode_list(cm), g, sx))
     return DuanReport(g=float(g), signs=(sx, sp), value=value, entangled=value < 1.0)
 
 
 DUAN_GRID = 128
 
 
-def duan_optimize(cm) -> DuanReport:
-    """Minimize the Duan value over gain g in [e^-6, e^6] (both sign pairs).
+def _duan_search(e, sxs) -> tuple:
+    """(g, sx) minimizing the Duan value of e over g in [e^-6, e^6] and sx in sxs.
 
-    At signs (s, -s) the value is (g^2 m00 + 2 s g m02 + m22)
-    (g^2 m11 - 2 s g m13 + m33) / (g^2 + 1)^2, which can have three local
-    minima in log g.  A DUAN_GRID-point log g grid for both sign pairs,
-    evaluated in one broadcast pass, picks the best cell, and one bounded
-    Brent search refines it; a search started from one bracket alone can stop
-    in a local minimum.
+    A DUAN_GRID-point log g grid for each sign, evaluated in one broadcast
+    pass, picks the best cell, and one bounded Brent search refines it; the
+    value can have three local minima in log g, so a search started from one
+    bracket alone can stop in a local minimum.
     """
-    m = _as_matrix(cm)
-    if m.shape != (4, 4):
-        raise InvalidInputError("Duan criterion needs a two-mode CM")
-    e = m.tolist()
-    mx, mp = e[0][2] + e[2][0], e[1][3] + e[3][1]
-
-    def value(g, sx):
-        g2 = g * g
-        return ((g2 * e[0][0] + sx * g * mx + e[2][2]) * (g2 * e[1][1] - sx * g * mp + e[3][3])
-                / (g2 + 1) ** 2)
-
     step = 12.0 / (DUAN_GRID - 1)
     lgs = -6.0 + step * np.arange(DUAN_GRID)
     gs = np.exp(lgs)
-    grid = np.stack([value(gs, 1.0), value(gs, -1.0)])
+    grid = np.stack([_duan(e, gs, sx) for sx in sxs])
     si, i = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    sx = (1, -1)[si]
-    res = minimize_scalar(lambda lg: value(math.exp(lg), sx),
+    sx = sxs[si]
+    res = minimize_scalar(lambda lg: _duan(e, math.exp(lg), sx),
                           bounds=(max(lgs[i] - step, -6.0), min(lgs[i] + step, 6.0)),
                           method="bounded", options={"xatol": 1e-12})
     lg = res.x if res.fun < grid[si, i] else lgs[i]
-    return duan_value(m, math.exp(lg), (sx, -sx))
+    return math.exp(lg), sx
+
+
+def duan_optimize(cm) -> DuanReport:
+    """Minimize the Duan value over gain g in [e^-6, e^6] (both sign pairs).
+
+    :func:`optimal_demodulation` runs the same grid and Brent search.
+    """
+    e = _two_mode_list(cm)
+    g, sx = _duan_search(e, (1, -1))
+    return duan_value(e, g, (sx, -sx))
 
 
 def recover_demodulate(state: ScenarioState, g: float) -> ScenarioState:
@@ -392,19 +396,22 @@ def recover_demodulate(state: ScenarioState, g: float) -> ScenarioState:
     return replace(state, loadings=new_loadings, meta=meta)
 
 
-def demodulation_duan(state: ScenarioState, g: float) -> DuanReport:
-    """Duan value of (A, B) after demodulating with the same gain g."""
-    out = recover_demodulate(state, g)
-    return duan_value(out.effective_cm(["A", "B"]), g)
-
-
 def optimal_demodulation(state: ScenarioState):
-    """Jointly optimize the shared gain of demodulation and the Duan test."""
-    res = minimize_scalar(lambda lg: demodulation_duan(state, np.exp(lg)).value,
-                          bounds=(-6.0, 6.0), method="bounded",
-                          options={"xatol": 1e-12})
-    g = float(np.exp(res.x))
-    return recover_demodulate(state, g), demodulation_duan(state, g)
+    """Jointly optimize the shared gain of demodulation and the Duan test.
+
+    Demodulating with gain g cancels the modulation loading l in g x_A + x_B
+    and leaves g p_A - p_B alone, so the demodulated Duan value at g is the
+    Duan value at g, signs (1, -1), of one fixed matrix: the effective (A, B)
+    CM less W l l^T on its x-x block.  Its gain comes from the
+    :func:`duan_optimize` search; the report is that of the demodulated state.
+    """
+    ld = state.loading(MODULATION_SOURCE)
+    xs = [2 * state.mode_index("A"), 2 * state.mode_index("B")]
+    m = state.effective_cm(["A", "B"]).entries.copy()
+    m[np.ix_([0, 2], [0, 2])] -= ld.variance * np.outer(ld.vector[xs], ld.vector[xs])
+    g, _ = _duan_search(m.tolist(), (1,))
+    out = recover_demodulate(state, g)
+    return out, duan_value(out.effective_cm(["A", "B"]), g)
 
 
 def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> ScenarioState:
@@ -492,13 +499,8 @@ def measurement_optimality_note(spec: InputSpec) -> dict:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    mode: str
     gain: float | None = None       # None -> optimized
     bs_t_be: float | None = None    # None -> optimized
-
-    def __post_init__(self):
-        if self.mode not in ("demodulate", "interfere"):
-            raise InvalidInputError("recovery mode must be demodulate|interfere")
 
 
 @dataclass(frozen=True)
@@ -535,12 +537,12 @@ class ScenarioConfig:
         rec = None
         if obj.get("recovery") is not None:
             r = obj["recovery"]
-            r_allowed = {"mode", "gain", "bs_t_be"}
+            r_allowed = {"gain", "bs_t_be"}
             if not isinstance(r, dict) or set(r) - r_allowed:
                 raise InvalidInputError(f"recovery block allows keys {sorted(r_allowed)}")
             gain, bst = (None if r.get(k) in (None, "optimized") else _number(r[k], k)
                          for k in ("gain", "bs_t_be"))
-            rec = RecoveryConfig(mode=r.get("mode", "demodulate"), gain=gain, bs_t_be=bst)
+            rec = RecoveryConfig(gain=gain, bs_t_be=bst)
         return ScenarioConfig(input_spec=spec, bs_t=_number(obj.get("bs_t"), "bs_t"),
                               attenuation_grid=tuple(_number(t, "attenuation_grid entry")
                                                      for t in grid),
@@ -559,7 +561,7 @@ __all__ = [
     "MODULATION_SOURCE", "PHASE_NOISE_SOURCE", "NoiseLoading", "DuanReport",
     "SweepRow", "ScenarioState", "build_split_state", "pure_global_state",
     "attenuation_sweep", "correlation_flow", "duan_value", "duan_optimize",
-    "recover_demodulate", "demodulation_duan", "optimal_demodulation",
+    "recover_demodulate", "optimal_demodulation",
     "recover_interfere", "recovery_closed_form", "run_recovery",
     "split_state_is_separable", "measurement_optimality_note",
     "RecoveryConfig", "ScenarioConfig",

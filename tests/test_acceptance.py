@@ -85,7 +85,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_marginal_entropy_balance():
     state = build_split_state(SQUEEZED, 0.5)
-    points = correlation_flow(state, NINE_POINT_GRID, geof_restarts=5, seed=42)
+    points = correlation_flow(state, NINE_POINT_GRID)
     worst = max(abs(p.residual) for p in points)
     audit = max(abs(kw_audit(p.s_a, p.j_ab, p.e_f_ae)) for p in points)
     _report("criterion 4 (marginal-entropy balance)",

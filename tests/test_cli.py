@@ -102,8 +102,8 @@ def test_sweep_command_empty_grid(tmp_path, capsys):
 
 def test_sweep_command_byte_identical_reruns(fig3_config, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["sweep", "--config", str(fig3_config), "--out", str(out1), "--seed", "3"])
-    main(["sweep", "--config", str(fig3_config), "--out", str(out2), "--seed", "3"])
+    main(["sweep", "--config", str(fig3_config), "--out", str(out1)])
+    main(["sweep", "--config", str(fig3_config), "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -150,8 +150,9 @@ _GOOD_SWEEP = {"input": {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, 
     pytest.param(("cmr_a",), "abc", id="cmr_a-string"),
     pytest.param(("cmr_a",), True, id="cmr_a-bool"),
     pytest.param(("kw_columns",), "false", id="kw_columns-string"),
-    pytest.param(("recovery",), {"mode": "demodulate", "gain": "abc"}, id="gain-string"),
-    pytest.param(("recovery",), {"mode": "interfere", "bs_t_be": [0.5]}, id="bs_t_be-array"),
+    pytest.param(("recovery",), {"gain": "abc"}, id="gain-string"),
+    pytest.param(("recovery",), {"bs_t_be": [0.5]}, id="bs_t_be-array"),
+    pytest.param(("recovery",), {"mode": "demodulate"}, id="recovery-mode-key"),
 ])
 def test_sweep_command_malformed_config_exit_code(tmp_path, capsys, path, value):
     obj = json.loads(json.dumps(_GOOD_SWEEP))
@@ -240,6 +241,43 @@ def test_certify_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["certified"] is False
     assert out["cond_vx_threshold"] is False
+
+
+_CERTIFY_JSON = {
+    ("9.84", "38.4"): """{
+ "m": 10.33315053601756,
+ "tau_channel": -0.7814207650273224,
+ "eta": 1.7814207650273224,
+ "r": 2.2191459565832323,
+ "xi": 1.9064853387486274,
+ "cond_tau_real": true,
+ "cond_eta": true,
+ "cond_r_range": true,
+ "cond_vx_threshold": true,
+ "certified": true
+}
+""",
+    ("1.5", "2.0"): """{
+ "m": 1.3693063937629153,
+ "tau_channel": -0.14285714285714285,
+ "eta": 1.1428571428571428,
+ "r": 1.8257418583505538,
+ "xi": 1.095445115010332,
+ "cond_tau_real": true,
+ "cond_eta": true,
+ "cond_r_range": false,
+ "cond_vx_threshold": false,
+ "certified": false
+}
+""",
+}
+
+
+@pytest.mark.parametrize("vx, vp", list(_CERTIFY_JSON))
+def test_certify_command_output_bytes(tmp_path, vx, vp):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--vx", vx, "--vp", vp, "--out", str(out)]) == 0
+    assert out.read_bytes() == _CERTIFY_JSON[vx, vp].encode()
 
 
 def test_certify_command_ordering_exit_code(capsys):
