@@ -17,8 +17,8 @@ from .core import (CovMatrix, StandardForm, SymplecticSpectrum,
                    two_mode_symplectic_values, validate_physical, williamson,
                    write_cm_file)
 from .channels import (ChannelXY, InputSpec, attenuate, beamsplitter, cmr_noise,
-                       db_to_variance, loss_channel, modulate, purify_single_mode,
-                       rotation, squeezer, tmsv_cm, tmsv_from_squeezing)
+                       db_to_variance, loss_channel, modulate, rotation,
+                       squeezer, tmsv_cm, tmsv_from_squeezing)
 from .correlations import (DiscordReport, GEoFResult, KWFlowPoint, MeasurementSeed,
                            classical_correlation, conditional_cm, discord,
                            discord_oracle, entropy_f, geof, kw_audit,
@@ -30,8 +30,8 @@ from .scenarios import (DuanReport, NoiseLoading, RecoveryConfig, ScenarioConfig
                         ScenarioState, SweepRow, attenuation_sweep,
                         build_split_state, correlation_flow,
                         duan_optimize, duan_value, optimal_demodulation,
-                        pure_global_state, recover_demodulate, recover_interfere,
-                        recovery_closed_form, run_recovery,
+                        recover_demodulate, recover_interfere, recovery_closed_form,
+                        run_recovery,
                         split_state_is_separable, measurement_optimality_note, MODULATION_SOURCE,
                         PHASE_NOISE_SOURCE)
 from .sampling import (CMEstimate, SampleBatch, ScalarSummary,

@@ -214,19 +214,6 @@ def minimal_purification(cm) -> CovMatrix:
     return apply_symplectic(core, tensor_transform(s, len(mixed)))
 
 
-def purify_single_mode(cm) -> CovMatrix:
-    """Two-mode pure CM whose first-mode reduction equals the given single-mode CM.
-
-    The :func:`minimal_purification` of gamma_1; a pure input gets a vacuum
-    purifier.
-    """
-    g1 = _as_matrix(cm)
-    if g1.shape != (2, 2):
-        raise InvalidInputError("purify_single_mode takes a single-mode CM")
-    pure = minimal_purification(g1)
-    return pure if pure.n_modes == 2 else tensor(pure, np.eye(2))
-
-
 def tmsv_cm(m: float) -> CovMatrix:
     """Two-mode squeezed vacuum with diagonal blocks m*I and cross sqrt(m^2-1)*sigma_z."""
     if m < 1.0 - 1e-12:
@@ -253,6 +240,6 @@ def tensor_transform(s: SymplecticTransform, extra_modes: int) -> SymplecticTran
 __all__ = [
     "InputSpec", "ChannelXY", "db_to_variance", "loss_channel", "beamsplitter",
     "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
-    "minimal_purification", "purify_single_mode", "tmsv_cm", "tmsv_from_squeezing",
+    "minimal_purification", "tmsv_cm", "tmsv_from_squeezing",
     "tensor_transform",
 ]

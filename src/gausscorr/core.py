@@ -265,14 +265,18 @@ def ppt_min_eig(cm) -> float:
     return validate_physical(partial_transpose(g, 0))
 
 
-def reduce(cm, modes) -> CovMatrix:
-    """Reduced CM of the listed modes (in the listed order)."""
-    g = _as_matrix(cm)
-    n = g.shape[0] // 2
+def _quadrature_indices(n: int, modes) -> np.ndarray:
+    """x, p row indices of the listed modes of an n-mode CM (in the listed order)."""
     modes = list(modes)
     if not modes or any(not 0 <= m < n for m in modes) or len(set(modes)) != len(modes):
         raise InvalidInputError(f"invalid mode selection {modes} for {n} modes")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
+    return np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
+
+
+def reduce(cm, modes) -> CovMatrix:
+    """Reduced CM of the listed modes (in the listed order)."""
+    g = _as_matrix(cm)
+    idx = _quadrature_indices(g.shape[0] // 2, modes)
     return CovMatrix(g[np.ix_(idx, idx)])
 
 

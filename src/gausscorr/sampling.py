@@ -68,7 +68,7 @@ def _physical_cm(state: ScenarioState) -> CovMatrix:
 def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """Draw n shots from a scenario state, recording each classical source.
 
-    The quantum part is drawn from N(mean/ ..., gamma_q/2); each classical
+    The quantum part is drawn from N(0, gamma_q/2); each classical
     source contributes its loading vector times a recorded N(0, W/2) draw.
     Bit-reproducible for a fixed seed.
     """
@@ -79,7 +79,6 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
     shots = rng.standard_normal((n, raw_cov.shape[0])) @ chol.T
-    shots += state.mean  # first moments are kept in raw quadrature units
     record = {}
     for ld in state.loadings:
         draws = rng.normal(0.0, np.sqrt(ld.variance / 2.0), n)

@@ -6,9 +6,9 @@ variance entering the quadratures through a loading vector.  The effective CM
 seen by correlation functionals is quantum_cm + sum_s W_s l_s l_s^T.  Keeping
 the modulation explicit is what makes demodulation computable later.
 
-The correlation-flow audit instead needs a *pure* global model in which the
-purifying mode E carries everything that is mixed about the input; it is
-rebuilt from the recorded input spec by :func:`pure_global_state`.
+The correlation-flow audit purifies the effective (A, B) CM it is asked
+about: the purifying modes carry everything that is mixed about it.  Any
+purification serves, because E_F(A:E) does not change under a unitary on E.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .channels import InputSpec, attenuate, beamsplitter, purify_single_mode
+from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
-                   reduce, symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix)
+                   reduce, symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix,
+                   _quadrature_indices)
 from .correlations import (KWFlowPoint, entropy_f, geof, _discord_report,
                            _oriented_invariants)
 from .errors import InvalidInputError, NonPhysicalStateError
@@ -71,14 +72,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ScenarioState:
-    """Immutable snapshot: named modes, quantum CM, mean, classical loadings."""
+    """Immutable snapshot: named modes, quantum CM, classical loadings (zero mean)."""
 
     mode_names: tuple
     quantum_cm: CovMatrix
-    mean: np.ndarray
     loadings: tuple = ()
-    input_spec: InputSpec | None = None
-    bs_t: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -86,13 +84,8 @@ class ScenarioState:
             raise InvalidInputError("mode_names length must match the CM mode count")
         if len(set(self.mode_names)) != len(self.mode_names):
             raise InvalidInputError("mode names must be unique")
-        mean = np.asarray(self.mean, dtype=float).copy()
-        if mean.shape != (2 * self.quantum_cm.n_modes,):
-            raise InvalidInputError("mean vector has wrong length")
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
         for ld in self.loadings:
-            if ld.vector.shape != mean.shape:
+            if ld.vector.shape != (2 * self.n_modes,):
                 raise InvalidInputError(f"loading {ld.source_id} has wrong vector length")
 
     @property
@@ -106,15 +99,15 @@ class ScenarioState:
             raise InvalidInputError(f"no mode named {name!r} in {self.mode_names}") from None
 
     def effective_cm(self, modes=None) -> CovMatrix:
-        """quantum_cm + sum W l l^T, optionally reduced to the named modes."""
-        g = self.quantum_cm.entries.copy()
+        """quantum_cm + sum W l l^T, optionally reduced to the named (or indexed) modes."""
+        modes = range(self.n_modes) if modes is None else modes
+        idx = _quadrature_indices(self.n_modes, [self.mode_index(m) if isinstance(m, str) else m
+                                                 for m in modes])
+        g = self.quantum_cm.entries[np.ix_(idx, idx)]
         for ld in self.loadings:
-            g += ld.variance * np.outer(ld.vector, ld.vector)
-        cm = CovMatrix(g)
-        if modes is None:
-            return cm
-        idx = [self.mode_index(m) if isinstance(m, str) else m for m in modes]
-        return reduce(cm, idx)
+            v = ld.vector[idx]
+            g += ld.variance * np.outer(v, v)
+        return CovMatrix(g)
 
     def loading(self, source_id: str) -> NoiseLoading:
         for ld in self.loadings:
@@ -123,11 +116,11 @@ class ScenarioState:
         raise InvalidInputError(f"state has no noise source {source_id!r}")
 
     def apply_symplectic(self, s) -> "ScenarioState":
-        """Apply S to the quantum CM, the mean, and every loading vector."""
+        """Apply S to the quantum CM and every loading vector."""
         sm = s.entries if isinstance(s, SymplecticTransform) else np.asarray(s, float)
         new_loadings = tuple(replace(ld, vector=sm @ ld.vector) for ld in self.loadings)
         return replace(self, quantum_cm=apply_symplectic(self.quantum_cm, s),
-                       mean=sm @ self.mean, loadings=new_loadings)
+                       loadings=new_loadings)
 
     def with_vacuum_mode(self, name: str, x_loading_coeffs=None) -> "ScenarioState":
         """Append a vacuum mode; optional {source_id: coeff} loads its x quadrature."""
@@ -142,7 +135,6 @@ class ScenarioState:
             raise InvalidInputError(f"unknown source ids {sorted(coeffs)}")
         return replace(self, mode_names=self.mode_names + (name,),
                        quantum_cm=tensor(self.quantum_cm, np.eye(2)),
-                       mean=np.concatenate([self.mean, [0.0, 0.0]]),
                        loadings=tuple(new_loadings))
 
     def modulate_mode(self, name: str, w_x: float, w_p: float) -> "ScenarioState":
@@ -170,7 +162,7 @@ class ScenarioState:
         scale[2 * mode:2 * mode + 2] = np.sqrt(t)
         new_loadings = tuple(replace(ld, vector=scale * ld.vector) for ld in self.loadings)
         return replace(self, quantum_cm=attenuate(self.quantum_cm, mode, t),
-                       mean=scale * self.mean, loadings=new_loadings)
+                       loadings=new_loadings)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +171,11 @@ class ScenarioState:
 def build_split_state(spec: InputSpec, bs_t: float) -> ScenarioState:
     """Split a modulated input on a beamsplitter; modes (A, B, E).
 
-    The quantum part is the pure squeezed input split with vacuum (E is a
-    vacuum placeholder here; the purifying model lives in
-    :func:`pure_global_state`).  The x-modulation and any excess p noise are
-    tracked as classical loadings, so the effective (A, B) covariance equals
-    the block form (gamma_in + 1)/2, (gamma_in - 1)/2 for a balanced split.
+    The quantum part is the pure squeezed input split with vacuum; E is a
+    vacuum mode, kept so that sampled batches carry x_E and p_E columns.  The
+    x-modulation and any excess p noise are tracked as classical loadings, so
+    the effective (A, B) covariance equals the block form (gamma_in + 1)/2,
+    (gamma_in - 1)/2 for a balanced split.
     """
     if not 0.0 <= bs_t <= 1.0:
         raise InvalidInputError("bs_t must be in [0, 1]")
@@ -197,28 +189,7 @@ def build_split_state(spec: InputSpec, bs_t: float) -> ScenarioState:
         loadings.append(NoiseLoading(PHASE_NOISE_SOURCE, w_p,
                                      np.array([0, 1.0, 0, 0, 0, 0])))
     state = ScenarioState(mode_names=("A", "B", "E"), quantum_cm=quantum,
-                          mean=np.zeros(6), loadings=tuple(loadings),
-                          input_spec=spec, bs_t=bs_t)
-    return state.apply_symplectic(beamsplitter(bs_t, 3, (0, 1)))
-
-
-def pure_global_state(spec: InputSpec, bs_t: float) -> ScenarioState:
-    """Pure three-mode model (A, B, E): E purifies the full mixed input.
-
-    The purification of diag(V_x, V_p) is a locally squeezed two-mode
-    squeezed vacuum; the input half is then split with vacuum.  No classical
-    loadings: the effective CM is the quantum CM.
-    """
-    if not 0.0 <= bs_t <= 1.0:
-        raise InvalidInputError("bs_t must be in [0, 1]")
-    pur = purify_single_mode(np.diag([spec.v_x, spec.v_p]))  # modes (in, E)
-    three = tensor(pur, np.eye(2))                           # (in, E, B0)
-    perm = np.zeros((6, 6))                                  # -> (in, B0, E)
-    for src, dst in enumerate([0, 2, 1]):
-        perm[2 * dst:2 * dst + 2, 2 * src:2 * src + 2] = np.eye(2)
-    three = apply_symplectic(three, perm.T)
-    state = ScenarioState(mode_names=("A", "B", "E"), quantum_cm=three,
-                          mean=np.zeros(6), input_spec=spec, bs_t=bs_t)
+                          loadings=tuple(loadings))
     return state.apply_symplectic(beamsplitter(bs_t, 3, (0, 1)))
 
 
@@ -240,26 +211,25 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
     :func:`~gausscorr.correlations.discord` uses.  cmr_a must be nonnegative
     and every t in [0, 1], checked before any point is computed.
 
-    With include_ef (which needs cmr_a = 0) the (A, B) blocks come from the
-    noiseless pure model, whose (A, B') is the same, and each row adds E_F
-    of A with the environment (E, V), with the GEoF's converged flag,
-    feasibility gap and nfev; the attenuated 4-mode pure state is built per
-    point for that GEoF only.
+    With include_ef (which needs cmr_a = 0) each row adds E_F of A with its
+    environment, with the GEoF's converged flag, feasibility gap and nfev.
+    The effective (A, B) CM is purified once (:func:`minimal_purification`,
+    one purifying mode per symplectic eigenvalue above 1); per point, B is
+    attenuated with the loss port V kept, and the environment is every mode
+    but A and B'.  GEoF takes at most two environment modes, so a state with
+    two symplectic eigenvalues above 1 raises InvalidInputError.
     """
     if cmr_a < 0:
         raise InvalidInputError("CMR variance must be nonnegative")
     t_grid = list(t_grid)
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
+    if include_ef and cmr_a != 0.0:
+        raise InvalidInputError("E_F relies on global purity: needs cmr_a = 0")
+    g1 = state.effective_cm(["A", "B"]).entries
     if include_ef:
-        if cmr_a != 0.0:
-            raise InvalidInputError("E_F relies on the noiseless pure model: needs cmr_a = 0")
-        if state.input_spec is None or state.bs_t is None:
-            raise InvalidInputError("state lacks input metadata needed for the pure model")
-        pure = pure_global_state(state.input_spec, state.bs_t)
-        g1 = pure.effective_cm(["A", "B"]).entries
-    else:
-        g1 = state.effective_cm(["A", "B"]).entries
+        pure = minimal_purification(g1)
+        a_env = [0, *range(2, pure.n_modes + 1)]  # A, the purifiers of (A, B) and the loss port V
 
     t = np.array(t_grid, dtype=float)[:, None, None]
     eye = np.eye(2)
@@ -280,8 +250,7 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
                        classical_corr=rep.classical_corr,
                        s_a=entropy_f(max(math.sqrt(inv[0]), 1.0)))
         if include_ef:
-            g4 = pure.attenuate_mode("B", t_i)
-            res = geof(g4.effective_cm(["A", "E", "V"]), a_mode=0)
+            res = geof(reduce(attenuate(pure, 1, t_i, keep_environment=True), a_env), a_mode=0)
             row = replace(row, e_f_ae=res.value, geof_converged=res.converged,
                           geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
         rows.append(row)
@@ -289,15 +258,15 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
 
 
 def correlation_flow(state: ScenarioState, t_grid) -> list:
-    """Marginal-entropy balance along the attenuation grid, on the pure model.
+    """Marginal-entropy balance along the attenuation grid, on a purification.
 
     The points are the rows of ``attenuation_sweep(include_ef=True)``: S(A)
     from the A marginal, J from the discord closed form on (A, B'), and the
-    entanglement of formation of A with the environment (E plus the loss
-    ancilla V).  The complement of (A, E, V) is the one mode B', so that GEoF
-    has one purifying mode P and is the closed-form infimum on (A, P).  B'
-    and P are local-symplectic images of each other: the residual compares
-    J on (A, B') with J on (A, P).
+    entanglement of formation of A with the environment E (the purifier of
+    the (A, B) CM plus the loss ancilla V).  The complement of (A, E) is the
+    one mode B', so that GEoF has one purifying mode P and is the
+    closed-form infimum on (A, P).  B' and P are local-symplectic images of
+    each other: the residual compares J on (A, B') with J on (A, P).
     """
     rows = attenuation_sweep(state, t_grid, include_ef=True)
     return [KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=r.e_f_ae,
@@ -559,7 +528,7 @@ def _number(value, name: str) -> float:
 
 __all__ = [
     "MODULATION_SOURCE", "PHASE_NOISE_SOURCE", "NoiseLoading", "DuanReport",
-    "SweepRow", "ScenarioState", "build_split_state", "pure_global_state",
+    "SweepRow", "ScenarioState", "build_split_state",
     "attenuation_sweep", "correlation_flow", "duan_value", "duan_optimize",
     "recover_demodulate", "optimal_demodulation",
     "recover_interfere", "recovery_closed_form", "run_recovery",

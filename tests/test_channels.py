@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscorr.channels import (InputSpec, attenuate, beamsplitter,
-                                cmr_noise, db_to_variance, loss_channel, modulate,
-                                purify_single_mode, rotation, squeezer, tmsv_cm)
+                                cmr_noise, db_to_variance, loss_channel,
+                                minimal_purification, modulate, rotation, squeezer, tmsv_cm)
 from gausscorr.core import (apply_symplectic, random_physical_cm, reduce,
                             symplectic_spectrum, validate_physical)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
@@ -145,27 +145,22 @@ def test_channel_xy_matches_attenuate(measured_cm):
     assert np.abs(via_channel.entries - direct.entries).max() <= 1e-12
 
 
-def test_purify_vacuum():
-    out = purify_single_mode(np.eye(2))
-    assert np.allclose(out.entries, np.eye(4))
-
-
 def test_purify_thermal_is_tmsv():
     m = 3.7
-    out = purify_single_mode(np.diag([m, m]))
+    out = minimal_purification(np.diag([m, m]))
     assert np.abs(out.entries - tmsv_cm(m).entries).max() <= 1e-10
 
 
 def test_purify_modulated_input():
     g1 = np.diag([9.84, 38.4])
-    out = purify_single_mode(g1)
+    out = minimal_purification(g1)
     assert np.allclose(symplectic_spectrum(out).values, 1.0, atol=1e-8)
     assert np.abs(reduce(out, [0]).entries - g1).max() <= 1e-9
 
 
 def test_purify_rejects_nonphysical():
     with pytest.raises(NonPhysicalStateError):
-        purify_single_mode(np.diag([0.5, 0.5]))
+        minimal_purification(np.diag([0.5, 0.5]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,7 +168,7 @@ def test_purify_rejects_nonphysical():
 def test_purify_round_trip_random(seed):
     rng = np.random.default_rng(seed)
     g1 = random_physical_cm(rng, 1)
-    out = purify_single_mode(g1)
+    out = minimal_purification(g1)
     assert np.abs(reduce(out, [0]).entries - g1.entries).max() <= 1e-9
     assert np.allclose(symplectic_spectrum(out).values, 1.0, atol=1e-8)
 

@@ -185,8 +185,7 @@ def test_sweep_command_nonphysical_point_exit_code(tmp_path, capsys, monkeypatch
     def below_vacuum(spec, bs_t):
         g = np.eye(6)
         g[2:4, 2:4] = 0.5 * np.eye(2)
-        return ScenarioState(mode_names=("A", "B", "E"), quantum_cm=CovMatrix(g),
-                             mean=np.zeros(6))
+        return ScenarioState(mode_names=("A", "B", "E"), quantum_cm=CovMatrix(g))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a nonphysical point reached the closed form")

@@ -1,0 +1,32 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import gausscorr
+
+MODULES = [importlib.import_module(f"gausscorr.{m.name}")
+           for m in pkgutil.iter_modules(gausscorr.__path__)]
+
+
+def test_every_exported_name_exists():
+    for module in MODULES:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
+
+
+def test_package_imports_only_exported_names():
+    # a name dropped from a module's __all__ must also leave gausscorr/__init__.py
+    tree = ast.parse(Path(gausscorr.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        if node.module is None:
+            continue  # "from . import reference" imports a module
+        module = importlib.import_module(f"gausscorr.{node.module}")
+        exported = getattr(module, "__all__", None)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"gausscorr imports missing {alias.name!r}"
+            if exported is not None:
+                assert alias.name in exported, (
+                    f"gausscorr imports {node.module}.{alias.name}, which is not in its __all__")

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize
 
-from gausscorr.channels import (attenuate, beamsplitter, minimal_purification,
-                                purify_single_mode, tmsv_cm, tmsv_from_squeezing)
+from gausscorr.channels import (attenuate, beamsplitter, minimal_purification, tmsv_cm,
+                                tmsv_from_squeezing)
 from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
@@ -118,7 +118,7 @@ def test_geof_optimal_cm_is_pure():
 def test_geof_three_mode_matches_two_mode_when_decoupled():
     # (A, E) entangled pure state with a decoupled vacuum appended: the 1x2
     # value must match the 1x1 value of (A, E)
-    pur = purify_single_mode(np.diag([9.84, 38.4]))       # (in, E)
+    pur = minimal_purification(np.diag([9.84, 38.4]))     # (in, E)
     split = apply_symplectic(tensor(pur, np.eye(2)), beamsplitter(0.5, 3, (0, 2)))
     g_ab = reduce(split, [0, 1])                           # A with E, traced B
     two = geof(g_ab, restarts=4, seed=2)

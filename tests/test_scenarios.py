@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscorr.channels import InputSpec, cmr_noise, db_to_variance, tmsv_from_squeezing
-from gausscorr.core import (ppt_min_eig, random_physical_cm, random_symplectic,
+from gausscorr.channels import (InputSpec, cmr_noise, db_to_variance, minimal_purification,
+                                tmsv_from_squeezing)
+from gausscorr.core import (ppt_min_eig, random_physical_cm, random_symplectic, reduce,
                             symplectic_spectrum, validate_physical)
 from gausscorr import channels, correlations, scenarios
 from gausscorr.correlations import (KWFlowPoint, _oriented_invariants, discord,
@@ -13,7 +14,7 @@ from gausscorr.errors import InvalidInputError
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
                                  attenuation_sweep, build_split_state,
                                  correlation_flow, duan_optimize,
-                                 duan_value, optimal_demodulation, pure_global_state,
+                                 duan_value, optimal_demodulation,
                                  recover_demodulate, recover_interfere,
                                  recovery_closed_form, run_recovery,
                                  split_state_is_separable)
@@ -63,12 +64,12 @@ def test_loadings_transform_covariantly():
     assert np.abs(moved.effective_cm().entries - direct).max() <= 1e-9
 
 
-def test_pure_global_state_matches_effective_ab():
-    hybrid = build_split_state(SQUEEZED, 0.5)
-    pure = pure_global_state(SQUEEZED, 0.5)
-    assert np.allclose(symplectic_spectrum(pure.quantum_cm).values, 1.0, atol=1e-8)
-    assert np.abs(pure.effective_cm(["A", "B"]).entries
-                  - hybrid.effective_cm(["A", "B"]).entries).max() <= 1e-9
+def test_split_state_purification_is_pure_and_reduces_to_ab():
+    eff = build_split_state(SQUEEZED, 0.5).effective_cm(["A", "B"])
+    pure = minimal_purification(eff)
+    assert pure.n_modes == 3  # one symplectic eigenvalue above 1: one purifier
+    assert np.allclose(symplectic_spectrum(pure).values, 1.0, atol=1e-8)
+    assert np.abs(reduce(pure, [0, 1]).entries - eff.entries).max() <= 1e-9
 
 
 def test_sweep_zero_loss_matches_build_state():
@@ -255,6 +256,25 @@ def test_sweep_carries_geof_diagnostics():
             plain.geof_nfev) == (None, None, None, None)
 
 
+def test_flow_rows_describe_the_state_they_are_given():
+    # E_F purifies the (A, B) CM the sweep reads, so the include_ef rows are
+    # the plain sweep's rows, also for a state transformed after the split
+    grid = list(np.linspace(1.0, 0.2, 9))
+    split = build_split_state(SQUEEZED, 0.5)
+    for st in (split, split.attenuate_mode("B", 0.6, keep_environment=False)):
+        plain = attenuation_sweep(st, grid)
+        flow = attenuation_sweep(st, grid, include_ef=True)
+        assert len(flow) == len(grid)
+        for p, f in zip(plain, flow):
+            assert (f.t, f.discord, f.mutual_info, f.classical_corr, f.s_a) == (
+                p.t, p.discord, p.mutual_info, p.classical_corr, p.s_a)
+            assert abs(f.s_a - f.classical_corr - f.e_f_ae) <= 1e-10
+    # demodulated (A, B) has two symplectic eigenvalues above 1: three
+    # environment modes, more than GEoF takes
+    with pytest.raises(InvalidInputError):
+        attenuation_sweep(recover_demodulate(split, 1.0), grid, include_ef=True)
+
+
 def test_sweep_rejects_ef_with_cmr_noise():
     st = build_split_state(SQUEEZED, 0.5)
     with pytest.raises(InvalidInputError):
@@ -327,7 +347,7 @@ def test_demodulate_requires_modulation():
     spec = InputSpec(kind="coherent", squeezing_db=0.0, v_x=1.0, v_p=1.0)
     st = build_split_state(spec, 0.5)
     state_without = ScenarioState(mode_names=st.mode_names, quantum_cm=st.quantum_cm,
-                                  mean=st.mean, loadings=())
+                                  loadings=())
     with pytest.raises(InvalidInputError):
         recover_demodulate(state_without, 1.0)
 
@@ -403,6 +423,27 @@ def test_interfere_pipeline_recovers_entanglement():
     rep = duan_optimize(out.effective_cm(["A", "B"]))
     assert rep.entangled
     assert 0.0 < out.meta["bs_t_be"] < 1.0
+
+
+def test_interfere_finds_the_best_mix():
+    # the Brent search over bs_t_be must not stop above any point of a grid
+    rng = np.random.default_rng(31)
+    grid = np.linspace(0.0, 1.0, 201)
+    for k in range(10):
+        if k % 4 < 2:
+            db = -rng.uniform(0.5, 6.0)
+            spec = InputSpec(kind="squeezed", squeezing_db=db, v_x=rng.uniform(1.5, 30.0),
+                             v_p=rng.uniform(1 / db_to_variance(db), 60.0))
+        else:
+            spec = InputSpec(kind="coherent", squeezing_db=0.0,
+                             v_x=rng.uniform(1.0, 30.0), v_p=rng.uniform(1.0, 3.0))
+        st = build_split_state(spec, rng.uniform(0.05, 0.95))
+        if k % 2:
+            st = st.attenuate_mode("B", rng.uniform(0.05, 1.0), keep_environment=False)
+        _, rep = run_recovery(st, "interfere")
+        dense = min(duan_optimize(recover_interfere(st, t2).effective_cm(["A", "B"])).value
+                    for t2 in grid)
+        assert rep.value <= dense * (1 + 1e-9), k
 
 
 def test_interfere_no_mixing_keeps_state_separable():
