@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, sqrtm
 
 from .errors import InvalidInputError, NonPhysicalStateError
 
@@ -206,6 +206,12 @@ def _proper_svd(m: np.ndarray):
     return u, d, vt
 
 
+def _sqrt_2x2(m: np.ndarray) -> np.ndarray:
+    """(M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)): the square root of a 2x2 M > 0."""
+    s = math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return (m + s * np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0 * s)
+
+
 def standard_form(cm) -> StandardForm:
     """Reduce a physical two-mode CM to standard form by local symplectics.
 
@@ -223,8 +229,8 @@ def standard_form(cm) -> StandardForm:
     a = float(np.sqrt(np.linalg.det(alpha)))
     b = float(np.sqrt(np.linalg.det(beta)))
     # symmetric det-1 congruence bringing each block to a multiple of identity
-    sa = np.linalg.inv(sqrtm(alpha / a).real)
-    sb = np.linalg.inv(sqrtm(beta / b).real)
+    sa = np.linalg.inv(_sqrt_2x2(alpha / a))
+    sb = np.linalg.inv(_sqrt_2x2(beta / b))
 
     u, d, vt = _proper_svd(sa @ delta @ sb.T)
     ra, rb = u.T, vt  # rotations with ra (sa delta sb^T) rb^T = diag(d)
@@ -304,23 +310,29 @@ def tensor(cm1, cm2) -> CovMatrix:
 def williamson(cm):
     """Williamson decomposition gamma = S diag(nu_1, nu_1, ...) S^T.
 
-    Returns (S, nus) with S symplectic and nus the symplectic eigenvalues in
-    the order matching the diagonal.  Standard construction through the real
-    Schur form of gamma^(1/2) Omega gamma^(1/2).
+    Returns (S, nus) with S symplectic and nus the symplectic eigenvalues,
+    ascending, in the order of the diagonal.  With R = gamma^(1/2) (from eigh),
+    the Hermitian i R Omega R has eigenvalues +-nu; for a unit eigenvector
+    a + i b of +nu, R Omega R maps a to nu b and b to -nu a, and
+    sqrt(2) (b, a) is an orthonormal real pair.  These pairs are the real Schur
+    frame Z of R Omega R, with Z^T R Omega R Z = oplus nu [[0, 1], [-1, 0]],
+    also for repeated nu (eigh returns an orthonormal basis of each
+    eigenspace), and S = R Z diag(nu)^(-1/2).  Each eigenvector's free phase
+    is a rotation of its mode; it is fixed so that the largest x entry is
+    i |u_x|, which gives S = I for gamma = oplus nu_i I with distinct nu_i.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
-    root = sqrtm(g).real
-    t, z = schur(root @ symplectic_form(n) @ root)
-    nus = np.empty(n)
-    for i in range(n):
-        b = t[2 * i, 2 * i + 1]
-        if b < 0:
-            z[:, [2 * i, 2 * i + 1]] = z[:, [2 * i + 1, 2 * i]]
-            b = -b
-        nus[i] = b
-    scale = np.repeat(np.sqrt(nus), 2)
-    s = root @ z / scale
+    w, v = np.linalg.eigh(g)
+    root = (v * np.sqrt(w)) @ v.T
+    nus, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
+    nus, u = nus[n:], math.sqrt(2.0) * u[:, n:]
+    # fix each eigenvector's free phase: its largest x entry becomes i |u_x|
+    ph = u[2 * np.argmax(np.abs(u[0::2]), axis=0), np.arange(n)]
+    u *= 1j * np.exp(-1j * np.angle(ph))
+    z = np.empty((2 * n, 2 * n))
+    z[:, 0::2], z[:, 1::2] = u.imag, u.real
+    s = root @ z / np.repeat(np.sqrt(nus), 2)
     return SymplecticTransform(s), nus
 
 

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import xlogy
 
+from ._brent import bounded_brent
 from .channels import minimal_purification
 from .core import (CovMatrix, ppt_min_eig, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
@@ -42,7 +40,8 @@ def entropy_f(x: float) -> float:
     if x < 1.0 - F_CLAMP_TOL:
         raise InvalidInputError(f"entropy argument {x} below 1 - 1e-6")
     x = max(x, 1.0)
-    return float(xlogy((x + 1) / 2, (x + 1) / 2) - xlogy((x - 1) / 2, (x - 1) / 2))
+    u, v = (x + 1) / 2, (x - 1) / 2
+    return float(u * math.log(u) - (v * math.log(v) if v else 0.0))
 
 
 def von_neumann_entropy(cm) -> float:
@@ -360,12 +359,11 @@ def _oracle_infimum(alpha, beta, delta):
     # Brent's tolerance is sqrt(eps) |theta| + xatol / 3; xatol keeps it near
     # 1e-8 at theta = 0, where symmetric states put their optimum.  At a
     # smooth minimum that moves the value by about 1e-16 relative.
-    res = minimize_scalar(lambda th: float(profile(math.cos(2 * th), math.sin(2 * th))[0]),
-                          bounds=(thetas[i] - step, thetas[i] + step), method="bounded",
-                          options={"xatol": 3e-8})
-    if res.fun < grid[i]:
-        det, e = profile(math.cos(2 * res.x), math.sin(2 * res.x))
-        return float(det), float(res.x) % math.pi, float(e)
+    x, fun, _ = bounded_brent(lambda th: float(profile(math.cos(2 * th), math.sin(2 * th))[0]),
+                              thetas[i] - step, thetas[i] + step, xatol=3e-8)
+    if fun < grid[i]:
+        det, e = profile(math.cos(2 * x), math.sin(2 * x))
+        return float(det), x % math.pi, float(e)
     return float(grid[i]), float(thetas[i]), float(grid_e[i])
 
 
@@ -467,9 +465,10 @@ def _seed_inverse(gr, params, k):
     """
     o, w, dw = _seed_frame(params, k)
     ow = o * w
-    inv, info = dgesv(gr @ ow + o * dw, np.eye(2 * k))[2:]
-    if info:
-        raise NumericalError("seed system is singular")
+    try:
+        inv = np.linalg.solve(gr @ ow + o * dw, np.eye(2 * k))
+    except np.linalg.LinAlgError:
+        raise NumericalError("seed system is singular") from None
     return ow @ inv
 
 
@@ -535,8 +534,7 @@ def _product_pure_feasible(g):
     if hi - lo <= 1e-12 * hi:   # degenerate interval, e.g. a pure local mode
         x = (lo + hi) / 2
     else:
-        x = float(minimize_scalar(neg_log_h, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12 * hi}).x)
+        x = bounded_brent(neg_log_h, lo, hi, xatol=1e-12 * hi)[0]
     y1, y2 = bounds_at(x)
     if min(y1, y2) <= 0.0:
         return None
@@ -588,13 +586,13 @@ def _xp_geof(g):
     grid = marginal_det(np.cos(phis), np.sin(phis))
     i = int(np.argmin(grid))
     lo, hi = phis[i] - step, phis[i] + step
-    res = minimize_scalar(lambda phi: marginal_det(math.cos(phi), math.sin(phi)),
-                          bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    phi, det, nfev = bounded_brent(lambda p: marginal_det(math.cos(p), math.sin(p)),
+                                   lo, hi, xatol=1e-12)
     # a grid point at the exact optimum (symmetric states) can beat the refine by a few ulps
-    converged = bool(lo < res.x < hi and res.fun <= grid[i] * (1.0 + 1e-13))
-    x11, x22, x12 = tight(math.cos(res.x), math.sin(res.x))
-    return (float(res.fun), _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])),
-            XP_GRID + int(res.nfev), converged)
+    converged = bool(lo < phi < hi and det <= grid[i] * (1.0 + 1e-13))
+    x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
+    return (float(det), _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])),
+            XP_GRID + nfev, converged)
 
 
 def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
@@ -660,6 +658,8 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         best_params = np.array([math.atan2(1.0, math.sqrt(e)), theta])
         converged, nfev, method = True, 0, "k1-closed-form"
     else:
+        from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
+
         objective = _geof_objective(gs_a, gr, gsr_a, k)
         rng = np.random.default_rng(seed)
         # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum

@@ -82,7 +82,8 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     record = {}
     for ld in state.loadings:
         draws = rng.normal(0.0, np.sqrt(ld.variance / 2.0), n)
-        shots += np.outer(draws, ld.vector)
+        for j in np.flatnonzero(ld.vector):   # a loading touches few columns
+            shots[:, j] += draws * ld.vector[j]
         record[ld.source_id] = draws
     labels = tuple(f"{q}_{m}" for m in state.mode_names for q in ("x", "p"))
     return SampleBatch(columns=shots, quadrature_labels=labels,

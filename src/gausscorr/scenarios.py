@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._brent import bounded_brent
 from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
                    reduce, symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix,
@@ -328,10 +328,9 @@ def _duan_search(e, sxs) -> tuple:
     grid = np.stack([_duan(e, gs, sx) for sx in sxs])
     si, i = np.unravel_index(int(np.argmin(grid)), grid.shape)
     sx = sxs[si]
-    res = minimize_scalar(lambda lg: _duan(e, math.exp(lg), sx),
-                          bounds=(max(lgs[i] - step, -6.0), min(lgs[i] + step, 6.0)),
-                          method="bounded", options={"xatol": 1e-12})
-    lg = res.x if res.fun < grid[si, i] else lgs[i]
+    lg, fun, _ = bounded_brent(lambda lg: _duan(e, math.exp(lg), sx),
+                               max(lgs[i] - step, -6.0), min(lgs[i] + step, 6.0), xatol=1e-12)
+    lg = lg if fun < grid[si, i] else lgs[i]
     return math.exp(lg), sx
 
 
@@ -395,19 +394,23 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
     if "Et" in state.mode_names:
         raise InvalidInputError("state already contains the interference ancilla")
 
-    def mixed(t2):
-        st = state.with_vacuum_mode("Et", {MODULATION_SOURCE: -1.0})
-        bs = beamsplitter(t2, st.n_modes, (st.mode_index("B"), st.mode_index("Et")))
-        return st.apply_symplectic(bs)
-
+    st = state.with_vacuum_mode("Et", {MODULATION_SOURCE: -1.0})
     if bs_t_be is None:
-        res = minimize_scalar(
-            lambda t2: duan_optimize(mixed(t2).effective_cm(["A", "B"])).value,
-            bounds=(1e-6, 1.0 - 1e-9), method="bounded", options={"xatol": 1e-9})
-        bs_t_be = float(res.x)
+        # the beamsplitter maps x_B to sqrt(t2) x_B + sqrt(1 - t2) x_Et (p alike),
+        # so the mixed (A, B) CM is one congruence of the effective (A, B, Et) CM
+        g = st.effective_cm(["A", "B", "Et"]).entries
+        rows = np.eye(4, 6)
+
+        def duan_at(t2):
+            rows[2, 2] = rows[3, 3] = math.sqrt(t2)
+            rows[2, 4] = rows[3, 5] = math.sqrt(1.0 - t2)
+            return duan_optimize(rows @ g @ rows.T).value
+
+        bs_t_be = bounded_brent(duan_at, 1e-6, 1.0 - 1e-9, xatol=1e-9)[0]
     elif not 0.0 <= bs_t_be <= 1.0:
         raise InvalidInputError("bs_t_be must be in [0, 1]")
-    out = mixed(bs_t_be)
+    out = st.apply_symplectic(
+        beamsplitter(bs_t_be, st.n_modes, (st.mode_index("B"), st.mode_index("Et"))))
     return replace(out, meta=dict(out.meta, bs_t_be=float(bs_t_be)))
 
 

@@ -9,7 +9,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             standard_form, symplectic_form, symplectic_spectrum,
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
-from gausscorr.channels import tmsv_from_squeezing
+from gausscorr.channels import minimal_purification, tmsv_cm, tmsv_from_squeezing
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
 from conftest import make_coherent_mixture_cm
@@ -264,11 +264,23 @@ def test_coherent_mixtures_stay_ppt(seed):
 
 
 def test_williamson_reconstructs():
+    # degenerate spectra included: the vacuum, a pure TMSV (all nu = 1) and
+    # a thermal product at one temperature
     rng = np.random.default_rng(11)
-    cm = random_physical_cm(rng, 3)
-    s, nus = williamson(cm)
-    recon = s.entries @ np.diag(np.repeat(nus, 2)) @ s.entries.T
-    assert np.abs(recon - cm.entries).max() <= 1e-10
+    cases = [np.eye(2), np.eye(4), tmsv_cm(3.0).entries, 2.5 * np.eye(6)]
+    cases += [random_physical_cm(rng, n).entries for n in (1, 2, 3) for _ in range(4)]
+    cases.append(random_physical_cm(rng, 3, max_thermal=1.3, squeeze_scale=1.5).entries)
+    for g in cases:
+        n = g.shape[0] // 2
+        s, nus = williamson(g)
+        om = symplectic_form(n)
+        assert np.abs(s.entries @ om @ s.entries.T - om).max() <= 1e-10
+        recon = s.entries @ np.diag(np.repeat(nus, 2)) @ s.entries.T
+        assert np.abs(recon - g).max() <= 1e-10
+        assert np.all(np.diff(nus) >= 0) and nus.min() >= 1.0 - 1e-10
+        pure = minimal_purification(g)
+        assert np.abs(symplectic_spectrum(pure).values - 1.0).max() <= 1e-8
+        assert np.abs(reduce(pure, range(n)).entries - g).max() <= 1e-9
 
 
 def test_cm_file_roundtrip(tmp_path, measured_cm):

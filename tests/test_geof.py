@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy.optimize import OptimizeResult, minimize
 
 from gausscorr.channels import (attenuate, beamsplitter, minimal_purification, tmsv_cm,
@@ -10,7 +11,6 @@ from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
-from gausscorr import correlations
 from gausscorr.correlations import (_geof_objective, _product_pure_feasible, _seed_frame,
                                     _seed_inverse, discord, entropy_f, geof,
                                     von_neumann_entropy)
@@ -322,7 +322,7 @@ def _three_mixed_modes():
 def test_geof_converged_needs_two_starts_at_the_value(monkeypatch, rest, converged):
     # 1x2 with k = 3, a search input: one start at 0.5 and a shared stall just
     # above it is not convergence
-    monkeypatch.setattr(correlations, "minimize", _fake_minimize(0.5, rest))
+    monkeypatch.setattr(scipy.optimize, "minimize", _fake_minimize(0.5, rest))
     res = geof(_three_mixed_modes(), restarts=4)
     assert res.value == 0.5 and res.nfev == 6
     assert res.converged is converged
@@ -362,7 +362,7 @@ def test_geof_two_mode_k2_matches_search(monkeypatch):
 
     def no_search(*args, **kwargs):
         raise AssertionError("geof ran a Nelder-Mead search on a two-mode input")
-    monkeypatch.setattr(correlations, "minimize", no_search)
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
     for i, g in enumerate(states):
         a_mode = i % 2
         ai = slice(2 * a_mode, 2 * a_mode + 2)
@@ -408,5 +408,5 @@ def test_geof_reports_its_method(monkeypatch):
         assert res.method == method
         assert (res.nfev > 0) == (method == "xp-search")
     assert ppt_min_eig(lossy) < 0 and ppt_min_eig(symmetric) < 0
-    monkeypatch.setattr(correlations, "minimize", _fake_minimize(0.5, 0.5))
+    monkeypatch.setattr(scipy.optimize, "minimize", _fake_minimize(0.5, 0.5))
     assert geof(_three_mixed_modes(), restarts=2).method == "nelder-mead"

@@ -43,6 +43,23 @@ def test_seeded_determinism():
     assert not np.array_equal(b1.columns, b3.columns)
 
 
+def test_sample_equals_outer_product_formula():
+    # each loading adds draws * v only where v is nonzero: the same array as
+    # adding the full outer product draws v^T
+    coherent = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.4)
+    states = [build_split_state(SQUEEZED, 0.5),
+              build_split_state(coherent, 0.3).attenuate_mode("B", 0.6, keep_environment=True)]
+    for st in states:
+        batch = sample(st, 3000, seed=21)
+        rng = np.random.default_rng(21)
+        raw_cov = st.quantum_cm.entries / 2.0
+        chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
+        shots = rng.standard_normal((3000, raw_cov.shape[0])) @ chol.T
+        for ld in st.loadings:
+            shots += np.outer(rng.normal(0.0, np.sqrt(ld.variance / 2.0), 3000), ld.vector)
+        assert np.array_equal(batch.columns, shots)
+
+
 def test_sample_matches_analytic_effective_cm():
     st = build_split_state(SQUEEZED, 0.5).attenuate_mode("B", 0.6, keep_environment=False)
     batch = sample(st, 150000, seed=5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 
 from gausscorr.channels import (InputSpec, cmr_noise, db_to_variance, minimal_purification,
                                 tmsv_from_squeezing)
@@ -237,7 +238,7 @@ def test_correlation_flow_balance_to_machine_precision():
 def test_correlation_flow_runs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("correlation_flow ran a Nelder-Mead search")
-    monkeypatch.setattr(correlations, "minimize", no_search)
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), np.linspace(1.0, 0.2, 9))
     assert max(abs(p.residual) for p in pts) <= 1e-10
 
