@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic,
-                   symplectic_form, tensor, validate_physical, williamson,
-                   PHYSICALITY_TOL, _as_matrix)
+                   symplectic_form, tensor, validate_physical,
+                   PHYSICALITY_TOL, _as_matrix, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
@@ -200,18 +200,26 @@ def minimal_purification(cm) -> CovMatrix:
     appended after the n system modes (in Williamson order); the other nu_i
     are set to exactly 1, so their modes need no purifier.  S is then applied
     on the system modes.  The system reduction is gamma up to that tolerance.
+    The input's physicality is checked once; the cores are written in place
+    and the frame is applied on plain arrays.
     """
     g = _as_matrix(cm)
     if validate_physical(g) < -PHYSICALITY_TOL:
         raise NonPhysicalStateError("cannot purify a nonphysical CM")
-    s, nus = williamson(g)
+    s, nus = _williamson_frame(g)
     n = len(nus)
     mixed = np.flatnonzero(nus > 1.0 + PURE_TOL)
-    core = np.eye(2 * (n + len(mixed)))
+    size = 2 * (n + len(mixed))
+    core = np.eye(size)
     for j, i in enumerate(mixed):
+        m = nus[i]
+        c = np.sqrt(max(m * m - 1.0, 0.0))
         idx = [2 * i, 2 * i + 1, 2 * (n + j), 2 * (n + j) + 1]
-        core[np.ix_(idx, idx)] = tmsv_cm(nus[i]).entries
-    return apply_symplectic(core, tensor_transform(s, len(mixed)))
+        core[np.ix_(idx, idx)] = [[m, 0.0, c, 0.0], [0.0, m, 0.0, -c],
+                                  [c, 0.0, m, 0.0], [0.0, -c, 0.0, m]]
+    ext = np.eye(size)
+    ext[:2 * n, :2 * n] = s
+    return CovMatrix(ext @ core @ ext.T)
 
 
 def tmsv_cm(m: float) -> CovMatrix:
@@ -229,17 +237,8 @@ def tmsv_from_squeezing(r: float) -> CovMatrix:
     return tmsv_cm(float(np.cosh(2 * r)))
 
 
-def tensor_transform(s: SymplecticTransform, extra_modes: int) -> SymplecticTransform:
-    """Extend a symplectic with the identity on extra trailing modes."""
-    base = s.entries
-    out = np.eye(base.shape[0] + 2 * extra_modes)
-    out[:base.shape[0], :base.shape[0]] = base
-    return SymplecticTransform(out)
-
-
 __all__ = [
     "InputSpec", "ChannelXY", "db_to_variance", "loss_channel", "beamsplitter",
     "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
     "minimal_purification", "tmsv_cm", "tmsv_from_squeezing",
-    "tensor_transform",
 ]

@@ -310,8 +310,18 @@ def tensor(cm1, cm2) -> CovMatrix:
 def williamson(cm):
     """Williamson decomposition gamma = S diag(nu_1, nu_1, ...) S^T.
 
-    Returns (S, nus) with S symplectic and nus the symplectic eigenvalues,
-    ascending, in the order of the diagonal.  With R = gamma^(1/2) (from eigh),
+    Returns (S, nus) with S a checked SymplecticTransform and nus the
+    symplectic eigenvalues, ascending, in the order of the diagonal
+    (:func:`_williamson_frame`).
+    """
+    s, nus = _williamson_frame(_as_matrix(cm))
+    return SymplecticTransform(s), nus
+
+
+def _williamson_frame(g: np.ndarray):
+    """(S, nus) of the Williamson decomposition of the raw 2n x 2n array g.
+
+    S is a plain array and nus are ascending.  With R = gamma^(1/2) (from eigh),
     the Hermitian i R Omega R has eigenvalues +-nu; for a unit eigenvector
     a + i b of +nu, R Omega R maps a to nu b and b to -nu a, and
     sqrt(2) (b, a) is an orthonormal real pair.  These pairs are the real Schur
@@ -321,7 +331,6 @@ def williamson(cm):
     is a rotation of its mode; it is fixed so that the largest x entry is
     i |u_x|, which gives S = I for gamma = oplus nu_i I with distinct nu_i.
     """
-    g = _as_matrix(cm)
     n = g.shape[0] // 2
     w, v = np.linalg.eigh(g)
     root = (v * np.sqrt(w)) @ v.T
@@ -332,8 +341,7 @@ def williamson(cm):
     u *= 1j * np.exp(-1j * np.angle(ph))
     z = np.empty((2 * n, 2 * n))
     z[:, 0::2], z[:, 1::2] = u.imag, u.real
-    s = root @ z / np.repeat(np.sqrt(nus), 2)
-    return SymplecticTransform(s), nus
+    return root @ z / np.repeat(np.sqrt(nus), 2), nus
 
 
 # ---------------------------------------------------------------------------

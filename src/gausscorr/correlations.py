@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import bounded_brent
-from .channels import minimal_purification
+from .channels import PURE_TOL, minimal_purification
 from .core import (CovMatrix, ppt_min_eig, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
-                   PHYSICALITY_TOL, _as_matrix, _symplectic_pair)
+                   PHYSICALITY_TOL, _as_matrix, _symplectic_pair, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -595,19 +595,56 @@ def _xp_geof(g):
             XP_GRID + nfev, converged)
 
 
+def _k1_geof(g, s, nus, a_mode: int = 0):
+    """(E_F, certifying pure CM, feasibility gap) of a CM with at most one mixed mode.
+
+    g is a physical 2n x 2n array with Williamson frame (s, nus); only its
+    largest nu may exceed 1 + PURE_TOL.  The minimal purification adds one
+    mode P with gamma_P = nu I, coupled through that mode's two frame columns
+    times sqrt(nu^2 - 1) diag(1, -1) (for a pure g, nu = 1 and P is
+    decoupled).  E_F is f(sqrt(d*)) for the measurement infimum d* on (A, P);
+    the certificate is the conditional state of the chart's argmin seed
+    P_u / e + e P_v, for which (nu I + sigma)^-1 = e / (nu e + 1) P_u +
+    1 / (nu + e) P_v stays finite at e = 0.  No CovMatrix is built.
+    """
+    ai = slice(2 * a_mode, 2 * a_mode + 2)
+    nu = float(nus[-1]) if nus[-1] > 1.0 + PURE_TOL else 1.0
+    frame = s[:, -2:]
+    # S (oplus nu_i I) S^T with every pure mode's nu set to exactly 1
+    gs = s @ s.T + (nu - 1.0) * (frame @ frame.T)
+    gsr = frame * (math.sqrt(nu * nu - 1.0) * np.array([1.0, -1.0]))
+    gs_a, gsr_a = gs[ai, ai], gsr[ai]
+    # det of the (A, P) block by its Schur complement on gamma_P = nu I
+    schur = gs_a - (gsr_a @ gsr_a.T) / nu
+    d_star = _inf_det_eps(_det2(gs_a), nu * nu, _det2(gsr_a), nu * nu * _det2(schur))[0]
+    theta, e = _chart_argmin(gs_a, nu * np.eye(2), gsr_a, d_star)
+    u = np.array([math.cos(theta), math.sin(theta)])
+    v = np.array([-u[1], u[0]])
+    inv = (e / (nu * e + 1.0)) * np.outer(u, u) + np.outer(v, v) / (nu + e)
+    gamma_p = gs - gsr @ inv @ gsr.T
+    gamma_p = (gamma_p + gamma_p.T) / 2
+    return (entropy_f(max(math.sqrt(max(d_star, 0.0)), 1.0)), gamma_p,
+            float(np.linalg.eigvalsh(g - gamma_p).min()))
+
+
+def _det2(m) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     """Gaussian entanglement of formation across (a_mode | rest).
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
     single a_mode)); the rest side must have 1 or 2 modes.  Two-mode inputs
-    never search: pure inputs, PPT products and one purifying mode (k = 1)
-    are closed forms, and k = 2 is a 1-D search in the standard form's x-p
-    picture (:func:`_xp_geof`), whose nfev counts its grid and refine
-    evaluations.  Only 1x2 inputs with k >= 2 take the best Nelder-Mead
-    optimum over restarts; there converged asks that two starts end within
-    1e-9 of the value.  restarts and seed do nothing on two-mode inputs.
-    Returns the value with the certifying pure CM, the number of objective
-    evaluations (0 for the closed forms) and the method that produced it.
+    never search: pure inputs, PPT products and one purifying mode (k = 1,
+    :func:`_k1_geof`) are closed forms, and k = 2 is a 1-D search in the
+    standard form's x-p picture (:func:`_xp_geof`), whose nfev counts its grid
+    and refine evaluations.  Only 1x2 inputs with k >= 2 take the best
+    Nelder-Mead optimum over restarts; there converged asks that two starts
+    end within 1e-9 of the value.  restarts and seed do nothing on two-mode
+    inputs.  k is read from one Williamson frame.  Returns the value with the
+    certifying pure CM, the number of objective evaluations (0 for the closed
+    forms) and the method that produced it.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -619,8 +656,8 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         raise NonPhysicalStateError("GEoF needs a physical CM")
     ai = slice(2 * a_mode, 2 * a_mode + 2)
 
-    big = minimal_purification(g).entries
-    k = big.shape[0] // 2 - n
+    s, nus = _williamson_frame(g)
+    k = int(np.count_nonzero(nus > 1.0 + PURE_TOL))
     if k == 0:
         # pure input: the only feasible pure CM is gamma itself
         value = entropy_f(max(np.sqrt(np.linalg.det(g[ai, ai])), 1.0))
@@ -634,59 +671,49 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
             return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
                               feasibility_gap=gap, converged=True, method="ppt-product")
 
-    if n == 2 and k == 2:
-        # both marginals of a pure two-mode CM have the same det: a_mode drops out
+    if k == 1:
+        value, gamma_p, gap = _k1_geof(g, s, nus, a_mode)
+        return GEoFResult(value=value, optimal_pure_cm=CovMatrix(gamma_p),
+                          feasibility_gap=gap, converged=True, method="k1-closed-form")
+
+    if n == 2:
+        # k = 2; both marginals of a pure two-mode CM have the same det: a_mode drops out
         det_a, gamma_p, nfev, converged = _xp_geof(g)
         return GEoFResult(value=entropy_f(max(math.sqrt(det_a), 1.0)),
                           optimal_pure_cm=CovMatrix(gamma_p),
                           feasibility_gap=float(np.linalg.eigvalsh(g - gamma_p).min()),
                           converged=converged, nfev=nfev, method="xp-search")
 
+    from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
+
+    big = minimal_purification(g).entries
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
     gsr = big[:2 * n, 2 * n:]
-    gs_a, gsr_a = gs[ai, ai], gsr[ai]
+    objective = _geof_objective(gs[ai, ai], gr, gsr[ai], k)
+    rng = np.random.default_rng(seed)
+    # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
+    starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
+    for _ in range(restarts):
+        starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
+                                      rng.uniform(-1.5, 1.5, k * k)]))
+    runs = [minimize(objective, p0, method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000})
+            for p0 in starts]
+    best = min(runs, key=lambda r: r.fun)
+    # polish from the winner
+    res = minimize(objective, best.x, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
+    best = res if res.fun < best.fun else best
+    # two starts must reach the returned value: starts stalled near it are no evidence
+    converged = sum(r.fun <= best.fun + 1e-9 for r in runs) >= 2
 
-    if k == 1:
-        # (A, P) is a two-mode state and f is monotone: the optimum is the
-        # measurement infimum on P, met at the chart's argmin, where the seed
-        # tan^2 w P_u + cot^2 w P_v of _seed_frame has tan^2 w = 1 / e
-        block = np.block([[gs_a, gsr_a], [gsr_a.T, gr]])
-        d_star = _inf_det_eps(*_oriented_invariants(block, 1))[0]
-        theta, e = _chart_argmin(gs_a, gr, gsr_a, d_star)
-        best_val = entropy_f(max(math.sqrt(max(d_star, 0.0)), 1.0))
-        best_params = np.array([math.atan2(1.0, math.sqrt(e)), theta])
-        converged, nfev, method = True, 0, "k1-closed-form"
-    else:
-        from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
-
-        objective = _geof_objective(gs_a, gr, gsr_a, k)
-        rng = np.random.default_rng(seed)
-        # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
-        starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
-        for _ in range(restarts):
-            starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
-                                          rng.uniform(-1.5, 1.5, k * k)]))
-        runs = [minimize(objective, p0, method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000})
-                for p0 in starts]
-        best = min(runs, key=lambda r: r.fun)
-        # polish from the winner
-        res = minimize(objective, best.x, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
-        best = res if res.fun < best.fun else best
-        best_val, best_params = best.fun, best.x
-        nfev = sum(r.nfev for r in runs) + res.nfev
-        # two starts must reach the returned value: starts stalled near it are no evidence
-        converged = sum(r.fun <= best_val + 1e-9 for r in runs) >= 2
-        method = "nelder-mead"
-
-    gamma_p = gs - gsr @ _seed_inverse(gr, best_params, k) @ gsr.T
+    gamma_p = gs - gsr @ _seed_inverse(gr, best.x, k) @ gsr.T
     gamma_p = (gamma_p + gamma_p.T) / 2
     gap = float(np.linalg.eigvalsh(g - gamma_p).min())
-    return GEoFResult(value=float(best_val), optimal_pure_cm=CovMatrix(gamma_p),
-                      feasibility_gap=gap, converged=bool(converged), nfev=int(nfev),
-                      method=method)
+    return GEoFResult(value=float(best.fun), optimal_pure_cm=CovMatrix(gamma_p),
+                      feasibility_gap=gap, converged=bool(converged),
+                      nfev=int(sum(r.nfev for r in runs) + res.nfev), method="nelder-mead")
 
 
 __all__ = [

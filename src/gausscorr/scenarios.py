@@ -21,9 +21,9 @@ import numpy as np
 from ._brent import bounded_brent
 from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
 from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
-                   reduce, symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix,
-                   _quadrature_indices)
-from .correlations import (KWFlowPoint, entropy_f, geof, _discord_report,
+                   symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix,
+                   _quadrature_indices, _williamson_frame)
+from .correlations import (KWFlowPoint, entropy_f, _discord_report, _k1_geof,
                            _oriented_invariants)
 from .errors import InvalidInputError, NonPhysicalStateError
 
@@ -212,24 +212,24 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
     and every t in [0, 1], checked before any point is computed.
 
     With include_ef (which needs cmr_a = 0) each row adds E_F of A with its
-    environment, with the GEoF's converged flag, feasibility gap and nfev.
+    environment E, with the GEoF's converged flag, feasibility gap and nfev.
     The effective (A, B) CM is purified once (:func:`minimal_purification`,
-    one purifying mode per symplectic eigenvalue above 1); per point, B is
-    attenuated with the loss port V kept, and the environment is every mode
-    but A and B'.  GEoF takes at most two environment modes, so a state with
-    two symplectic eigenvalues above 1 raises InvalidInputError.
+    one purifying mode P per symplectic eigenvalue above 1), every (A, P, V')
+    CM is read off its blocks (:func:`_environment_stack`), and each point is
+    the closed form :func:`~gausscorr.correlations._k1_geof` on its own
+    Williamson frame.  GEoF takes at most two environment modes, so a state
+    with two symplectic eigenvalues above 1 raises InvalidInputError.
     """
     if cmr_a < 0:
         raise InvalidInputError("CMR variance must be nonnegative")
-    t_grid = list(t_grid)
+    t_grid = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
     if include_ef and cmr_a != 0.0:
         raise InvalidInputError("E_F relies on global purity: needs cmr_a = 0")
     g1 = state.effective_cm(["A", "B"]).entries
     if include_ef:
-        pure = minimal_purification(g1)
-        a_env = [0, *range(2, pure.n_modes + 1)]  # A, the purifiers of (A, B) and the loss port V
+        env = _environment_stack(minimal_purification(g1).entries, t_grid)
 
     t = np.array(t_grid, dtype=float)[:, None, None]
     eye = np.eye(2)
@@ -238,23 +238,50 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
     g[:, 2:, 2:] = t * g1[2:, 2:] + (1.0 - t) * eye + (t * cmr_a) * eye
     g[:, :2, 2:] = np.sqrt(t) * g1[:2, 2:]
     g[:, 2:, :2] = np.swapaxes(g[:, :2, 2:], 1, 2)
-    worst = np.linalg.eigvalsh(g + 1j * symplectic_form(2)).min(axis=-1)
-    bad = np.flatnonzero(worst < -PHYSICALITY_TOL)
-    if bad.size:
-        raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
+    _check_stack(g, t_grid)
 
     rows = []
-    for t_i, *inv in zip(t_grid, *_oriented_invariants(g, 1)):
+    for i, (t_i, *inv) in enumerate(zip(t_grid, *_oriented_invariants(g, 1))):
         rep = _discord_report(*inv, allow_measured=False)
         row = SweepRow(t=t_i, discord=rep.discord, mutual_info=rep.mutual_info,
                        classical_corr=rep.classical_corr,
                        s_a=entropy_f(max(math.sqrt(inv[0]), 1.0)))
         if include_ef:
-            res = geof(reduce(attenuate(pure, 1, t_i, keep_environment=True), a_env), a_mode=0)
-            row = replace(row, e_f_ae=res.value, geof_converged=res.converged,
-                          geof_feasibility_gap=res.feasibility_gap, geof_nfev=res.nfev)
+            e_f, _, gap = _k1_geof(env[i], *_williamson_frame(env[i]))
+            row = replace(row, e_f_ae=e_f, geof_converged=True,
+                          geof_feasibility_gap=gap, geof_nfev=0)
         rows.append(row)
     return rows
+
+
+def _environment_stack(pure: np.ndarray, t_grid: list) -> np.ndarray:
+    """Stack of the (A, P..., V') CMs, one per t, of a pure (A, B, P...) CM.
+
+    Attenuating B with a vacuum loss port V sends V' = sqrt(1 - t) B - sqrt(t) V,
+    so the (A, P) blocks stay, V' has (1 - t) beta + t I and its cross blocks
+    are sqrt(1 - t) times the B columns.  One stacked eigvalsh checks them all.
+    """
+    if pure.shape[0] > 6:
+        raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "
+                                "has more than one symplectic eigenvalue above 1")
+    t = np.array(t_grid, dtype=float)[:, None, None]
+    ap = np.r_[0:2, 4:pure.shape[0]]  # A and the purifiers
+    size = len(ap) + 2
+    env = np.empty((len(t_grid), size, size))
+    env[:, :-2, :-2] = pure[np.ix_(ap, ap)]
+    env[:, -2:, -2:] = (1.0 - t) * pure[2:4, 2:4] + t * np.eye(2)
+    env[:, :-2, -2:] = np.sqrt(1.0 - t) * pure[ap, 2:4]
+    env[:, -2:, :-2] = np.swapaxes(env[:, :-2, -2:], 1, 2)
+    _check_stack(env, t_grid)
+    return env
+
+
+def _check_stack(g: np.ndarray, t_grid: list):
+    """One stacked eigvalsh(gamma + i Omega); NonPhysicalStateError names the first bad t."""
+    worst = np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[-1] // 2)).min(axis=-1)
+    bad = np.flatnonzero(worst < -PHYSICALITY_TOL)
+    if bad.size:
+        raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
 
 
 def correlation_flow(state: ScenarioState, t_grid) -> list:

@@ -108,11 +108,11 @@ def test_geof_entangled_positive():
 
 
 def test_geof_optimal_cm_is_pure():
-    g = attenuate(tmsv_cm(1.8), 1, 0.8)
+    g = attenuate(tmsv_cm(1.8), 1, 0.8)  # one purifying mode
     res = geof(g, restarts=4, seed=9)
-    from gausscorr.core import symplectic_spectrum
+    assert res.method == "k1-closed-form" and res.nfev == 0
     vals = symplectic_spectrum(res.optimal_pure_cm).values
-    assert np.abs(vals - 1.0).max() <= 1e-6
+    assert np.abs(vals - 1.0).max() <= 1e-8
 
 
 def test_geof_three_mode_matches_two_mode_when_decoupled():
@@ -281,6 +281,9 @@ def test_k1_seed_chart_matches_general_path():
         branches.add(discord(np.block([[gs_a, gsr_a], [gsr_a.T, gr]])).branch)
         res = geof(g)
         assert res.converged and res.nfev == 0
+        # a separable two-mode draw takes the PPT shortcut first
+        separable = n == 2 and ppt_min_eig(g) >= -1e-9
+        assert res.method == ("ppt-product" if separable else "k1-closed-form")
         assert abs(res.value - search) <= 1e-10
         pure = res.optimal_pure_cm
         assert np.abs(symplectic_spectrum(pure).values - 1.0).max() <= 1e-9
@@ -300,6 +303,7 @@ def test_k1_decoupled_pure_mode():
         g = tensor(a, rest)
         res = geof(g)
         assert res.value == 0.0 and res.converged and res.nfev == 0
+        assert res.method == "k1-closed-form"
         assert res.feasibility_gap >= -1e-9
         assert np.abs(symplectic_spectrum(res.optimal_pure_cm).values - 1.0).max() <= 1e-9
 

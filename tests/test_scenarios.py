@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import (InputSpec, cmr_noise, db_to_variance, minimal_purification,
-                                tmsv_from_squeezing)
-from gausscorr.core import (ppt_min_eig, random_physical_cm, random_symplectic, reduce,
-                            symplectic_spectrum, validate_physical)
+from gausscorr.channels import (InputSpec, attenuate, cmr_noise, db_to_variance,
+                                minimal_purification, tmsv_from_squeezing)
+from gausscorr.core import (CovMatrix, ppt_min_eig, random_physical_cm, random_symplectic,
+                            reduce, symplectic_spectrum, validate_physical)
 from gausscorr import channels, correlations, scenarios
 from gausscorr.correlations import (KWFlowPoint, _oriented_invariants, discord,
-                                    discord_oracle, entropy_f)
+                                    discord_oracle, entropy_f, geof)
 from gausscorr.errors import InvalidInputError
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
                                  attenuation_sweep, build_split_state,
@@ -229,7 +229,7 @@ def test_correlation_flow_balance_to_machine_precision():
     grid = np.concatenate([np.linspace(1.0, 0.2, 9), [0.49, 0.51]])
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), grid)
     assert len(pts) == len(grid)
-    assert max(abs(p.residual) for p in pts) <= 1e-10
+    assert max(abs(p.residual) for p in pts) <= 1e-12
     for p in pts:
         assert p.geof_converged and p.geof_nfev == 0
         assert p.geof_feasibility_gap >= -1e-9
@@ -241,6 +241,60 @@ def test_correlation_flow_runs_no_search(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "minimize", no_search)
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), np.linspace(1.0, 0.2, 9))
     assert max(abs(p.residual) for p in pts) <= 1e-10
+
+
+def _reference_flow_geof(state, t):
+    """E_F of one flow point the per-point way: purify (A, B), attenuate B keeping V, GEoF."""
+    pure = minimal_purification(state.effective_cm(["A", "B"]))
+    a_env = [0, *range(2, pure.n_modes + 1)]  # A, the purifiers of (A, B) and the loss port V
+    return geof(reduce(attenuate(pure, 1, t, keep_environment=True), a_env), a_mode=0)
+
+
+UNMODULATED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=db_to_variance(-3.0),
+                        v_p=1.0 / db_to_variance(-3.0))
+
+
+@pytest.mark.parametrize("state", [
+    build_split_state(SQUEEZED, 0.5), build_split_state(COHERENT, 0.5),
+    build_split_state(UNMODULATED, 0.5),
+    build_split_state(SQUEEZED, 0.5).attenuate_mode("B", 0.6, keep_environment=False)],
+    ids=["squeezed", "coherent", "unmodulated", "attenuated"])
+def test_flow_matches_per_point_reference(state):
+    # the flow builds every (A, P, V') CM from one purification's blocks
+    grid = [0.0, 0.49, 0.51, 1.0, *np.linspace(0.0, 1.0, 101)]
+    rows = attenuation_sweep(state, grid, include_ef=True)
+    assert len(rows) == len(grid)
+    for row, t in zip(rows, grid):
+        assert abs(row.e_f_ae - _reference_flow_geof(state, t).value) <= 1e-12, t
+        assert row.geof_feasibility_gap >= -1e-9, t
+    if minimal_purification(state.effective_cm(["A", "B"])).n_modes == 2:
+        # pure (A, B): E is V alone, an untouched vacuum at t = 1
+        assert rows[3].e_f_ae <= 1e-12 and rows[-1].e_f_ae <= 1e-12
+
+
+def test_sweep_and_flow_rows_carry_python_floats():
+    st = build_split_state(SQUEEZED, 0.5)
+    for grid in ([1.0, 0.5, 0.0], np.linspace(1.0, 0.0, 3)):
+        for row in (*attenuation_sweep(st, grid), *correlation_flow(st, grid)):
+            assert type(row.t) is float
+
+
+def test_flow_builds_no_covariance_matrix_per_point(monkeypatch):
+    # one purification per sweep: the per-point work runs on plain arrays
+    made = []
+    post_init = CovMatrix.__post_init__
+
+    def counting(self):
+        made.append(1)
+        post_init(self)
+    monkeypatch.setattr(CovMatrix, "__post_init__", counting)
+    st = build_split_state(SQUEEZED, 0.5)
+    counts = []
+    for grid in ([0.6], list(np.linspace(1.0, 0.2, 9))):
+        made.clear()
+        attenuation_sweep(st, grid, include_ef=True)
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0
 
 
 def test_sweep_carries_geof_diagnostics():
