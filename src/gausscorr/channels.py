@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CovMatrix, SymplecticTransform, apply_symplectic,
-                   symplectic_form, tensor, validate_physical,
-                   PHYSICALITY_TOL, _as_matrix, _williamson_frame)
+from .core import (CovMatrix, SymplecticTransform, apply_symplectic, tensor,
+                   validate_physical, PHYSICALITY_TOL, _as_matrix, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
@@ -67,50 +66,6 @@ class InputSpec:
         return max(self.v_x - sx, 0.0), max(self.v_p - sp, 0.0)
 
 
-@dataclass(frozen=True)
-class ChannelXY:
-    """Single-mode Gaussian channel acting as gamma -> X gamma X^T + Y."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.Y, dtype=float)
-        if x.shape != (2, 2) or y.shape != (2, 2):
-            raise InvalidInputError("X and Y must be 2x2")
-        if np.abs(y - y.T).max() > 1e-12:
-            raise InvalidInputError("Y must be symmetric")
-        for name, arr in (("X", x), ("Y", y)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def cp_min_eig(self) -> float:
-        """Min eig of Y + i Omega - i X Omega X^T; >= 0 means completely positive."""
-        om = symplectic_form(1)
-        h = self.Y + 1j * om - 1j * self.X @ om @ self.X.T
-        return float(np.linalg.eigvalsh(h).min())
-
-    def apply(self, cm, mode: int) -> CovMatrix:
-        g = _as_matrix(cm).copy()
-        n = g.shape[0] // 2
-        if not 0 <= mode < n:
-            raise InvalidInputError(f"mode {mode} out of range")
-        x_full = np.eye(2 * n)
-        x_full[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = self.X
-        y_full = np.zeros((2 * n, 2 * n))
-        y_full[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = self.Y
-        return CovMatrix(x_full @ g @ x_full.T + y_full)
-
-
-def loss_channel(t: float) -> ChannelXY:
-    """Pure-loss channel with power transmittance t (vacuum environment)."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
-    return ChannelXY(X=np.sqrt(t) * np.eye(2), Y=(1.0 - t) * np.eye(2))
-
-
 def beamsplitter(t: float, n_modes: int = 2, modes: tuple = (0, 1)) -> SymplecticTransform:
     """Beamsplitter with power transmittance t on the given mode pair."""
     if not 0.0 <= t <= 1.0:
@@ -153,17 +108,24 @@ def attenuate(cm, mode: int, t: float, keep_environment: bool = False) -> CovMat
 
     With keep_environment the ancilla is appended as a new last mode and the
     beamsplitter applied (global purity preserved); without, the ancilla is
-    traced out, equivalently gamma -> t gamma + (1-t) I on the mode.
+    traced out: the mode's rows and columns scale by sqrt(t) and its block
+    gains (1-t) I.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
     if not 0 <= mode < n:
         raise InvalidInputError(f"mode {mode} out of range")
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
     if keep_environment:
         extended = tensor(g, np.eye(2))
         bs = beamsplitter(t, n + 1, (mode, n))
         return apply_symplectic(extended, bs)
-    return loss_channel(t).apply(g, mode)
+    scale = np.ones(2 * n)
+    scale[2 * mode:2 * mode + 2] = np.sqrt(t)
+    out = g * scale[:, None] * scale
+    out[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] += (1.0 - t) * np.eye(2)
+    return CovMatrix(out)
 
 
 def modulate(cm, mode: int, w_x: float, w_p: float) -> CovMatrix:
@@ -238,7 +200,7 @@ def tmsv_from_squeezing(r: float) -> CovMatrix:
 
 
 __all__ = [
-    "InputSpec", "ChannelXY", "db_to_variance", "loss_channel", "beamsplitter",
+    "InputSpec", "db_to_variance", "beamsplitter",
     "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
     "minimal_purification", "tmsv_cm", "tmsv_from_squeezing",
 ]

@@ -95,18 +95,6 @@ class SymplecticTransform:
 
 
 @dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues, sorted ascending, clamped up to 1 at rounding level."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class StandardForm:
     """Two-mode standard form diag(a, a, b, b) with off-diagonal (c_plus, c_minus).
 
@@ -139,11 +127,12 @@ def validate_physical(cm) -> float:
     return float(np.linalg.eigvalsh(g + 1j * om).min())
 
 
-def symplectic_spectrum(cm) -> SymplecticSpectrum:
-    """Symplectic eigenvalues as |eig(i Omega gamma)|, paired and sorted.
+def symplectic_spectrum(cm) -> np.ndarray:
+    """Symplectic eigenvalues as |eig(i Omega gamma)|, paired and sorted ascending.
 
     Values in [1 - SPECTRUM_CLAMP_TOL, 1) are clamped to 1 (pure states sit
     exactly on the boundary); anything lower raises NonPhysicalStateError.
+    The returned array is read-only.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -153,7 +142,9 @@ def symplectic_spectrum(cm) -> SymplecticSpectrum:
     if values.min() < 1.0 - SPECTRUM_CLAMP_TOL:
         raise NonPhysicalStateError(
             f"minimum symplectic value {values.min():.6g} < 1 - {SPECTRUM_CLAMP_TOL:g}")
-    return SymplecticSpectrum(np.maximum(values, 1.0))
+    values = np.maximum(values, 1.0)
+    values.flags.writeable = False
+    return values
 
 
 def two_mode_symplectic_values(cm) -> tuple[float, float]:

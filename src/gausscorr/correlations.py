@@ -46,24 +46,7 @@ def entropy_f(x: float) -> float:
 
 def von_neumann_entropy(cm) -> float:
     """Sum of f over the symplectic eigenvalues."""
-    return float(sum(entropy_f(v) for v in symplectic_spectrum(cm).values))
-
-
-@dataclass(frozen=True)
-class MeasurementSeed:
-    """Pure Gaussian measurement seed sigma0 = R(theta) diag(s, 1/s) R(theta)^T."""
-
-    theta: float
-    s: float
-
-    def __post_init__(self):
-        if self.s <= 0:
-            raise InvalidInputError("seed squeezing s must be positive")
-
-    def covariance(self) -> np.ndarray:
-        c, sn = np.cos(self.theta), np.sin(self.theta)
-        r = np.array([[c, -sn], [sn, c]])
-        return r @ np.diag([self.s, 1.0 / self.s]) @ r.T
+    return float(sum(entropy_f(v) for v in symplectic_spectrum(cm)))
 
 
 @dataclass(frozen=True)
@@ -104,32 +87,13 @@ class KWFlowPoint:
 
     @property
     def residual(self) -> float:
-        return self.s_a - self.j_ab - self.e_f_ae
+        return kw_audit(self.s_a, self.j_ab, self.e_f_ae)
 
 
 def _blocks(g: np.ndarray, measured_mode: int):
     """(alpha, beta, delta): kept, measured and cross blocks of a two-mode CM or stack."""
     k, m = 2 * (1 - measured_mode), 2 * measured_mode
     return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
-
-
-def conditional_cm(cm, measured_mode: int, sigma0) -> CovMatrix:
-    """Kept-mode CM after a Gaussian measurement with seed sigma0 on the other mode.
-
-    Standard update eps = alpha - delta (beta + sigma0)^-1 delta^T.
-    """
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("conditional update is implemented for two-mode CMs")
-    if measured_mode not in (0, 1):
-        raise InvalidInputError("measured_mode must be 0 or 1")
-    alpha, beta, delta = _blocks(g, measured_mode)
-    s0 = sigma0.covariance() if isinstance(sigma0, MeasurementSeed) else np.asarray(sigma0, float)
-    m = beta + s0
-    if abs(np.linalg.det(m)) < 1e-14:
-        raise NumericalError("beta + sigma0 is singular")
-    eps = alpha - delta @ np.linalg.solve(m, delta.T)
-    return CovMatrix((eps + eps.T) / 2)
 
 
 def _oriented_invariants(g: np.ndarray, measured_mode: int):
@@ -717,7 +681,7 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
 
 
 __all__ = [
-    "entropy_f", "von_neumann_entropy", "MeasurementSeed", "DiscordReport",
-    "GEoFResult", "KWFlowPoint", "conditional_cm", "discord", "discord_oracle",
+    "entropy_f", "von_neumann_entropy", "DiscordReport",
+    "GEoFResult", "KWFlowPoint", "discord", "discord_oracle",
     "mutual_information", "classical_correlation", "kw_audit", "geof",
 ]

@@ -58,13 +58,6 @@ class ScalarSummary:
     values: np.ndarray
 
 
-def _physical_cm(state: ScenarioState) -> CovMatrix:
-    cm = state.effective_cm()
-    if validate_physical(cm) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("effective CM is not physical; cannot sample")
-    return cm
-
-
 def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """Draw n shots from a scenario state, recording each classical source.
 
@@ -74,7 +67,8 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
-    _physical_cm(state)
+    if validate_physical(state.effective_cm()) < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError("effective CM is not physical; cannot sample")
     rng = np.random.default_rng(seed)
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
@@ -136,37 +130,6 @@ def error_monte_carlo(pipeline, trials: int, seed: int) -> dict:
     return out
 
 
-def perturbed_cm_pipeline(cm, std_errors, scalars: dict):
-    """Pipeline resampling each CM entry with its standard error (symmetrized).
-
-    scalars maps a name to a function of the perturbed 2n x 2n array; the
-    returned callable fits :func:`error_monte_carlo`.
-    """
-    g = _as_matrix(cm)
-    err = np.asarray(std_errors, dtype=float)
-    if err.shape != g.shape:
-        raise InvalidInputError("error matrix shape must match the CM")
-
-    def pipeline(rng):
-        pert = rng.normal(0.0, 1.0, g.shape) * err
-        pert = np.triu(pert) + np.triu(pert, 1).T
-        noisy = g + pert
-        return {name: float(fn(noisy)) for name, fn in scalars.items()}
-
-    return pipeline
-
-
-def sampling_pipeline(state: ScenarioState, n: int, scalars: dict):
-    """Pipeline re-measuring the scenario with n shots per trial.
-
-    The CM estimate of each trial is one Wishart draw on the state's effective
-    CM, as in :func:`cm_resampling_pipeline`, so n must exceed the 2m
-    quadratures (n > 6 for the split state).  Nonphysical states are refused,
-    as by :func:`sample`.
-    """
-    return cm_resampling_pipeline(_physical_cm(state), n, scalars)
-
-
 def matched_sample_size(cm, std_errors) -> int:
     """Sample size whose statistical CM errors best match a given error matrix.
 
@@ -194,11 +157,10 @@ def cm_resampling_pipeline(cm, n: int, scalars: dict):
     standard normal entries below the diagonal.  A trial therefore costs
     d(d + 1)/2 random numbers instead of n x d, and the estimates have the
     distribution of the shot-by-shot ones; the random stream, and so the
-    values for a given seed, differ from drawing the shots.
-
-    Unlike :func:`perturbed_cm_pipeline` the entry fluctuations carry the
-    correlations of a real covariance estimate, which is what keeps the
-    derived-scalar spreads at the experimentally observed scale.
+    values for a given seed, differ from drawing the shots.  The entry
+    fluctuations carry the correlations of a real covariance estimate, which
+    is what keeps the derived-scalar spreads at the experimentally observed
+    scale.
     """
     g = _as_matrix(cm)
     d = g.shape[0]
@@ -243,7 +205,6 @@ def write_batch_csv(batch: SampleBatch, path):
 
 __all__ = [
     "SampleBatch", "CMEstimate", "ScalarSummary", "sample", "estimate_cm",
-    "electronic_demodulation", "error_monte_carlo", "perturbed_cm_pipeline",
-    "sampling_pipeline", "matched_sample_size", "cm_resampling_pipeline",
-    "write_batch_csv",
+    "electronic_demodulation", "error_monte_carlo", "matched_sample_size",
+    "cm_resampling_pipeline", "write_batch_csv",
 ]

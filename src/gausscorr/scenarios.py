@@ -20,9 +20,9 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
-from .core import (CovMatrix, SymplecticTransform, apply_symplectic, ppt_min_eig,
-                   symplectic_form, tensor, PHYSICALITY_TOL, _as_matrix,
-                   _quadrature_indices, _williamson_frame)
+from .core import (CovMatrix, SymplecticTransform, apply_symplectic, symplectic_form,
+                   tensor, PHYSICALITY_TOL, _as_matrix, _quadrature_indices,
+                   _williamson_frame)
 from .correlations import (KWFlowPoint, entropy_f, _discord_report, _k1_geof,
                            _oriented_invariants)
 from .errors import InvalidInputError, NonPhysicalStateError
@@ -136,19 +136,6 @@ class ScenarioState:
         return replace(self, mode_names=self.mode_names + (name,),
                        quantum_cm=tensor(self.quantum_cm, np.eye(2)),
                        loadings=tuple(new_loadings))
-
-    def modulate_mode(self, name: str, w_x: float, w_p: float) -> "ScenarioState":
-        """Register classical displacement noise on one mode as new loadings."""
-        if w_x < 0 or w_p < 0:
-            raise InvalidInputError("noise variances must be nonnegative")
-        mode = self.mode_index(name)
-        new = list(self.loadings)
-        for offset, w, tag in ((0, w_x, "x"), (1, w_p, "p")):
-            if w > 0:
-                vec = np.zeros(2 * self.n_modes)
-                vec[2 * mode + offset] = 1.0
-                new.append(NoiseLoading(f"modulation_{name}_{tag}", w, vec))
-        return replace(self, loadings=tuple(new))
 
     def attenuate_mode(self, name: str, t: float,
                        keep_environment: bool = True) -> "ScenarioState":
@@ -474,11 +461,6 @@ def run_recovery(state: ScenarioState, mode: str, gain=None, bs_t_be=None):
     raise InvalidInputError(f"unknown recovery mode {mode!r}")
 
 
-def split_state_is_separable(state: ScenarioState) -> bool:
-    """PPT witness on the effective (A, B) covariance."""
-    return ppt_min_eig(state.effective_cm(["A", "B"])) >= -1e-9
-
-
 def measurement_optimality_note(spec: InputSpec) -> dict:
     """Advisory certificate for interpreting Gaussian discord as discord.
 
@@ -562,6 +544,6 @@ __all__ = [
     "attenuation_sweep", "correlation_flow", "duan_value", "duan_optimize",
     "recover_demodulate", "optimal_demodulation",
     "recover_interfere", "recovery_closed_form", "run_recovery",
-    "split_state_is_separable", "measurement_optimality_note",
+    "measurement_optimality_note",
     "RecoveryConfig", "ScenarioConfig",
 ]

@@ -48,20 +48,20 @@ def test_validate_physical_measured_cm(measured_cm):
 
 def test_spectrum_thermal_diagonal():
     sp = symplectic_spectrum(np.diag([3.0, 3.0, 5.0, 5.0]))
-    assert np.allclose(sp.values, [3.0, 5.0])
+    assert np.allclose(sp, [3.0, 5.0])
 
 
 @pytest.mark.parametrize("r", [0.1, 0.35, 0.8])
 def test_spectrum_tmsv_pure(r):
     sp = symplectic_spectrum(tmsv_from_squeezing(r))
-    assert np.allclose(sp.values, [1.0, 1.0], atol=1e-9)
+    assert np.allclose(sp, [1.0, 1.0], atol=1e-9)
 
 
 def test_spectrum_closed_form_agreement(measured_cm):
     nu_m, nu_p = two_mode_symplectic_values(measured_cm)
     sp = symplectic_spectrum(measured_cm)
-    assert abs(sp.values[0] - nu_m) <= 1e-9
-    assert abs(sp.values[1] - nu_p) <= 1e-9
+    assert abs(sp[0] - nu_m) <= 1e-9
+    assert abs(sp[1] - nu_p) <= 1e-9
 
 
 def test_spectrum_rejects_nonphysical():
@@ -72,7 +72,7 @@ def test_spectrum_rejects_nonphysical():
 def test_spectrum_product_matches_det(measured_cm):
     sp = symplectic_spectrum(measured_cm)
     det = np.linalg.det(measured_cm.entries)
-    assert np.prod(sp.values ** 2) == pytest.approx(det, rel=1e-8)
+    assert np.prod(sp ** 2) == pytest.approx(det, rel=1e-8)
 
 
 def test_seralian_identity():
@@ -225,8 +225,8 @@ def test_spectrum_invariant_under_symplectics(seed):
     rng = np.random.default_rng(seed)
     cm = random_physical_cm(rng, 2)
     s = random_symplectic(rng, 2)
-    before = symplectic_spectrum(cm).values
-    after = symplectic_spectrum(apply_symplectic(cm, s)).values
+    before = symplectic_spectrum(cm)
+    after = symplectic_spectrum(apply_symplectic(cm, s))
     assert np.abs(before - after).max() <= 1e-8
 
 
@@ -250,7 +250,7 @@ def test_closed_form_matches_general_eigensolve(seed):
     rng = np.random.default_rng(seed)
     cm = random_physical_cm(rng, 2)
     nu_m, nu_p = two_mode_symplectic_values(cm)
-    sp = symplectic_spectrum(cm).values
+    sp = symplectic_spectrum(cm)
     assert abs(sp[0] - max(nu_m, 1.0)) <= 1e-8
     assert abs(sp[1] - nu_p) <= 1e-8
 
@@ -279,7 +279,7 @@ def test_williamson_reconstructs():
         assert np.abs(recon - g).max() <= 1e-10
         assert np.all(np.diff(nus) >= 0) and nus.min() >= 1.0 - 1e-10
         pure = minimal_purification(g)
-        assert np.abs(symplectic_spectrum(pure).values - 1.0).max() <= 1e-8
+        assert np.abs(symplectic_spectrum(pure) - 1.0).max() <= 1e-8
         assert np.abs(reduce(pure, range(n)).entries - g).max() <= 1e-9
 
 

@@ -8,10 +8,9 @@ from gausscorr.channels import beamsplitter, tmsv_cm, tmsv_from_squeezing
 from gausscorr.core import (apply_symplectic, random_physical_cm, random_symplectic,
                             reduce, tensor)
 import gausscorr.correlations as corr
-from gausscorr.correlations import (BRANCH_TIE_TOL, MeasurementSeed, _e_profile,
-                                    _oracle_infimum, _oriented_invariants, _seed_chart,
-                                    classical_correlation, conditional_cm, discord,
-                                    discord_oracle, entropy_f, kw_audit,
+from gausscorr.correlations import (BRANCH_TIE_TOL, _e_profile, _oracle_infimum,
+                                    _oriented_invariants, _seed_chart, classical_correlation,
+                                    discord, discord_oracle, entropy_f, kw_audit,
                                     mutual_information, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
@@ -37,25 +36,6 @@ def test_von_neumann_entropy_cases():
     assert von_neumann_entropy(np.eye(4)) == 0.0
     assert von_neumann_entropy(np.diag([3.0, 3.0])) == pytest.approx(entropy_f(3.0))
     assert von_neumann_entropy(tmsv_from_squeezing(0.6)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_conditional_cm_product_state():
-    g = np.diag([2.0, 0.7, 3.0, 3.0])
-    eps = conditional_cm(g, 1, MeasurementSeed(theta=0.3, s=2.0))
-    assert np.allclose(eps.entries, np.diag([2.0, 0.7]))
-
-
-def test_conditional_cm_tmsv_heterodyne():
-    m = 2.5
-    eps = conditional_cm(tmsv_cm(m), 1, np.eye(2))
-    assert np.allclose(eps.entries, np.eye(2), atol=1e-12)
-    assert np.linalg.det(eps.entries) < m * m  # measurement reduces uncertainty
-
-
-def test_conditional_cm_singular_seed():
-    g = tmsv_cm(2.0).entries
-    with pytest.raises(Exception):
-        conditional_cm(g, 1, -g[2:, 2:])
 
 
 def test_discord_product_state_zero():
@@ -146,10 +126,11 @@ def test_seed_chart_matches_conditional_update(mode):
             homodyne = np.linalg.det(alpha - np.outer(dv, dv) / (v @ beta @ v))
             assert det_eps(c2, s2, 0.0) == pytest.approx(homodyne, rel=1e-13)
             # e > 0: the seed R(theta) diag(1/e, e) R(theta)^T
+            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             for e in (1e-3, 0.3, 1.0):
-                eps = conditional_cm(g, mode, MeasurementSeed(theta=theta, s=1.0 / e))
-                assert det_eps(c2, s2, e) == pytest.approx(
-                    np.linalg.det(eps.entries), rel=1e-12)
+                seed = rot @ np.diag([1.0 / e, e]) @ rot.T
+                eps = alpha - delta @ np.linalg.solve(beta + seed, delta.T)
+                assert det_eps(c2, s2, e) == pytest.approx(np.linalg.det(eps), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -295,13 +276,6 @@ def test_discord_local_symplectic_invariance(seed):
     local[2:, 2:] = random_symplectic(rng, 1).entries
     moved = apply_symplectic(cm, local)
     assert discord(moved).discord == pytest.approx(discord(cm).discord, abs=1e-8)
-
-
-def test_measurement_seed_det_one():
-    seed = MeasurementSeed(theta=0.7, s=3.0)
-    assert np.linalg.det(seed.covariance()) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(InvalidInputError):
-        MeasurementSeed(theta=0.0, s=-1.0)
 
 
 def test_kw_audit_trivial():

@@ -30,3 +30,28 @@ def test_package_imports_only_exported_names():
             if exported is not None:
                 assert alias.name in exported, (
                     f"gausscorr imports {node.module}.{alias.name}, which is not in its __all__")
+
+
+def _bound_names(node):
+    """Names an import statement binds in its module."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        else:
+            yield alias.name.split(".")[0]
+
+
+def test_modules_use_every_imported_name():
+    # an import left behind when its last caller goes is dead code; __init__ re-exports
+    package = Path(gausscorr.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                    for name in _bound_names(node)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used)
+        assert not unused, f"{path.name} imports unused names {unused}"

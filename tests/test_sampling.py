@@ -7,12 +7,12 @@ from scipy.stats import ks_2samp
 from gausscorr.channels import InputSpec
 from gausscorr.core import ppt_min_eig, reduce
 from gausscorr.correlations import discord
-from gausscorr.errors import InvalidInputError
+from gausscorr.core import CovMatrix
+from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 from gausscorr.sampling import (cm_resampling_pipeline, electronic_demodulation,
                                 error_monte_carlo, estimate_cm, matched_sample_size,
-                                perturbed_cm_pipeline, sample, sampling_pipeline,
-                                SampleBatch, write_batch_csv)
-from gausscorr.scenarios import (MODULATION_SOURCE, build_split_state,
+                                sample, SampleBatch, write_batch_csv)
+from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioState, build_split_state,
                                  duan_value, recover_demodulate)
 
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
@@ -118,6 +118,12 @@ def test_electronic_demodulation_prefactor():
     assert np.allclose(shift, np.sqrt(2.0) * xbar)
 
 
+def test_sample_refuses_nonphysical_state():
+    st = ScenarioState(mode_names=("A",), quantum_cm=CovMatrix(np.diag([0.5, 0.5])))
+    with pytest.raises(NonPhysicalStateError):
+        sample(st, 10, seed=0)
+
+
 def test_sampled_duan_consistent_with_cm_value():
     st = build_split_state(SQUEEZED, 0.5)
     g = 1.0
@@ -132,16 +138,16 @@ def test_sampled_duan_consistent_with_cm_value():
 
 
 def test_error_monte_carlo_point_value(measured_cm, measured_errors):
-    pipe = perturbed_cm_pipeline(measured_cm, measured_errors,
-                                 {"d": lambda m: discord(m, 1, allow_measured=True).discord})
+    pipe = cm_resampling_pipeline(measured_cm, matched_sample_size(measured_cm, measured_errors),
+                                  {"d": lambda m: discord(m, 1, allow_measured=True).discord})
     summ = error_monte_carlo(pipe, trials=1, seed=0)
     assert summ["d"].std == 0.0
     assert summ["d"].values.shape == (1,)
 
 
 def test_error_monte_carlo_deterministic(measured_cm, measured_errors):
-    pipe = perturbed_cm_pipeline(measured_cm, measured_errors,
-                                 {"d": lambda m: discord(m, 1, allow_measured=True).discord})
+    pipe = cm_resampling_pipeline(measured_cm, matched_sample_size(measured_cm, measured_errors),
+                                  {"d": lambda m: discord(m, 1, allow_measured=True).discord})
     s1 = error_monte_carlo(pipe, trials=50, seed=4)
     s2 = error_monte_carlo(pipe, trials=50, seed=4)
     assert np.array_equal(s1["d"].values, s2["d"].values)
@@ -149,7 +155,8 @@ def test_error_monte_carlo_deterministic(measured_cm, measured_errors):
 
 def test_error_monte_carlo_std_estimates_spread_not_sem(measured_cm, measured_errors):
     scalars = {"d": lambda m: discord(m, 1, allow_measured=True).discord}
-    pipe = perturbed_cm_pipeline(measured_cm, measured_errors, scalars)
+    pipe = cm_resampling_pipeline(measured_cm, matched_sample_size(measured_cm, measured_errors),
+                                  scalars)
     few = error_monte_carlo(pipe, trials=120, seed=8)["d"].std
     many = error_monte_carlo(pipe, trials=480, seed=8)["d"].std
     assert few == pytest.approx(many, rel=0.35)  # spread, not ~1/sqrt(trials)
@@ -230,7 +237,7 @@ def test_resampling_pipeline_rejects_small_samples(measured_cm, n):
 
 def test_sampling_pipeline_runs():
     st = build_split_state(SQUEEZED, 0.5)
-    pipe = sampling_pipeline(st, 5000, {"d": lambda m: discord(
+    pipe = cm_resampling_pipeline(st.effective_cm(), 5000, {"d": lambda m: discord(
         m[:4, :4], 1, allow_measured=True).discord})
     summ = error_monte_carlo(pipe, trials=5, seed=1)
     assert summ["d"].values.shape == (5,)
@@ -253,7 +260,8 @@ def test_sampling_pipeline_matches_shot_draws():
         "min_eig": lambda m: ppt_min_eig(m[:4, :4]),
     }
     n, trials = 2000, 1000
-    wishart = error_monte_carlo(sampling_pipeline(st, n, scalars), trials=trials, seed=43)
+    wishart = error_monte_carlo(cm_resampling_pipeline(st.effective_cm(), n, scalars),
+                                trials=trials, seed=43)
     shots = error_monte_carlo(_shot_sampling_pipeline(st, n, scalars), trials=trials, seed=44)
     for name in scalars:
         assert ks_2samp(wishart[name].values, shots[name].values).pvalue > 1e-3, name
@@ -262,8 +270,8 @@ def test_sampling_pipeline_matches_shot_draws():
 def test_sampling_pipeline_needs_more_shots_than_quadratures():
     st = build_split_state(SQUEEZED, 0.5)
     with pytest.raises(InvalidInputError):
-        sampling_pipeline(st, 6, {})
-    sampling_pipeline(st, 7, {})
+        cm_resampling_pipeline(st.effective_cm(), 6, {})
+    cm_resampling_pipeline(st.effective_cm(), 7, {})
 
 
 def test_batch_csv_export(tmp_path):
