@@ -142,8 +142,8 @@ def cmd_simulate(args) -> int:
     _check_out_path(estimate_out)
     state = build_split_state(cfg.input_spec, cfg.bs_t)
     batch = sample(state, args.n, args.seed)
+    est = estimate_cm(batch)  # before the CSV, so that a rejected batch writes no file
     write_batch_csv(batch, args.out)
-    est = estimate_cm(batch)
     _emit({
         "n": batch.n,
         "seed": batch.seed,

@@ -32,10 +32,10 @@ def _as_matrix(cm):
 class CovMatrix:
     """Real symmetric 2n x 2n covariance matrix in gamma-units.
 
-    Symmetry is validated to relative tolerance 1e-12 and the stored array is
-    exactly symmetrized and made read-only.  Physicality is *not* enforced
-    here (measured matrices may violate it slightly); use
-    :func:`validate_physical`.
+    Entries must be finite.  Symmetry is validated to relative tolerance
+    1e-12 and the stored array is exactly symmetrized and made read-only.
+    Physicality is *not* enforced here (measured matrices may violate it
+    slightly); use :func:`validate_physical`.
     """
 
     entries: np.ndarray
@@ -44,7 +44,10 @@ class CovMatrix:
         g = np.asarray(self.entries, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
             raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {g.shape}")
-        scale = max(1.0, np.abs(g).max())
+        peak = np.abs(g).max()
+        if not peak < np.inf:  # NaN fails every comparison, so ask for the true case
+            raise InvalidInputError("covariance matrix has non-finite entries")
+        scale = max(1.0, peak)
         if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
             raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
         if np.any(np.diag(g) <= 0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import PURE_TOL, minimal_purification
-from .core import (CovMatrix, ppt_min_eig, standard_form, symplectic_spectrum,
+from .core import (CovMatrix, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
                    PHYSICALITY_TOL, _as_matrix, _symplectic_pair, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
@@ -68,8 +68,7 @@ class GEoFResult:
     feasibility_gap: float
     converged: bool
     nfev: int = 0            # GEoF objective evaluations over all starts and the polish
-    # how the value was obtained: "pure", "ppt-product", "k1-closed-form",
-    # "xp-search" or "nelder-mead"
+    # how the value was obtained: "k1-closed-form", "xp-search" or "nelder-mead"
     method: str = "nelder-mead"
 
 
@@ -373,10 +372,11 @@ def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
 # decomposition of a Gaussian state is a rank-one measurement on its minimal
 # purifier (Wolf et al., PRA 69, 052320, 2004), every candidate is feasible
 # and pure by construction, and the unconstrained seed optimization needs no
-# feasibility penalty.  With k = 1 the minimum is the closed-form discord infimum
-# on the two-mode (A, P) block (Adesso & Datta, PRL 105, 030501, 2010); a
-# two-mode input with k = 2 reduces to one angle in its standard form
-# (Marian & Marian, PRL 101, 220403, 2008), so only 1x2 inputs with k >= 2 search.
+# feasibility penalty.  The route follows k alone.  With k <= 1 the minimum is
+# the closed-form discord infimum on the two-mode (A, P) block (Adesso & Datta,
+# PRL 105, 030501, 2010; a pure input has P decoupled); a two-mode input with
+# k = 2 reduces to one angle in its standard form (Marian & Marian, PRL 101,
+# 220403, 2008), so only 1x2 inputs with k >= 2 search.
 
 def _seed_frame(params, k):
     """Frame O and weights W, D W of the pure k-mode seed O D O^T.
@@ -464,51 +464,10 @@ def _xp_pure_cm(sf, x):
     return (pure + pure.T) / 2
 
 
-def _product_pure_feasible(g):
-    """A feasible pure *product* CM below a two-mode CM (certifies GEoF = 0); None if none found.
-
-    In standard form (a I and b I on the diagonal, cross block
-    diag(c_plus, c_minus)) the product diag(x, 1/x) (+) diag(y, 1/y) lies below
-    gamma iff y <= Y1(x) = b - c_plus^2 / (a - x) and 1/y <= Y2(x) =
-    b - c_minus^2 / (a - 1/x): the x and p quadratures decouple.  Both are
-    concave in x, so log Y1 + log Y2 has one maximum on the interval where
-    both are positive, which a bounded 1-D search finds in about a dozen
-    scalar evaluations; y = sqrt(Y1 / Y2) then sits midway (in log) between
-    its bounds.  The product is mapped back with the inverse local
-    symplectics.  This costs about the same on every input, unlike a
-    Nelder-Mead search over the four parameters of a product CM.
-    """
-    sf = standard_form(g)
-    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
-    if a * b <= cm * cm:
-        return None
-    lo, hi = 1.0 / (a - cm * cm / b), a - cp * cp / b
-    if hi < lo:
-        return None
-
-    def bounds_at(x):
-        # a zero cross entry leaves its bound at b, also where a - x = 0
-        return (b - cp * cp / (a - x) if cp else b,
-                b - cm * cm / (a - 1.0 / x) if cm else b)
-
-    def neg_log_h(x):
-        y1, y2 = bounds_at(x)
-        return math.inf if min(y1, y2) <= 0.0 else -math.log(y1) - math.log(y2)
-
-    if hi - lo <= 1e-12 * hi:   # degenerate interval, e.g. a pure local mode
-        x = (lo + hi) / 2
-    else:
-        x = bounded_brent(neg_log_h, lo, hi, xatol=1e-12 * hi)[0]
-    y1, y2 = bounds_at(x)
-    if min(y1, y2) <= 0.0:
-        return None
-    product = _xp_pure_cm(sf, np.diag([x, math.sqrt(y1 / y2)]))
-    if np.linalg.eigvalsh(g - product).min() < -1e-9:
-        return None
-    return product
-
-
 XP_GRID = 64
+# seeded Nelder-Mead starts beside the vacuum start, and their generator's seed (1x2, k >= 2)
+GEOF_RESTARTS = 8
+GEOF_SEED = 0
 
 
 def _xp_geof(g):
@@ -595,20 +554,21 @@ def _det2(m) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
+def geof(cm, a_mode: int = 0) -> GEoFResult:
     """Gaussian entanglement of formation across (a_mode | rest).
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
-    single a_mode)); the rest side must have 1 or 2 modes.  Two-mode inputs
-    never search: pure inputs, PPT products and one purifying mode (k = 1,
-    :func:`_k1_geof`) are closed forms, and k = 2 is a 1-D search in the
-    standard form's x-p picture (:func:`_xp_geof`), whose nfev counts its grid
-    and refine evaluations.  Only 1x2 inputs with k >= 2 take the best
-    Nelder-Mead optimum over restarts; there converged asks that two starts
-    end within 1e-9 of the value.  restarts and seed do nothing on two-mode
-    inputs.  k is read from one Williamson frame.  Returns the value with the
-    certifying pure CM, the number of objective evaluations (0 for the closed
-    forms) and the method that produced it.
+    single a_mode)); the rest side must have 1 or 2 modes.  The route follows
+    k, the number of symplectic eigenvalues above 1, read from one Williamson
+    frame: k <= 1 (pure inputs included) is the closed form :func:`_k1_geof`,
+    a two-mode input with k = 2 is a 1-D search in the standard form's x-p
+    picture (:func:`_xp_geof`), and a 1x2 input with k >= 2 takes the best
+    Nelder-Mead optimum over the vacuum start and GEOF_RESTARTS seeded ones;
+    there converged asks that two starts end within 1e-9 of the value.  A PPT
+    input gets GEoF = 0 from whichever route its k selects.  Returns the
+    value with the certifying pure CM, the number of objective evaluations
+    (0 for the closed form, grid plus refine for the x-p search) and the
+    method that produced it.
     """
     g = _as_matrix(cm)
     n = g.shape[0] // 2
@@ -618,24 +578,10 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
         raise InvalidInputError("rest side must have 1 or 2 modes")
     if validate_physical(g) < -PHYSICALITY_TOL:
         raise NonPhysicalStateError("GEoF needs a physical CM")
-    ai = slice(2 * a_mode, 2 * a_mode + 2)
 
     s, nus = _williamson_frame(g)
     k = int(np.count_nonzero(nus > 1.0 + PURE_TOL))
-    if k == 0:
-        # pure input: the only feasible pure CM is gamma itself
-        value = entropy_f(max(np.sqrt(np.linalg.det(g[ai, ai])), 1.0))
-        return GEoFResult(value=value, optimal_pure_cm=CovMatrix(g),
-                          feasibility_gap=0.0, converged=True, method="pure")
-
-    if n == 2 and ppt_min_eig(g) >= -PHYSICALITY_TOL:  # two-mode separability shortcut
-        product = _product_pure_feasible(g)
-        if product is not None:
-            gap = float(np.linalg.eigvalsh(g - product).min())
-            return GEoFResult(value=0.0, optimal_pure_cm=CovMatrix(product),
-                              feasibility_gap=gap, converged=True, method="ppt-product")
-
-    if k == 1:
+    if k <= 1:
         value, gamma_p, gap = _k1_geof(g, s, nus, a_mode)
         return GEoFResult(value=value, optimal_pure_cm=CovMatrix(gamma_p),
                           feasibility_gap=gap, converged=True, method="k1-closed-form")
@@ -654,11 +600,12 @@ def geof(cm, a_mode: int = 0, restarts: int = 8, seed: int = 0) -> GEoFResult:
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
     gsr = big[:2 * n, 2 * n:]
+    ai = slice(2 * a_mode, 2 * a_mode + 2)
     objective = _geof_objective(gs[ai, ai], gr, gsr[ai], k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GEOF_SEED)
     # the seeds tan^2 w = e^{2z} of squeezings z drawn in [-1.5, 1.5]; z = 0 is the vacuum
     starts = [np.concatenate([np.full(k, np.pi / 4), np.zeros(k * k)])]
-    for _ in range(restarts):
+    for _ in range(GEOF_RESTARTS):
         starts.append(np.concatenate([np.arctan(np.exp(rng.uniform(-1.5, 1.5, k))),
                                       rng.uniform(-1.5, 1.5, k * k)]))
     runs = [minimize(objective, p0, method="Nelder-Mead",

@@ -24,15 +24,3 @@ MEASURED_CM_STD_ERRORS = np.array([
     [0.01, 0.15, 0.02, 0.16],
 ])
 MEASURED_CM_STD_ERRORS.flags.writeable = False
-
-# headline values reported for this matrix (nats / dimensionless)
-MEASURED_DISCORD = 0.49
-MEASURED_DISCORD_ERR = 0.01
-MEASURED_PPT_MIN_EIG = 0.84
-MEASURED_PPT_MIN_EIG_ERR = 0.02
-
-# input-variance settings of the two experimental runs
-COHERENT_RUN = {"kind": "coherent", "squeezing_db": 0.0, "v_x": 7.1, "v_p": 1.0}
-SQUEEZED_RUN = {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4}
-CMR_COHERENT = 3.9e-3
-CMR_SQUEEZED = 0.047

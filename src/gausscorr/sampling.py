@@ -89,7 +89,10 @@ def estimate_cm(batch: SampleBatch) -> CMEstimate:
 
     For Gaussian data, var(cov_ij) = (cov_ii cov_jj + cov_ij^2)/n, which in
     gamma-units becomes se(gamma_ij) = sqrt((gamma_ii gamma_jj + gamma_ij^2)/n).
+    A sample covariance needs at least two shots.
     """
+    if batch.n < 2:
+        raise InvalidInputError(f"CM estimate needs at least 2 shots, got {batch.n}")
     g = 2.0 * np.cov(batch.columns.T, ddof=1)
     se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / batch.n)
     return CMEstimate(cm=CovMatrix(g), std_errors=se)

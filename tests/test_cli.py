@@ -60,6 +60,17 @@ def test_discord_command_nonphysical_exit_code(tmp_path, capsys):
     assert main(["discord", "--cm", str(path), "--allow-measured"]) == 0
 
 
+def test_discord_command_non_finite_exit_code(tmp_path, capsys):
+    # json reads NaN, and a report holding NaN would not be valid JSON
+    path = tmp_path / "nan.json"
+    path.write_text('{"n_modes": 2, "gamma": [[NaN, 0, 0, 0], [0, 1, 0, 0], '
+                    '[0, 0, 1, 0], [0, 0, 0, 1]]}')
+    assert main(["discord", "--cm", str(path), "--allow-measured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
 def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NumericalError("optimizer did not converge")
@@ -294,6 +305,15 @@ def test_simulate_command(fig3_config, tmp_path, capsys):
     est = json.loads(est_out.read_text())
     assert est["n"] == 2000 and est["seed"] == 7
     assert np.array(est["gamma"]).shape == (6, 6)
+
+
+def test_simulate_command_one_shot_exit_code(fig3_config, tmp_path, capsys):
+    # one shot has no sample covariance: no all-NaN gamma, and no CSV either
+    out = tmp_path / "batch.csv"
+    assert main(["simulate", "--config", str(fig3_config), "--n", "1",
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert not out.exists() and not (tmp_path / "batch.csv.estimate.json").exists()
 
 
 def test_simulate_command_deterministic(fig3_config, tmp_path):

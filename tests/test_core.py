@@ -34,6 +34,15 @@ def test_covmatrix_rejects_nonpositive_diagonal():
         CovMatrix(np.diag([1.0, -0.5, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covmatrix_rejects_non_finite(bad):
+    for i, j in ((0, 0), (0, 1)):
+        g = np.eye(4)
+        g[i, j] = g[j, i] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            CovMatrix(g)
+
+
 def test_validate_physical_vacuum_saturates():
     assert validate_physical(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 

@@ -55,3 +55,35 @@ def test_modules_use_every_imported_name():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used)
         assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def _module_level_privates(tree):
+    """Private (single-underscore) functions, classes and constants a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_names_have_a_caller_in_the_package():
+    # a private helper whose last package caller went is dead code, even if a test
+    # still imports it
+    package = Path(gausscorr.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(f"{name}.{private}" for name, tree in trees.items()
+                    for private in _module_level_privates(tree) if private not in used)
+    assert not unused, f"private names no package module uses: {unused}"

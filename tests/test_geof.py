@@ -11,9 +11,8 @@ from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
-from gausscorr.correlations import (_geof_objective, _product_pure_feasible, _seed_frame,
-                                    _seed_inverse, discord, entropy_f, geof,
-                                    von_neumann_entropy)
+from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, discord,
+                                    entropy_f, geof, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError
 
 from conftest import make_separable_cm
@@ -36,7 +35,7 @@ def test_geof_pure_equals_single_mode_entropy():
 
 
 def test_geof_separable_measured_cm(measured_cm):
-    res = geof(measured_cm, restarts=4, seed=1)
+    res = geof(measured_cm)
     assert res.value <= 1e-4
     assert res.feasibility_gap >= -1e-7
 
@@ -45,7 +44,7 @@ def test_geof_separable_random():
     rng = np.random.default_rng(42)
     for k in range(5):
         cm = make_separable_cm(np.random.default_rng(100 + k))
-        res = geof(cm, restarts=4, seed=k)
+        res = geof(cm)
         assert res.value <= 1e-4, f"case {k}: {res.value}"
 
 
@@ -62,17 +61,18 @@ def _local_symplectic(rng):
     return s
 
 
-def _assert_pure_product_below(g, p):
-    assert np.abs(p[:2, 2:]).max() <= 1e-12 * np.abs(p).max()
-    assert np.linalg.det(p[:2, :2]) == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.det(p[2:, 2:]) == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.eigvalsh(g - p).min() >= -1e-9
+def _assert_zero_geof(g):
+    res = geof(g)
+    assert res.value <= 1e-12
+    assert res.feasibility_gap >= -1e-9
+    assert np.abs(symplectic_spectrum(res.optimal_pure_cm) - 1.0).max() <= 1e-9
+    return res
 
 
 @pytest.mark.parametrize("m, t_a, t_b", [(1.2, 0.5, 0.5), (3.0, 0.8, 0.3), (20.0, 0.5, 0.9)])
 def test_product_shortcut_near_ppt_boundary(m, t_a, t_b):
     # thermal noise tuned so that the PPT witness sits at +-eps, in a locally rotated
-    # and squeezed frame: a product is found exactly on the separable side
+    # and squeezed frame: GEoF is zero (to 1e-12) on the separable side, positive past it
     rng = np.random.default_rng(int(10 * m))
     for eps in (1e-3, 1e-6, 1e-9, -1e-6):
         lo, hi = 1.0, 1e4
@@ -81,27 +81,23 @@ def test_product_shortcut_near_ppt_boundary(m, t_a, t_b):
             lo, hi = (mid, hi) if ppt_min_eig(_noisy_tmsv(m, t_a, t_b, mid)) < eps else (lo, mid)
         s = _local_symplectic(rng)
         g = s @ _noisy_tmsv(m, t_a, t_b, hi) @ s.T
-        p = _product_pure_feasible(g)
         if eps < 0:
-            assert p is None
+            assert geof(g).value > 0
         else:
-            _assert_pure_product_below(g, p)
+            _assert_zero_geof(g)
 
 
 def test_product_shortcut_random_separable_and_pure_local_mode():
     for k in range(20):
-        g = make_separable_cm(np.random.default_rng(200 + k)).entries
-        _assert_pure_product_below(g, _product_pure_feasible(g))
-    g = tensor(np.eye(2), 2.5 * np.eye(2)).entries
-    _assert_pure_product_below(g, _product_pure_feasible(g))
-    res = geof(g)
+        _assert_zero_geof(make_separable_cm(np.random.default_rng(200 + k)))
+    res = _assert_zero_geof(tensor(np.eye(2), 2.5 * np.eye(2)))
     assert res.value == 0.0 and res.converged and res.nfev == 0
 
 
 def test_geof_entangled_positive():
     g = attenuate(tmsv_cm(2.0), 1, 0.7)
     assert ppt_min_eig(g) < 0
-    res = geof(g, restarts=4, seed=3)
+    res = geof(g)
     assert res.value > 1e-3
     assert res.feasibility_gap >= -1e-7
     assert validate_physical(res.optimal_pure_cm) >= -1e-7
@@ -109,7 +105,7 @@ def test_geof_entangled_positive():
 
 def test_geof_optimal_cm_is_pure():
     g = attenuate(tmsv_cm(1.8), 1, 0.8)  # one purifying mode
-    res = geof(g, restarts=4, seed=9)
+    res = geof(g)
     assert res.method == "k1-closed-form" and res.nfev == 0
     vals = symplectic_spectrum(res.optimal_pure_cm)
     assert np.abs(vals - 1.0).max() <= 1e-8
@@ -121,8 +117,8 @@ def test_geof_three_mode_matches_two_mode_when_decoupled():
     pur = minimal_purification(np.diag([9.84, 38.4]))     # (in, E)
     split = apply_symplectic(tensor(pur, np.eye(2)), beamsplitter(0.5, 3, (0, 2)))
     g_ab = reduce(split, [0, 1])                           # A with E, traced B
-    two = geof(g_ab, restarts=4, seed=2)
-    three = geof(reduce(tensor(g_ab, np.eye(2)), [0, 1, 2]), restarts=5, seed=2)
+    two = geof(g_ab)
+    three = geof(reduce(tensor(g_ab, np.eye(2)), [0, 1, 2]))
     assert three.value == pytest.approx(two.value, abs=1e-3)
 
 
@@ -137,7 +133,7 @@ def test_geof_value_nonnegative_random():
     rng = np.random.default_rng(17)
     for k in range(4):
         cm = random_physical_cm(np.random.default_rng(500 + k), 2)
-        res = geof(cm, restarts=3, seed=k)
+        res = geof(cm)
         assert res.value >= 0.0
         assert res.feasibility_gap >= -1e-7
 
@@ -151,7 +147,7 @@ def test_geof_symmetric_lossy_tmsv_matches_closed_form(squeezing_db):
     g = attenuate(attenuate(g, 0, eta), 1, eta)
     nu = two_mode_symplectic_values(partial_transpose(g, 1))[0]
     assert nu < 1.0
-    res = geof(g, restarts=4, seed=0)
+    res = geof(g)
     assert res.value == pytest.approx(entropy_f((1.0 + nu * nu) / (2.0 * nu)), abs=1e-6)
     assert res.feasibility_gap >= -1e-9
 
@@ -281,9 +277,7 @@ def test_k1_seed_chart_matches_general_path():
         branches.add(discord(np.block([[gs_a, gsr_a], [gsr_a.T, gr]])).branch)
         res = geof(g)
         assert res.converged and res.nfev == 0
-        # a separable two-mode draw takes the PPT shortcut first
-        separable = n == 2 and ppt_min_eig(g) >= -1e-9
-        assert res.method == ("ppt-product" if separable else "k1-closed-form")
+        assert res.method == "k1-closed-form"
         assert abs(res.value - search) <= 1e-10
         pure = res.optimal_pure_cm
         assert np.abs(symplectic_spectrum(pure) - 1.0).max() <= 1e-9
@@ -327,8 +321,8 @@ def test_geof_converged_needs_two_starts_at_the_value(monkeypatch, rest, converg
     # 1x2 with k = 3, a search input: one start at 0.5 and a shared stall just
     # above it is not convergence
     monkeypatch.setattr(scipy.optimize, "minimize", _fake_minimize(0.5, rest))
-    res = geof(_three_mixed_modes(), restarts=4)
-    assert res.value == 0.5 and res.nfev == 6
+    res = geof(_three_mixed_modes())
+    assert res.value == 0.5 and res.nfev == 10
     assert res.converged is converged
 
 
@@ -395,22 +389,23 @@ def test_geof_two_mode_k2_matches_search(monkeypatch):
 def test_geof_three_mixed_modes_feasible_and_pure():
     g = _three_mixed_modes()
     assert np.all(symplectic_spectrum(g) > 1.0 + 1e-6)  # k = 3 purifying modes
-    res = geof(g, restarts=0, seed=0)
+    res = geof(g)
     assert res.value > 0.1
     assert res.feasibility_gap >= -1e-9
     assert np.abs(symplectic_spectrum(res.optimal_pure_cm) - 1.0).max() <= 1e-6
 
 
 def test_geof_reports_its_method(monkeypatch):
-    # one input per branch; the closed forms name themselves instead of a bare nfev == 0
+    # one input per route, and a pure input, which takes the k = 1 closed form; the
+    # closed form names itself instead of a bare nfev == 0
     lossy = attenuate(tmsv_cm(3.0), 1, 0.6)                       # one purifying mode
     symmetric = attenuate(attenuate(tmsv_cm(3.0), 0, 0.8), 1, 0.8)  # two, entangled
-    cases = [(tmsv_cm(2.2), "pure"), (make_separable_cm(np.random.default_rng(4)), "ppt-product"),
-             (lossy, "k1-closed-form"), (symmetric, "xp-search")]
+    cases = [(tmsv_cm(2.2), "k1-closed-form"), (lossy, "k1-closed-form"),
+             (symmetric, "xp-search")]
     for g, method in cases:
         res = geof(g)
         assert res.method == method
         assert (res.nfev > 0) == (method == "xp-search")
     assert ppt_min_eig(lossy) < 0 and ppt_min_eig(symmetric) < 0
     monkeypatch.setattr(scipy.optimize, "minimize", _fake_minimize(0.5, 0.5))
-    assert geof(_three_mixed_modes(), restarts=2).method == "nelder-mead"
+    assert geof(_three_mixed_modes()).method == "nelder-mead"

@@ -32,6 +32,11 @@ def test_vacuum_batch_statistics():
     assert batch.columns.var(axis=0, ddof=1) == pytest.approx(np.full(6, 0.5), abs=0.02)
 
 
+def test_estimate_cm_needs_two_shots():
+    with pytest.raises(InvalidInputError):
+        estimate_cm(sample(vacuum_state(), 1, seed=1))
+
+
 def test_seeded_determinism():
     st = build_split_state(SQUEEZED, 0.5)
     b1 = sample(st, 5000, seed=77)
