@@ -24,7 +24,7 @@ def main():
     n = matched_sample_size(cm, MEASURED_CM_STD_ERRORS)
     scalars = {
         "discord": lambda m: discord(m, 1, allow_measured=True).discord,
-        "min_eig": lambda m: ppt_min_eig(m),
+        "min_eig": ppt_min_eig,
     }
     summary = error_monte_carlo(cm_resampling_pipeline(cm, n, scalars),
                                 trials=300, seed=12)

@@ -28,6 +28,15 @@ def _as_matrix(cm):
     return cm.entries if isinstance(cm, CovMatrix) else np.asarray(cm, dtype=float)
 
 
+def _checked(cm) -> np.ndarray:
+    """Entries of cm after the CovMatrix checks, run at most once.
+
+    A CovMatrix was checked when it was built, so its entries are returned
+    as they are; anything else is checked by building the one CovMatrix.
+    """
+    return cm.entries if isinstance(cm, CovMatrix) else CovMatrix(cm).entries
+
+
 @dataclass(frozen=True)
 class CovMatrix:
     """Real symmetric 2n x 2n covariance matrix in gamma-units.
@@ -47,12 +56,12 @@ class CovMatrix:
         peak = np.abs(g).max()
         if not peak < np.inf:  # NaN fails every comparison, so ask for the true case
             raise InvalidInputError("covariance matrix has non-finite entries")
-        scale = max(1.0, peak)
-        if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
+        gt = g.T
+        if np.abs(g - gt).max() > SYMMETRY_RTOL * max(1.0, peak):
             raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
-        if np.any(np.diag(g) <= 0):
+        if g.diagonal().min() <= 0:
             raise InvalidInputError("covariance matrix has non-positive diagonal entries")
-        g = (g + g.T) / 2
+        g = (g + gt) / 2
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
@@ -125,9 +134,12 @@ def validate_physical(cm) -> float:
     The caller treats values >= -1e-9 as physical.  Raises for non-symmetric
     input (via CovMatrix construction).
     """
-    g = CovMatrix(_as_matrix(cm)).entries
-    om = symplectic_form(g.shape[0] // 2)
-    return float(np.linalg.eigvalsh(g + 1j * om).min())
+    return _min_eig(_checked(cm))
+
+
+def _min_eig(g: np.ndarray) -> float:
+    """Minimum eigenvalue of g + i Omega for an already checked array g."""
+    return float(np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[0] // 2)).min())
 
 
 def symplectic_spectrum(cm) -> np.ndarray:
@@ -165,12 +177,13 @@ def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
     det / nu_plus^2, which avoids the cancellation in (delta - sqrt(...)) / 2:
     that difference loses about eps * delta, which near a pure mode
     (nu_minus -> 1, where f is steep) moves f(nu_minus) by a few 1e-13.
-    A negative discriminant (nonphysical input) gives nu_minus = nu_plus.
+    A negative discriminant (nonphysical input) gives nu_minus = nu_plus,
+    and a negative nu_plus^2 gives nu_plus = NaN.
     """
-    root = np.sqrt(max(delta * delta - 4 * det_g, 0.0))
+    root = math.sqrt(max(delta * delta - 4 * det_g, 0.0))
     plus_sq = (delta + root) / 2
     minus_sq = min(det_g / plus_sq, plus_sq) if plus_sq > 0 else 0.0
-    return float(np.sqrt(max(minus_sq, 0.0))), float(np.sqrt(plus_sq))
+    return math.sqrt(max(minus_sq, 0.0)), math.sqrt(plus_sq) if plus_sq >= 0 else math.nan
 
 
 def seralian(cm) -> float:
@@ -253,16 +266,23 @@ def partial_transpose(cm, mode: int) -> CovMatrix:
     return CovMatrix(g * np.outer(signs, signs))
 
 
+# L L^T for L = diag(1, -1, 1, 1): flips the sign of mode A's p row and column
+_FLIP_P_A = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+_FLIP_P_A.flags.writeable = False
+
+
 def ppt_min_eig(cm) -> float:
     """Simon separability witness: min eig of (gamma^(T_A) + i Omega).
 
     Nonnegative values certify separability for two-mode (1x1) Gaussian
-    states; negative values certify entanglement.
+    states; negative values certify entanglement.  The checked entries are
+    sign-flipped in place of :func:`partial_transpose`, which would check
+    them a second time.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     if g.shape != (4, 4):
         raise InvalidInputError("ppt_min_eig is defined for two-mode matrices")
-    return validate_physical(partial_transpose(g, 0))
+    return _min_eig(g * _FLIP_P_A)
 
 
 def _quadrature_indices(n: int, modes) -> np.ndarray:

@@ -24,7 +24,8 @@ from ._brent import bounded_brent
 from .channels import PURE_TOL, minimal_purification
 from .core import (CovMatrix, standard_form, symplectic_spectrum,
                    two_mode_symplectic_values, validate_physical,
-                   PHYSICALITY_TOL, _as_matrix, _symplectic_pair, _williamson_frame)
+                   PHYSICALITY_TOL, _as_matrix, _checked, _min_eig, _symplectic_pair,
+                   _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -95,25 +96,29 @@ def _blocks(g: np.ndarray, measured_mode: int):
     return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
 
 
+# flat indices of the (alpha, beta, delta) blocks of a 4x4 CM, per measured mode
+_BLOCK_INDEX = tuple(np.stack(_blocks(np.arange(16).reshape(4, 4), m)) for m in (0, 1))
+
+
 def _oriented_invariants(g: np.ndarray, measured_mode: int):
     """(A, B, C, D) with the measured mode in the beta slot, as Python floats.
 
-    g is one 4x4 CM or a (..., 4, 4) stack; a stack gives each invariant as
-    a (nested) list over its leading axes.  One det call covers the three
-    2x2 blocks, one the whole matrix.
+    g is one 4x4 CM or an (N, 4, 4) stack; a stack gives each invariant as
+    a list of N.  One gather and one det call cover the three 2x2 blocks,
+    one det the whole matrix.
     """
-    dets = np.linalg.det(np.stack(_blocks(g, measured_mode), axis=-3))
-    return (*np.moveaxis(dets, -1, 0).tolist(), np.linalg.det(g).tolist())
+    blocks = g.reshape(g.shape[:-2] + (16,))[..., _BLOCK_INDEX[measured_mode]]
+    return (*np.linalg.det(blocks).T.tolist(), np.linalg.det(g).tolist())
 
 
 def _inf_det_eps_heterodyne_case(a, b, c, d):
     inner = max(c * c + (b - 1) * (d - a), 0.0)
-    return (2 * c * c + (b - 1) * (d - a) + 2 * abs(c) * np.sqrt(inner)) / (b - 1) ** 2
+    return (2 * c * c + (b - 1) * (d - a) + 2 * abs(c) * math.sqrt(inner)) / (b - 1) ** 2
 
 
 def _inf_det_eps_homodyne_case(a, b, c, d):
     inner = max(c ** 4 + (d - a * b) ** 2 - 2 * c * c * (a * b + d), 0.0)
-    return (a * b - c * c + d - np.sqrt(inner)) / (2 * b)
+    return (a * b - c * c + d - math.sqrt(inner)) / (2 * b)
 
 
 def _inf_det_eps(a, b, c, d):
@@ -151,8 +156,8 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
     nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
     inf_det, branch = _inf_det_eps(a, b, c, d)
 
-    args = [np.sqrt(max(a, 0.0)), np.sqrt(max(b, 0.0)), nu_minus, nu_plus,
-            np.sqrt(max(inf_det, 0.0))]
+    args = [math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)), nu_minus, nu_plus,
+            math.sqrt(max(inf_det, 0.0))]
     clamped = any(x < 1.0 - F_CLAMP_TOL for x in args)
     if clamped and not allow_measured:
         raise NonPhysicalStateError("entropy arguments below 1; state not physical")
@@ -168,18 +173,18 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
 def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> DiscordReport:
     """Gaussian discord of a two-mode CM with measurement on the given mode.
 
-    Validation, then the four local invariants A, B, C, D
-    (:func:`_oriented_invariants`), then the closed form on them
-    (:func:`_discord_report`).  allow_measured accepts slightly nonphysical
-    reconstructed matrices; symplectic values below 1 are then clamped and
-    flagged in the report.
+    Validation (the CovMatrix checks, once, in both modes), then the four
+    local invariants A, B, C, D (:func:`_oriented_invariants`), then the
+    closed form on them (:func:`_discord_report`).  allow_measured accepts
+    slightly nonphysical reconstructed matrices; symplectic values below 1
+    are then clamped and flagged in the report.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     if g.shape != (4, 4):
         raise InvalidInputError("discord is implemented for two-mode CMs")
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
-    if not allow_measured and validate_physical(g) < -PHYSICALITY_TOL:
+    if not allow_measured and _min_eig(g) < -PHYSICALITY_TOL:
         raise NonPhysicalStateError(
             "CM is not physical; use allow_measured for reconstructed data")
     return _discord_report(*_oriented_invariants(g, measured_mode), allow_measured)
@@ -344,7 +349,7 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     infimum reuse the exact symplectic values, so the comparison isolates
     the measurement term.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     if g.shape != (4, 4):
         raise InvalidInputError("discord oracle is implemented for two-mode CMs")
     if measured_mode not in (0, 1):

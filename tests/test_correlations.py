@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,14 +7,17 @@ from hypothesis import strategies as st
 import scipy.optimize
 
 from gausscorr.channels import beamsplitter, tmsv_cm, tmsv_from_squeezing
-from gausscorr.core import (apply_symplectic, random_physical_cm, random_symplectic,
-                            reduce, tensor)
+from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
+                            ppt_min_eig, random_physical_cm, random_symplectic, reduce,
+                            tensor, validate_physical, _symplectic_pair)
 import gausscorr.correlations as corr
-from gausscorr.correlations import (BRANCH_TIE_TOL, _e_profile, _oracle_infimum,
+from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, _e_profile, _oracle_infimum,
                                     _oriented_invariants, _seed_chart, classical_correlation,
                                     discord, discord_oracle, entropy_f, kw_audit,
                                     mutual_information, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
+from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
+from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
 
 
 def test_entropy_f_values():
@@ -295,3 +300,134 @@ def test_branch_tie_continuity():
     g = tensor(np.diag([2.0, 2.0]), np.diag([3.0, 3.0]))
     rep = discord(g)
     assert rep.inf_det_eps == pytest.approx(4.0, rel=1e-10)  # det alpha
+
+
+# ---------------------------------------------------------------------------
+# one check per input on the two-mode path
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "asymmetric"])
+@pytest.mark.parametrize("mode", [0, 1])
+def test_discord_and_oracle_reject_bad_entries(bad, mode):
+    # a raw array skipped the CovMatrix checks under allow_measured and in the
+    # oracle: NaN gave a NaN report, and g[0, 2] + 0.5 gave 0.581 (oracle
+    # 0.430) where the symmetric matrix has 0.492
+    g = np.array(MEASURED_SPLIT_SQUEEZED_CM.entries)
+    if bad == "nan":
+        g[0, 2] = np.nan
+    elif bad == "inf":
+        g[1, 1] = np.inf
+    else:
+        g[0, 2] += 0.5
+    for allow_measured in (False, True):
+        with pytest.raises(InvalidInputError):
+            discord(g, mode, allow_measured=allow_measured)
+    with pytest.raises(InvalidInputError):
+        discord_oracle(g, mode)
+
+
+def _reference_invariants(g, measured_mode):
+    # (A, B, C, D) as gathered by np.stack and np.moveaxis
+    dets = np.linalg.det(np.stack(_blocks(g, measured_mode), axis=-3))
+    return (*np.moveaxis(dets, -1, 0).tolist(), np.linalg.det(g).tolist())
+
+
+def _reference_discord(m, measured_mode, allow_measured):
+    # each step builds and checks its own CovMatrix
+    g = CovMatrix(m).entries
+    if not allow_measured and validate_physical(g) < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError("CM is not physical")
+    return corr._discord_report(*_reference_invariants(g, measured_mode), allow_measured)
+
+
+def _reference_ppt(m):
+    return validate_physical(partial_transpose(CovMatrix(m), 0))
+
+
+def _measured_resampling(scalars):
+    cm = MEASURED_SPLIT_SQUEEZED_CM
+    return cm_resampling_pipeline(cm, matched_sample_size(cm, MEASURED_CM_STD_ERRORS), scalars)
+
+
+def test_two_mode_functionals_match_the_composed_checks_bit_for_bit():
+    estimates = []
+    pipeline = _measured_resampling({"m": lambda m: estimates.append(m) or 0.0})
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        pipeline(rng)
+    rng = np.random.default_rng(6)
+    physical = [random_physical_cm(rng, 2).entries for _ in range(100)]
+    for g in estimates + physical:
+        assert ppt_min_eig(g) == _reference_ppt(g)
+        for mode in (0, 1):
+            assert discord(g, mode, allow_measured=True) == _reference_discord(g, mode, True)
+    for g in physical:
+        assert ppt_min_eig(CovMatrix(g)) == _reference_ppt(g)
+        for mode in (0, 1):
+            assert discord(g, mode) == discord(CovMatrix(g), mode) == _reference_discord(
+                g, mode, False)
+
+
+def test_error_bars_match_the_composed_checks_bit_for_bit():
+    # the scalars of scripts/run_headline.py, at its seed
+    new = _measured_resampling({
+        "discord": lambda m: discord(m, 1, allow_measured=True).discord,
+        "min_eig": ppt_min_eig})
+    ref = _measured_resampling({
+        "discord": lambda m: _reference_discord(m, 1, True).discord,
+        "min_eig": _reference_ppt})
+    got, want = error_monte_carlo(new, 300, seed=12), error_monte_carlo(ref, 300, seed=12)
+    for name in ("discord", "min_eig"):
+        assert np.array_equal(got[name].values, want[name].values), name
+
+
+def test_two_mode_functionals_check_each_input_once(monkeypatch):
+    made = []
+    post_init = CovMatrix.__post_init__
+
+    def counting(self):
+        made.append(1)
+        post_init(self)
+    cm = tmsv_cm(2.0)
+    raw = np.array(cm.entries)
+    monkeypatch.setattr(CovMatrix, "__post_init__", counting)
+    calls = {
+        "discord": discord,
+        "discord allow_measured": lambda g: discord(g, 0, allow_measured=True),
+        "discord_oracle": discord_oracle,
+        "ppt_min_eig": ppt_min_eig,
+        "validate_physical": validate_physical,
+    }
+    for name, fn in calls.items():
+        for g, checks in ((cm, 0), (raw, 1)):
+            made.clear()
+            fn(g)
+            assert len(made) == checks, (name, type(g).__name__)
+
+
+def _near_pure_estimate(seed, log_excess, n, squeeze_scale):
+    # one Wishart re-estimate from n shots of a state within 10^log_excess of pure
+    rng = np.random.default_rng(seed)
+    cm = random_physical_cm(rng, 2, max_thermal=1.0 + 10.0 ** log_excess,
+                            squeeze_scale=squeeze_scale)
+    out = []
+    cm_resampling_pipeline(cm, n, {"m": lambda m: out.append(m) or 0.0})(rng)
+    return out[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(-9.0, -0.5), st.integers(50, 10 ** 6),
+       st.floats(0.0, 0.6), st.sampled_from([0, 1]))
+@example(0, -9.0, 10 ** 6, 0.6, 1)   # clamped
+@example(0, -0.5, 10 ** 6, 0.6, 1)   # not clamped
+@example(2, -9.0, 50, 0.0, 1)        # both modes near pure
+def test_clamped_measured_reports(seed, log_excess, n, squeeze_scale, mode):
+    est = _near_pure_estimate(seed, log_excess, n, squeeze_scale)
+    rep = discord(est, mode, allow_measured=True)
+    assert all(math.isfinite(x) for x in (rep.mutual_info, rep.classical_corr,
+                                          rep.discord, rep.inf_det_eps))
+    a, b, c, d = _oriented_invariants(est, mode)
+    args = [math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)),
+            *_symplectic_pair(a + b + 2 * c, d), math.sqrt(max(rep.inf_det_eps, 0.0))]
+    assert rep.clamped == (min(args) < 1.0 - F_CLAMP_TOL)
+    assert rep.discord == rep.mutual_info - rep.classical_corr
+    assert discord(CovMatrix(est), mode, allow_measured=True) == rep
