@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CovMatrix, SymplecticTransform, apply_symplectic, tensor,
-                   validate_physical, PHYSICALITY_TOL, _as_matrix, _williamson_frame)
-from .errors import InvalidInputError, NonPhysicalStateError
+from .core import (CovMatrix, SymplecticTransform, _checked, _physical, _quadrature_indices,
+                   _two_mode, _williamson_frame)
+from .errors import InvalidInputError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
 PURE_TOL = 1e-6            # symplectic eigenvalues up to 1 + PURE_TOL count as pure
@@ -111,20 +111,20 @@ def attenuate(cm, mode: int, t: float, keep_environment: bool = False) -> CovMat
     traced out: the mode's rows and columns scale by sqrt(t) and its block
     gains (1-t) I.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     n = g.shape[0] // 2
-    if not 0 <= mode < n:
-        raise InvalidInputError(f"mode {mode} out of range")
+    q = _quadrature_indices(n, [mode])
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
     if keep_environment:
-        extended = tensor(g, np.eye(2))
-        bs = beamsplitter(t, n + 1, (mode, n))
-        return apply_symplectic(extended, bs)
+        extended = np.eye(2 * n + 2)
+        extended[:2 * n, :2 * n] = g
+        bs = beamsplitter(t, n + 1, (mode, n)).entries
+        return CovMatrix(bs @ extended @ bs.T)
     scale = np.ones(2 * n)
-    scale[2 * mode:2 * mode + 2] = np.sqrt(t)
+    scale[q] = np.sqrt(t)
     out = g * scale[:, None] * scale
-    out[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] += (1.0 - t) * np.eye(2)
+    out[np.ix_(q, q)] += (1.0 - t) * np.eye(2)
     return CovMatrix(out)
 
 
@@ -132,9 +132,10 @@ def modulate(cm, mode: int, w_x: float, w_p: float) -> CovMatrix:
     """Add classical Gaussian displacement noise diag(w_x, w_p) to one mode."""
     if w_x < 0 or w_p < 0:
         raise InvalidInputError("noise variances must be nonnegative")
-    g = _as_matrix(cm).copy()
-    g[2 * mode, 2 * mode] += w_x
-    g[2 * mode + 1, 2 * mode + 1] += w_p
+    g = _checked(cm).copy()
+    x, p = _quadrature_indices(g.shape[0] // 2, [mode])
+    g[x, x] += w_x
+    g[p, p] += w_p
     return CovMatrix(g)
 
 
@@ -148,10 +149,7 @@ def cmr_noise(cm, a: float, t: float) -> CovMatrix:
         raise InvalidInputError("CMR variance must be nonnegative")
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError("transmittance must be in [0, 1]")
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("CMR model is defined for two-mode matrices")
-    return CovMatrix(g + np.diag([a, a, t * a, t * a]))
+    return CovMatrix(_two_mode(cm) + np.diag([a, a, t * a, t * a]))
 
 
 def minimal_purification(cm) -> CovMatrix:
@@ -163,12 +161,13 @@ def minimal_purification(cm) -> CovMatrix:
     are set to exactly 1, so their modes need no purifier.  S is then applied
     on the system modes.  The system reduction is gamma up to that tolerance.
     The input's physicality is checked once; the cores are written in place
-    and the frame is applied on plain arrays.
+    and the frame is applied on plain arrays (:func:`_purify`).
     """
-    g = _as_matrix(cm)
-    if validate_physical(g) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("cannot purify a nonphysical CM")
-    s, nus = _williamson_frame(g)
+    return CovMatrix(_purify(*_williamson_frame(_physical(_checked(cm)))))
+
+
+def _purify(s, nus) -> np.ndarray:
+    """Symmetric :func:`minimal_purification` array of a Williamson frame (s, nus)."""
     n = len(nus)
     mixed = np.flatnonzero(nus > 1.0 + PURE_TOL)
     size = 2 * (n + len(mixed))
@@ -181,7 +180,8 @@ def minimal_purification(cm) -> CovMatrix:
                                   [c, 0.0, m, 0.0], [0.0, -c, 0.0, m]]
     ext = np.eye(size)
     ext[:2 * n, :2 * n] = s
-    return CovMatrix(ext @ core @ ext.T)
+    pure = ext @ core @ ext.T
+    return (pure + pure.T) / 2
 
 
 def tmsv_cm(m: float) -> CovMatrix:

@@ -24,12 +24,8 @@ PHYSICALITY_TOL = 1e-9
 SPECTRUM_CLAMP_TOL = 1e-6
 
 
-def _as_matrix(cm):
-    return cm.entries if isinstance(cm, CovMatrix) else np.asarray(cm, dtype=float)
-
-
 def _checked(cm) -> np.ndarray:
-    """Entries of cm after the CovMatrix checks, run at most once.
+    """Entries of cm after the CovMatrix checks, run at most once; every CM argument enters here.
 
     A CovMatrix was checked when it was built, so its entries are returned
     as they are; anything else is checked by building the one CovMatrix.
@@ -37,12 +33,29 @@ def _checked(cm) -> np.ndarray:
     return cm.entries if isinstance(cm, CovMatrix) else CovMatrix(cm).entries
 
 
+def _two_mode(cm) -> np.ndarray:
+    """:func:`_checked` entries of a two-mode (4x4) CM."""
+    g = _checked(cm)
+    if g.shape != (4, 4):
+        raise InvalidInputError(f"needs a two-mode (4x4) CM, got {g.shape}")
+    return g
+
+
+def _physical(g: np.ndarray, hint: str = "") -> np.ndarray:
+    """The checked entries g, after the bona-fide test gamma + i Omega >= -PHYSICALITY_TOL."""
+    low = _min_eig(g)
+    if low < -PHYSICALITY_TOL:
+        raise NonPhysicalStateError(
+            f"CM is not physical: min eig of gamma + i Omega is {low:.6g}{hint}")
+    return g
+
+
 @dataclass(frozen=True)
 class CovMatrix:
     """Real symmetric 2n x 2n covariance matrix in gamma-units.
 
-    Entries must be finite.  Symmetry is validated to relative tolerance
-    1e-12 and the stored array is exactly symmetrized and made read-only.
+    Entries must be finite real numbers.  Symmetry is validated to relative
+    tolerance 1e-12 and the stored array is exactly symmetrized and read-only.
     Physicality is *not* enforced here (measured matrices may violate it
     slightly); use :func:`validate_physical`.
     """
@@ -50,7 +63,13 @@ class CovMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.entries, dtype=float)
+        try:
+            g = np.asarray(self.entries)
+            if g.dtype.kind not in "iuf":  # complex, string and object entries
+                raise TypeError(f"entries of dtype {g.dtype} are not real numbers")
+        except (TypeError, ValueError) as exc:  # ragged rows raise ValueError
+            raise InvalidInputError(f"bad covariance matrix entries: {exc}") from None
+        g = g.astype(float, copy=False)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
             raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {g.shape}")
         peak = np.abs(g).max()
@@ -129,11 +148,7 @@ class StandardForm:
 
 
 def validate_physical(cm) -> float:
-    """Minimum eigenvalue of the Hermitian matrix gamma + i Omega.
-
-    The caller treats values >= -1e-9 as physical.  Raises for non-symmetric
-    input (via CovMatrix construction).
-    """
+    """Minimum eigenvalue of the Hermitian gamma + i Omega; >= -PHYSICALITY_TOL is physical."""
     return _min_eig(_checked(cm))
 
 
@@ -149,7 +164,7 @@ def symplectic_spectrum(cm) -> np.ndarray:
     exactly on the boundary); anything lower raises NonPhysicalStateError.
     The returned array is read-only.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     n = g.shape[0] // 2
     ev = np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ g))
     ev.sort()
@@ -164,10 +179,8 @@ def symplectic_spectrum(cm) -> np.ndarray:
 
 def two_mode_symplectic_values(cm) -> tuple[float, float]:
     """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping."""
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("two-mode closed form needs a 4x4 matrix")
-    return _symplectic_pair(seralian(g), float(np.linalg.det(g)))
+    g = _two_mode(cm)
+    return _symplectic_pair(_seralian(g), float(np.linalg.det(g)))
 
 
 def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
@@ -188,9 +201,10 @@ def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
 
 def seralian(cm) -> float:
     """Sum of the determinants of the four 2x2 subblocks of a two-mode CM."""
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("seralian is defined for two-mode matrices only")
+    return _seralian(_two_mode(cm))
+
+
+def _seralian(g: np.ndarray) -> float:
     return float(np.linalg.det(g[:2, :2]) + np.linalg.det(g[2:, 2:])
                  + 2 * np.linalg.det(g[:2, 2:]))
 
@@ -226,12 +240,11 @@ def standard_form(cm) -> StandardForm:
     identity, the cross block is then diagonalized with local rotations, and
     the signs/order are fixed to the canonical convention c_plus >= |c_minus|.
     """
-    g = _as_matrix(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("standard form is defined for two-mode matrices")
-    if validate_physical(g) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("standard form requires a physical CM")
+    return _standard_form(_physical(_two_mode(cm)))
 
+
+def _standard_form(g: np.ndarray) -> StandardForm:
+    """:func:`standard_form` of the checked entries g of a physical two-mode CM."""
     alpha, beta, delta = g[:2, :2], g[2:, 2:], g[:2, 2:]
     a = float(np.sqrt(np.linalg.det(alpha)))
     b = float(np.sqrt(np.linalg.det(beta)))
@@ -257,12 +270,9 @@ def standard_form(cm) -> StandardForm:
 
 def partial_transpose(cm, mode: int) -> CovMatrix:
     """Sign-flip the p-quadrature of one mode: L gamma L^T, L = diag(..,-1,..)."""
-    g = _as_matrix(cm)
-    n = g.shape[0] // 2
-    if not 0 <= mode < n:
-        raise InvalidInputError(f"mode index {mode} out of range for {n} modes")
-    signs = np.ones(2 * n)
-    signs[2 * mode + 1] = -1.0
+    g = _checked(cm)
+    signs = np.ones(g.shape[0])
+    signs[_quadrature_indices(g.shape[0] // 2, [mode])[1]] = -1.0
     return CovMatrix(g * np.outer(signs, signs))
 
 
@@ -279,10 +289,7 @@ def ppt_min_eig(cm) -> float:
     sign-flipped in place of :func:`partial_transpose`, which would check
     them a second time.
     """
-    g = _checked(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("ppt_min_eig is defined for two-mode matrices")
-    return _min_eig(g * _FLIP_P_A)
+    return _min_eig(_two_mode(cm) * _FLIP_P_A)
 
 
 def _quadrature_indices(n: int, modes) -> np.ndarray:
@@ -295,26 +302,27 @@ def _quadrature_indices(n: int, modes) -> np.ndarray:
 
 def reduce(cm, modes) -> CovMatrix:
     """Reduced CM of the listed modes (in the listed order)."""
-    g = _as_matrix(cm)
+    g = _checked(cm)
     idx = _quadrature_indices(g.shape[0] // 2, modes)
     return CovMatrix(g[np.ix_(idx, idx)])
 
 
+def _symplectic(s) -> SymplecticTransform:
+    """s as a SymplecticTransform: a raw S is checked (to 1e-10) once, a checked one not again."""
+    return s if isinstance(s, SymplecticTransform) else SymplecticTransform(s)
+
+
 def apply_symplectic(cm, s) -> CovMatrix:
-    """Congruence S gamma S^T; rejects non-symplectic S beyond 1e-8."""
-    g = _as_matrix(cm)
-    sm = s.entries if isinstance(s, SymplecticTransform) else np.asarray(s, dtype=float)
+    """Congruence S gamma S^T; a raw S must be symplectic within 1e-10."""
+    g, sm = _checked(cm), _symplectic(s).entries
     if sm.shape != g.shape:
         raise InvalidInputError(f"shape mismatch: S {sm.shape} vs gamma {g.shape}")
-    om = symplectic_form(g.shape[0] // 2)
-    if np.abs(sm @ om @ sm.T - om).max() > 1e-8:
-        raise InvalidInputError("transform is not symplectic within 1e-8")
     return CovMatrix(sm @ g @ sm.T)
 
 
 def tensor(cm1, cm2) -> CovMatrix:
     """Direct sum of two CMs (modes of cm2 appended after cm1)."""
-    g1, g2 = _as_matrix(cm1), _as_matrix(cm2)
+    g1, g2 = _checked(cm1), _checked(cm2)
     out = np.zeros((g1.shape[0] + g2.shape[0],) * 2)
     out[:g1.shape[0], :g1.shape[0]] = g1
     out[g1.shape[0]:, g1.shape[0]:] = g2
@@ -328,7 +336,7 @@ def williamson(cm):
     symplectic eigenvalues, ascending, in the order of the diagonal
     (:func:`_williamson_frame`).
     """
-    s, nus = _williamson_frame(_as_matrix(cm))
+    s, nus = _williamson_frame(_checked(cm))
     return SymplecticTransform(s), nus
 
 
@@ -395,23 +403,19 @@ def random_physical_cm(rng, n_modes: int = 2, max_thermal: float = 2.5,
 # file format: JSON object {"n_modes": int, "gamma": [[...]]}
 
 def cm_to_dict(cm) -> dict:
-    g = CovMatrix(_as_matrix(cm))
-    return {"n_modes": g.n_modes, "gamma": g.entries.tolist()}
+    g = _checked(cm)
+    return {"n_modes": g.shape[0] // 2, "gamma": g.tolist()}
 
 
 def cm_from_dict(obj: dict, allow_nonphysical: bool = False) -> CovMatrix:
     if not isinstance(obj, dict) or set(obj) != {"n_modes", "gamma"}:
         raise InvalidInputError('CM file must be {"n_modes": int, "gamma": [[...]]}')
-    try:
-        cm = CovMatrix(np.array(obj["gamma"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad gamma array: {exc}") from None
+    cm = CovMatrix(obj["gamma"])
     if cm.n_modes != obj["n_modes"]:
         raise InvalidInputError(
             f'n_modes={obj["n_modes"]} inconsistent with a {cm.entries.shape} gamma')
-    if not allow_nonphysical and validate_physical(cm) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError(
-            "CM violates physicality; pass the skip-physicality flag for measured data")
+    if not allow_nonphysical:
+        _physical(cm.entries, "; pass the skip-physicality flag for measured data")
     return cm
 
 
@@ -425,6 +429,7 @@ def read_cm_file(path, allow_nonphysical: bool = False) -> CovMatrix:
 
 
 def write_cm_file(path, cm):
+    obj = cm_to_dict(cm)  # before open, so that a rejected CM leaves no file behind
     with open(path, "w") as fh:
-        json.dump(cm_to_dict(cm), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import bounded_brent
-from .channels import PURE_TOL, minimal_purification
-from .core import (CovMatrix, standard_form, symplectic_spectrum,
-                   two_mode_symplectic_values, validate_physical,
-                   PHYSICALITY_TOL, _as_matrix, _checked, _min_eig, _symplectic_pair,
-                   _williamson_frame)
+from .channels import PURE_TOL, _purify
+from .core import (CovMatrix, symplectic_spectrum, _checked, _physical, _quadrature_indices,
+                   _seralian, _standard_form, _symplectic_pair, _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -36,9 +34,9 @@ def entropy_f(x: float) -> float:
     """Bosonic entropy function of a symplectic eigenvalue, in nats.
 
     f(x) = ((x+1)/2) ln((x+1)/2) - ((x-1)/2) ln((x-1)/2); f(1) = 0.
-    Arguments within 1e-6 below 1 are clamped to 1.
+    Arguments within 1e-6 below 1 are clamped to 1; NaN raises.
     """
-    if x < 1.0 - F_CLAMP_TOL:
+    if not x >= 1.0 - F_CLAMP_TOL:
         raise InvalidInputError(f"entropy argument {x} below 1 - 1e-6")
     x = max(x, 1.0)
     u, v = (x + 1) / 2, (x - 1) / 2
@@ -150,10 +148,13 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
     The symplectic values follow from the Seralian A + B + 2C and D, the
     measurement term from :func:`_inf_det_eps`.  Entropy arguments below
     1 - 1e-6 raise unless allow_measured, which clamps them to 1 and flags
-    the report.  This is the one scalar closed form behind :func:`discord`
+    the report; an undefined symplectic value (A <= 0, B <= 0 or nu_plus^2 < 0)
+    always raises.  This is the one scalar closed form behind :func:`discord`
     and every :func:`~gausscorr.scenarios.attenuation_sweep` row.
     """
     nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    if not (a > 0 and b > 0) or math.isnan(nu_plus):
+        raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
     inf_det, branch = _inf_det_eps(a, b, c, d)
 
     args = [math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)), nu_minus, nu_plus,
@@ -179,15 +180,17 @@ def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> Discord
     slightly nonphysical reconstructed matrices; symplectic values below 1
     are then clamped and flagged in the report.
     """
-    g = _checked(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("discord is implemented for two-mode CMs")
+    g = _oriented(cm, measured_mode)
+    if not allow_measured:
+        _physical(g, "; use allow_measured for reconstructed data")
+    return _discord_report(*_oriented_invariants(g, measured_mode), allow_measured)
+
+
+def _oriented(cm, measured_mode: int) -> np.ndarray:
+    """Checked two-mode entries of cm, for a measurement on mode 0 or 1."""
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
-    if not allow_measured and _min_eig(g) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError(
-            "CM is not physical; use allow_measured for reconstructed data")
-    return _discord_report(*_oriented_invariants(g, measured_mode), allow_measured)
+    return _two_mode(cm)
 
 
 def mutual_information(cm, allow_measured: bool = False) -> float:
@@ -349,15 +352,11 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     infimum reuse the exact symplectic values, so the comparison isolates
     the measurement term.
     """
-    g = _checked(cm)
-    if g.shape != (4, 4):
-        raise InvalidInputError("discord oracle is implemented for two-mode CMs")
-    if measured_mode not in (0, 1):
-        raise InvalidInputError("measured_mode must be 0 or 1")
+    g = _oriented(cm, measured_mode)
     alpha, beta, delta = _blocks(g, measured_mode)
     best = _oracle_infimum(alpha, beta, delta)[0]
 
-    nu_minus, nu_plus = two_mode_symplectic_values(g)
+    nu_minus, nu_plus = _symplectic_pair(_seralian(g), float(np.linalg.det(g)))
     return (entropy_f(max(np.sqrt(np.linalg.det(beta)), 1.0)) - entropy_f(max(nu_minus, 1.0))
             - entropy_f(nu_plus) + entropy_f(max(np.sqrt(best), 1.0)))
 
@@ -494,7 +493,7 @@ def _xp_geof(g):
     count (grid plus refine) and whether the refined minimum lies inside its
     grid bracket at or below every grid value (to 1e-13 relative, rounding).
     """
-    sf = standard_form(g)
+    sf = _standard_form(g)
     a, b, cm = sf.a, sf.b, sf.c_minus
     dp = a * b - cm * cm                   # det Gp
     p11, p22, p12 = b / dp, a / dp, -cm / dp
@@ -575,14 +574,12 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
     (0 for the closed form, grid plus refine for the x-p search) and the
     method that produced it.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     n = g.shape[0] // 2
-    if not 0 <= a_mode < n:
-        raise InvalidInputError(f"a_mode {a_mode} out of range")
+    _quadrature_indices(n, [a_mode])  # a_mode in range
     if n - 1 not in (1, 2):
         raise InvalidInputError("rest side must have 1 or 2 modes")
-    if validate_physical(g) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("GEoF needs a physical CM")
+    _physical(g)
 
     s, nus = _williamson_frame(g)
     k = int(np.count_nonzero(nus > 1.0 + PURE_TOL))
@@ -601,7 +598,7 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
 
     from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
 
-    big = minimal_purification(g).entries
+    big = _purify(s, nus)
     gs = big[:2 * n, :2 * n]
     gr = big[2 * n:, 2 * n:]
     gsr = big[:2 * n, 2 * n:]

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CovMatrix, validate_physical, PHYSICALITY_TOL, _as_matrix
-from .errors import InvalidInputError, NonPhysicalStateError
+from .core import CovMatrix, _checked, _physical
+from .errors import InvalidInputError
 from .scenarios import MODULATION_SOURCE, ScenarioState
 
 
@@ -67,8 +67,7 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
-    if validate_physical(state.effective_cm()) < -PHYSICALITY_TOL:
-        raise NonPhysicalStateError("effective CM is not physical; cannot sample")
+    _physical(state.effective_cm().entries, "; cannot sample")
     rng = np.random.default_rng(seed)
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
@@ -142,9 +141,9 @@ def matched_sample_size(cm, std_errors) -> int:
     their scale while keeping the entry errors correlated the way real CM
     estimates are.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     err = np.asarray(std_errors, dtype=float)
-    if err.shape != g.shape or np.any(err <= 0):
+    if err.shape != g.shape or not np.all(err > 0):  # NaN fails err > 0
         raise InvalidInputError("error matrix must match the CM shape with positive entries")
     fourth = np.outer(np.diag(g), np.diag(g)) + g * g
     return int(round(fourth.sum() / (err ** 2).sum()))
@@ -165,7 +164,7 @@ def cm_resampling_pipeline(cm, n: int, scalars: dict):
     is what keeps the derived-scalar spreads at the experimentally observed
     scale.
     """
-    g = _as_matrix(cm)
+    g = _checked(cm)
     d = g.shape[0]
     df = n - 1
     if df < d:

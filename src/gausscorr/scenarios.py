@@ -20,9 +20,8 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
-from .core import (CovMatrix, SymplecticTransform, apply_symplectic, symplectic_form,
-                   tensor, PHYSICALITY_TOL, _as_matrix, _quadrature_indices,
-                   _williamson_frame)
+from .core import (CovMatrix, apply_symplectic, symplectic_form, tensor, PHYSICALITY_TOL,
+                   _quadrature_indices, _symplectic, _two_mode, _williamson_frame)
 from .correlations import (KWFlowPoint, entropy_f, _discord_report, _k1_geof,
                            _oriented_invariants)
 from .errors import InvalidInputError, NonPhysicalStateError
@@ -116,9 +115,9 @@ class ScenarioState:
         raise InvalidInputError(f"state has no noise source {source_id!r}")
 
     def apply_symplectic(self, s) -> "ScenarioState":
-        """Apply S to the quantum CM and every loading vector."""
-        sm = s.entries if isinstance(s, SymplecticTransform) else np.asarray(s, float)
-        new_loadings = tuple(replace(ld, vector=sm @ ld.vector) for ld in self.loadings)
+        """Apply S to the quantum CM and every loading vector; a raw S is checked once."""
+        s = _symplectic(s)
+        new_loadings = tuple(replace(ld, vector=s.entries @ ld.vector) for ld in self.loadings)
         return replace(self, quantum_cm=apply_symplectic(self.quantum_cm, s),
                        loadings=new_loadings)
 
@@ -169,7 +168,7 @@ def build_split_state(spec: InputSpec, bs_t: float) -> ScenarioState:
     sx, sp = spec.quantum_variances()
     w_x, w_p = spec.modulation_variances()
 
-    quantum = tensor(tensor(np.diag([sx, sp]), np.eye(2)), np.eye(2))  # (in, B0, E)
+    quantum = CovMatrix(np.diag([sx, sp, 1.0, 1.0, 1.0, 1.0]))  # (in, B0, E)
     loadings = [NoiseLoading(MODULATION_SOURCE, w_x,
                              np.array([1.0, 0, 0, 0, 0, 0]))]
     if w_p > 0:
@@ -214,9 +213,10 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
     if include_ef and cmr_a != 0.0:
         raise InvalidInputError("E_F relies on global purity: needs cmr_a = 0")
-    g1 = state.effective_cm(["A", "B"]).entries
+    eff = state.effective_cm(["A", "B"])
+    g1 = eff.entries
     if include_ef:
-        env = _environment_stack(minimal_purification(g1).entries, t_grid)
+        env = _environment_stack(minimal_purification(eff).entries, t_grid)
 
     t = np.array(t_grid, dtype=float)[:, None, None]
     eye = np.eye(2)
@@ -303,11 +303,9 @@ def _duan(e, g, sx):
             * (g2 * e[1][1] - sx * g * (e[1][3] + e[3][1]) + e[3][3]) / (g2 + 1) ** 2)
 
 
-def _two_mode_list(cm) -> list:
-    m = _as_matrix(cm)
-    if m.shape != (4, 4):
-        raise InvalidInputError("Duan criterion needs a two-mode CM")
-    return m.tolist()
+def _duan_report(e, g, sx) -> DuanReport:
+    value = float(_duan(e, g, sx))
+    return DuanReport(g=float(g), signs=(sx, -sx), value=value, entangled=value < 1.0)
 
 
 def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
@@ -321,8 +319,7 @@ def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     sx, sp = signs
     if sx not in (1, -1) or sp != -sx:
         raise InvalidInputError("signs must be (+1, -1) or (-1, +1)")
-    value = float(_duan(_two_mode_list(cm), g, sx))
-    return DuanReport(g=float(g), signs=(sx, sp), value=value, entangled=value < 1.0)
+    return _duan_report(_two_mode(cm).tolist(), g, sx)
 
 
 DUAN_GRID = 128
@@ -353,9 +350,8 @@ def duan_optimize(cm) -> DuanReport:
 
     :func:`optimal_demodulation` runs the same grid and Brent search.
     """
-    e = _two_mode_list(cm)
-    g, sx = _duan_search(e, (1, -1))
-    return duan_value(e, g, (sx, -sx))
+    e = _two_mode(cm).tolist()
+    return _duan_report(e, *_duan_search(e, (1, -1)))
 
 
 def recover_demodulate(state: ScenarioState, g: float) -> ScenarioState:
@@ -418,7 +414,8 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
         def duan_at(t2):
             rows[2, 2] = rows[3, 3] = math.sqrt(t2)
             rows[2, 4] = rows[3, 5] = math.sqrt(1.0 - t2)
-            return duan_optimize(rows @ g @ rows.T).value
+            e = (rows @ g @ rows.T).tolist()
+            return _duan(e, *_duan_search(e, (1, -1)))
 
         bs_t_be = bounded_brent(duan_at, 1e-6, 1.0 - 1e-9, xatol=1e-9)[0]
     elif not 0.0 <= bs_t_be <= 1.0:

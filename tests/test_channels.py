@@ -113,6 +113,13 @@ def test_modulate_examples():
     assert (9.84 - s) == pytest.approx(9.339, abs=5e-4)
 
 
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_modulate_rejects_mode_out_of_range(mode):
+    # -1 used to add the noise to the last mode, 2 to raise IndexError
+    with pytest.raises(InvalidInputError):
+        modulate(np.eye(4), mode, 0.1, 0.1)
+
+
 def test_modulate_rejects_negative():
     with pytest.raises(InvalidInputError):
         modulate(np.eye(2), 0, -0.1, 0.0)

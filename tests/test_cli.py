@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gausscorr import cli, scenarios
 from gausscorr.cli import main
 from gausscorr.core import CovMatrix
 from gausscorr.errors import NumericalError
-from gausscorr.channels import InputSpec
+from gausscorr.channels import InputSpec, tmsv_cm
 from gausscorr.scenarios import ScenarioState, build_split_state, attenuation_sweep
 
 
@@ -69,6 +72,70 @@ def test_discord_command_non_finite_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
+def test_discord_command_undefined_symplectic_value_exit_code(tmp_path, capsys):
+    # nu_plus^2 < 0: the report would print "discord": NaN, which is not JSON
+    g = np.eye(4)
+    g[0, 2] = g[2, 0] = 5.0
+    g[1, 3] = g[3, 1] = -5.0
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
+    assert main(["discord", "--cm", str(path), "--allow-measured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NonPhysicalStateError"
+
+
+@st.composite
+def _malformed_cm_file(draw):
+    """(JSON text of a malformed or nonphysical CM file, whether to pass --allow-measured)."""
+    gamma = tmsv_cm(draw(st.floats(1.0, 5.0))).entries.tolist()
+    n_modes = 2
+    kind = draw(st.sampled_from(["ragged", "string", "non-finite", "asymmetric", "n_modes",
+                                 "nonphysical", "undefined"]))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if kind == "ragged":
+        del gamma[i][j]
+    elif kind == "string":
+        gamma[i][j] = draw(st.sampled_from([str(gamma[i][j]), "x", ""]))
+    elif kind == "non-finite":
+        gamma[i][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "asymmetric":
+        j = (i + draw(st.integers(1, 3))) % 4
+        gamma[i][j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-9, 1.0))
+    elif kind == "n_modes":
+        n_modes = draw(st.sampled_from([0, 1, 3, -2, "2", None, 2.5, [2]]))
+    elif kind == "nonphysical":  # a pure state scaled below the uncertainty bound
+        gamma = (draw(st.floats(0.1, 0.99)) * np.array(gamma)).tolist()
+    else:  # a symplectic value is undefined: nu_plus^2 < 0, or a local det <= 0
+        g = np.eye(4)
+        c = draw(st.floats(1.01, 5.0))
+        if draw(st.booleans()):
+            g[:2, 2:] = g[2:, :2] = np.diag([c, -c])
+        else:
+            g[draw(st.sampled_from([np.s_[:2, :2], np.s_[2:, 2:]]))] = [[1.0, c], [c, 1.0]]
+        gamma = g.tolist()
+    allow = kind != "nonphysical" and draw(st.booleans())
+    # json writes NaN and Infinity tokens, which its reader accepts
+    return json.dumps({"n_modes": n_modes, "gamma": gamma}), allow
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_malformed_cm_file())
+def test_discord_command_malformed_cm_exit_code(tmp_path, capsys, case):
+    text, allow = case
+    path = tmp_path / "cm.json"
+    path.write_text(text)
+    argv = ["discord", "--cm", str(path)] + ["--allow-measured"] * allow
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] in ("InvalidInputError", "NonPhysicalStateError")
 
 
 def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
 from gausscorr.channels import minimal_purification, tmsv_cm, tmsv_from_squeezing
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
-from conftest import make_coherent_mixture_cm
+from conftest import cm_call_args, cm_entry_points, make_coherent_mixture_cm
 
 
 def test_symplectic_form_invariants():
@@ -41,6 +41,53 @@ def test_covmatrix_rejects_non_finite(bad):
         g[i, j] = g[j, i] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             CovMatrix(g)
+
+
+def _malformed(kind):
+    g = np.eye(4).tolist()
+    if kind == "nan":
+        g[0][0] = np.nan
+    elif kind == "inf":
+        g[1][3] = g[3][1] = np.inf
+    elif kind == "asymmetric":
+        g[0][2] = 0.5
+    elif kind == "ragged":
+        del g[2][1]
+    elif kind == "complex":
+        g = np.eye(4, dtype=complex)
+        g[0, 1], g[1, 0] = 0.5j, -0.5j
+    elif kind == "string":
+        g = [[str(x) for x in row] for row in g]
+    return g
+
+
+MALFORMED = ["nan", "inf", "asymmetric", "ragged", "complex", "string"]
+
+
+@pytest.mark.parametrize("kind", ["ragged", "complex", "string"])
+def test_covmatrix_rejects_malformed_entries(kind):
+    with pytest.raises(InvalidInputError):
+        CovMatrix(_malformed(kind))
+
+
+def test_cm_entry_points_are_found():
+    # the introspection below must see every function that takes a CM
+    assert {"seralian", "two_mode_symplectic_values", "duan_value", "duan_optimize",
+            "symplectic_spectrum", "von_neumann_entropy", "williamson",
+            "matched_sample_size", "cm_resampling_pipeline", "tensor", "geof",
+            "discord", "minimal_purification", "write_cm_file"} <= set(cm_entry_points())
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_every_cm_parameter_rejects_malformed_raw_arrays(tmp_path, kind):
+    good = tmsv_cm(2.0).entries
+    extra = cm_call_args(tmp_path)
+    for name, (fn, params) in cm_entry_points().items():
+        for bad in params:
+            args = {p: _malformed(kind) if p == bad else good for p in params}
+            with pytest.raises(InvalidInputError):
+                fn(**args, **extra.get(name, {}))
+    assert not (tmp_path / "cm.json").exists()  # a rejected CM writes no file
 
 
 def test_validate_physical_vacuum_saturates():
@@ -223,6 +270,16 @@ def test_apply_symplectic_rejects_nonsymplectic():
         apply_symplectic(np.eye(4), 1.1 * np.eye(4))
 
 
+def test_apply_symplectic_checks_raw_s_like_a_symplectic_transform():
+    # a raw S is checked once, as a SymplecticTransform, to its 1e-10
+    s = np.eye(4)
+    s[0, 0] += 1e-9
+    with pytest.raises(InvalidInputError):
+        apply_symplectic(np.eye(4), s)
+    s[0, 0] = 1.0 + 1e-12
+    assert apply_symplectic(np.eye(4), s).entries[0, 0] == (1.0 + 1e-12) ** 2
+
+
 def test_tensor_shapes():
     out = tensor(np.eye(2), np.diag([3.0, 3.0]))
     assert np.array_equal(out.entries, np.diag([1.0, 1.0, 3.0, 3.0]))
@@ -302,6 +359,13 @@ def test_cm_file_roundtrip(tmp_path, measured_cm):
 def test_cm_file_rejects_unknown_keys():
     with pytest.raises(InvalidInputError):
         cm_from_dict({"n_modes": 2, "gamma": np.eye(4).tolist(), "extra": 1})
+
+
+@pytest.mark.parametrize("kind", ["ragged", "string", "complex"])
+def test_cm_file_rejects_malformed_gamma(kind):
+    gamma = _malformed(kind)
+    with pytest.raises(InvalidInputError):
+        cm_from_dict({"n_modes": 2, "gamma": gamma if isinstance(gamma, list) else gamma.tolist()})
 
 
 def test_cm_file_rejects_inconsistent_n_modes():

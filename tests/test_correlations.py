@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import beamsplitter, tmsv_cm, tmsv_from_squeezing
+from gausscorr.channels import attenuate, beamsplitter, tmsv_cm, tmsv_from_squeezing
 from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
                             ppt_min_eig, random_physical_cm, random_symplectic, reduce,
                             tensor, validate_physical, _symplectic_pair)
@@ -18,6 +19,8 @@ from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, _e_profile, _or
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
+
+from conftest import cm_call_args, cm_entry_points
 
 
 def test_entropy_f_values():
@@ -35,6 +38,27 @@ def test_entropy_f_monotone():
 def test_entropy_f_rejects_below_clamp():
     with pytest.raises(InvalidInputError):
         entropy_f(0.99)
+
+
+def test_entropy_f_rejects_nan():
+    with pytest.raises(InvalidInputError):
+        entropy_f(math.nan)
+
+
+def test_discord_raises_on_undefined_symplectic_value():
+    # each passes every CovMatrix check: no report, not a NaN one or a ZeroDivisionError
+    g = np.eye(4)
+    g[0, 2] = g[2, 0] = 5.0
+    g[1, 3] = g[3, 1] = -5.0
+    assert math.isnan(_symplectic_pair(1.0 + 1.0 + 2 * -25.0, np.linalg.det(g))[1])
+    singular = np.eye(4)
+    singular[2:, 2:] = 2.0   # det beta = 0
+    flipped = np.eye(4)
+    flipped[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]   # det alpha < 0
+    for cm in (g, singular, flipped):
+        for mode in (0, 1):
+            with pytest.raises(NonPhysicalStateError):
+                discord(cm, mode, allow_measured=True)
 
 
 def test_von_neumann_entropy_cases():
@@ -380,7 +404,20 @@ def test_error_bars_match_the_composed_checks_bit_for_bit():
         assert np.array_equal(got[name].values, want[name].values), name
 
 
-def test_two_mode_functionals_check_each_input_once(monkeypatch):
+def _covmatrices_in(value) -> int:
+    """Number of CovMatrix objects in a returned value (tuples and dataclass fields included)."""
+    if isinstance(value, CovMatrix):
+        return 1
+    if isinstance(value, (tuple, list)):
+        return sum(map(_covmatrices_in, value))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return sum(_covmatrices_in(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return 0
+
+
+def test_two_mode_functionals_check_each_input_once(monkeypatch, tmp_path):
+    # every function with a CM parameter: one CovMatrix per raw matrix argument plus
+    # one per CovMatrix it returns; a CovMatrix argument is not checked again
     made = []
     post_init = CovMatrix.__post_init__
 
@@ -389,19 +426,18 @@ def test_two_mode_functionals_check_each_input_once(monkeypatch):
         post_init(self)
     cm = tmsv_cm(2.0)
     raw = np.array(cm.entries)
+    extra = cm_call_args(tmp_path)
+    calls = [(name, fn, params, extra.get(name, {}))
+             for name, (fn, params) in cm_entry_points().items()]
+    calls += [("discord", discord, ["cm"], {"measured_mode": 0, "allow_measured": True}),
+              ("discord_oracle", discord_oracle, ["cm"], {"measured_mode": 0}),
+              ("attenuate", attenuate, ["cm"], {"mode": 1, "t": 0.3, "keep_environment": True})]
     monkeypatch.setattr(CovMatrix, "__post_init__", counting)
-    calls = {
-        "discord": discord,
-        "discord allow_measured": lambda g: discord(g, 0, allow_measured=True),
-        "discord_oracle": discord_oracle,
-        "ppt_min_eig": ppt_min_eig,
-        "validate_physical": validate_physical,
-    }
-    for name, fn in calls.items():
-        for g, checks in ((cm, 0), (raw, 1)):
+    for name, fn, params, kw in calls:
+        for g, checks in ((cm, 0), (raw, len(params))):
             made.clear()
-            fn(g)
-            assert len(made) == checks, (name, type(g).__name__)
+            returned = _covmatrices_in(fn(**dict.fromkeys(params, g), **kw))
+            assert len(made) == checks + returned, (name, kw, type(g).__name__)
 
 
 def _near_pure_estimate(seed, log_excess, n, squeeze_scale):

@@ -172,6 +172,14 @@ def test_matched_sample_size_reference(measured_cm, measured_errors):
     assert 10000 <= n <= 100000
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -0.1])
+def test_matched_sample_size_rejects_non_positive_errors(measured_cm, measured_errors, bad):
+    err = np.array(measured_errors)
+    err[1, 2] = bad
+    with pytest.raises(InvalidInputError):
+        matched_sample_size(measured_cm, err)
+
+
 def test_resampling_pipeline_scale(measured_cm, measured_errors):
     n = matched_sample_size(measured_cm, measured_errors)
     scalars = {
