@@ -350,9 +350,10 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     grid refined by Brent (:func:`_oracle_infimum`).  No closed-form branch,
     branch condition or Nelder-Mead is used.  Entropy terms outside the
     infimum reuse the exact symplectic values, so the comparison isolates
-    the measurement term.
+    the measurement term.  The input rule is that of :func:`discord`
+    without allow_measured: a nonphysical CM raises NonPhysicalStateError.
     """
-    g = _oriented(cm, measured_mode)
+    g = _physical(_oriented(cm, measured_mode))
     alpha, beta, delta = _blocks(g, measured_mode)
     best = _oracle_infimum(alpha, beta, delta)[0]
 

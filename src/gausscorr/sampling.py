@@ -18,29 +18,50 @@ from .errors import InvalidInputError
 from .scenarios import MODULATION_SOURCE, ScenarioState
 
 
+_SHOT_CHUNK_ROWS = 65536
+
+
 @dataclass(frozen=True)
 class SampleBatch:
-    """Shot-by-shot quadrature samples plus the classical displacement record."""
+    """Shot-by-shot quadrature samples plus the classical displacement record.
 
-    columns: np.ndarray            # shape (n, 2m), raw units
+    Storage is quadrature-major: one read-only 1-D array of n shots per
+    quadrature.  :func:`sample` makes them rows of one (d, n) buffer, and
+    :func:`electronic_demodulation` replaces one array and shares the rest,
+    so a batch and its demodulated copy hold d + 1 arrays of n shots
+    between them.  :attr:`columns` and :meth:`rows` stack shots on demand.
+    """
+
+    quadratures: tuple             # one (n,) array per label, raw units
     quadrature_labels: tuple       # e.g. ("x_A", "p_A", "x_B", "p_B")
     displacement_record: dict      # source_id -> per-shot values, shape (n,)
     seed: int
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2 or cols.shape[1] != len(self.quadrature_labels):
-            raise InvalidInputError("columns shape does not match quadrature labels")
-        cols.flags.writeable = False
-        object.__setattr__(self, "columns", cols)
+        quads = tuple(np.asarray(q, dtype=float) for q in self.quadratures)
+        if (not quads or len(quads) != len(self.quadrature_labels)
+                or any(q.ndim != 1 or q.shape != quads[0].shape for q in quads)):
+            raise InvalidInputError("quadratures must be one equal-length 1-D array per label")
+        for q in quads:
+            q.flags.writeable = False
+        object.__setattr__(self, "quadratures", quads)
 
     @property
     def n(self) -> int:
-        return self.columns.shape[0]
+        return self.quadratures[0].shape[0]
+
+    @property
+    def columns(self) -> np.ndarray:
+        """All shots as a new (n, d) array, one column per quadrature."""
+        return self.rows(slice(None))
+
+    def rows(self, block: slice) -> np.ndarray:
+        """The shots in one block of rows as a new (k, d) array."""
+        return np.column_stack([q[block] for q in self.quadratures])
 
     def column(self, label: str) -> np.ndarray:
         try:
-            return self.columns[:, self.quadrature_labels.index(label)]
+            return self.quadratures[self.quadrature_labels.index(label)]
         except ValueError:
             raise InvalidInputError(f"no quadrature {label!r}") from None
 
@@ -63,7 +84,11 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
 
     The quantum part is drawn from N(0, gamma_q/2); each classical
     source contributes its loading vector times a recorded N(0, W/2) draw.
-    Bit-reproducible for a fixed seed.
+    Bit-reproducible for a fixed seed.  The quantum part is drawn
+    _SHOT_CHUNK_ROWS shots at a time into one quadrature-major (d, n)
+    buffer; the chunks consume the random stream in the order one (n, d)
+    draw would, so the shots do not depend on the chunk size.  The
+    loadings are drawn after all the shots.
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
@@ -71,15 +96,19 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
-    shots = rng.standard_normal((n, raw_cov.shape[0])) @ chol.T
+    shots = np.empty((raw_cov.shape[0], n))
+    for start in range(0, n, _SHOT_CHUNK_ROWS):
+        k = min(_SHOT_CHUNK_ROWS, n - start)
+        shots[:, start:start + k] = (rng.standard_normal((k, raw_cov.shape[0])) @ chol.T).T
     record = {}
     for ld in state.loadings:
         draws = rng.normal(0.0, np.sqrt(ld.variance / 2.0), n)
-        for j in np.flatnonzero(ld.vector):   # a loading touches few columns
-            shots[:, j] += draws * ld.vector[j]
+        for j in np.flatnonzero(ld.vector):   # a loading touches few quadratures
+            shots[j] += draws * ld.vector[j]
         record[ld.source_id] = draws
+    shots.flags.writeable = False   # the quadratures are its rows
     labels = tuple(f"{q}_{m}" for m in state.mode_names for q in ("x", "p"))
-    return SampleBatch(columns=shots, quadrature_labels=labels,
+    return SampleBatch(quadratures=tuple(shots), quadrature_labels=labels,
                        displacement_record=record, seed=seed)
 
 
@@ -88,28 +117,40 @@ def estimate_cm(batch: SampleBatch) -> CMEstimate:
 
     For Gaussian data, var(cov_ij) = (cov_ii cov_jj + cov_ij^2)/n, which in
     gamma-units becomes se(gamma_ij) = sqrt((gamma_ii gamma_jj + gamma_ij^2)/n).
-    A sample covariance needs at least two shots.
+    A sample covariance needs at least two shots.  The estimate streams:
+    the per-quadrature means come first, then c^T c of the centred shots
+    is summed over blocks of _SHOT_CHUNK_ROWS rows, so no centred copy of
+    the batch is made.
     """
     if batch.n < 2:
         raise InvalidInputError(f"CM estimate needs at least 2 shots, got {batch.n}")
-    g = 2.0 * np.cov(batch.columns.T, ddof=1)
+    mean = np.array([q.mean() for q in batch.quadratures])
+    scatter = np.zeros((mean.size, mean.size))
+    for start in range(0, batch.n, _SHOT_CHUNK_ROWS):
+        c = batch.rows(slice(start, start + _SHOT_CHUNK_ROWS))
+        c -= mean
+        scatter += c.T @ c
+    g = 2.0 * scatter / (batch.n - 1)
     se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / batch.n)
     return CMEstimate(cm=CovMatrix(g), std_errors=se)
 
 
 def electronic_demodulation(batch: SampleBatch, g: float, big_t: float,
                             big_r: float) -> SampleBatch:
-    """Subtract (g T + R) xbar from the measured x_B column, shot by shot."""
+    """Subtract (g T + R) xbar from the measured x_B quadrature, shot by shot.
+
+    Only x_B is new; every other quadrature is shared with the input batch.
+    """
     if MODULATION_SOURCE not in batch.displacement_record:
         raise InvalidInputError("batch has no recorded modulation displacements")
     xbar = batch.displacement_record[MODULATION_SOURCE]
-    cols = batch.columns.copy()
     try:
         jb = batch.quadrature_labels.index("x_B")
     except ValueError:
         raise InvalidInputError("batch has no x_B column") from None
-    cols[:, jb] = cols[:, jb] - (g * big_t + big_r) * xbar
-    return replace(batch, columns=cols)
+    quads = list(batch.quadratures)
+    quads[jb] = quads[jb] - (g * big_t + big_r) * xbar
+    return replace(batch, quadratures=tuple(quads))
 
 
 def error_monte_carlo(pipeline, trials: int, seed: int) -> dict:
@@ -142,7 +183,10 @@ def matched_sample_size(cm, std_errors) -> int:
     estimates are.
     """
     g = _checked(cm)
-    err = np.asarray(std_errors, dtype=float)
+    try:
+        err = np.asarray(std_errors, dtype=float)
+    except (TypeError, ValueError):   # ragged or non-numeric rows
+        raise InvalidInputError("error matrix must be a numeric array") from None
     if err.shape != g.shape or not np.all(err > 0):  # NaN fails err > 0
         raise InvalidInputError("error matrix must match the CM shape with positive entries")
     fourth = np.outer(np.diag(g), np.diag(g)) + g * g
@@ -195,13 +239,13 @@ def write_batch_csv(batch: SampleBatch, path):
     """
     sources = sorted(batch.displacement_record)
     header = list(batch.quadrature_labels) + [f"xbar_{s}" for s in sources]
-    extra = [batch.displacement_record[s] for s in sources]
+    columns = batch.quadratures + tuple(batch.displacement_record[s] for s in sources)
     row_fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, batch.n, _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            chunk = np.column_stack([batch.columns[rows]] + [col[rows] for col in extra])
+            chunk = np.column_stack([col[rows] for col in columns])
             fh.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 

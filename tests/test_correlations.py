@@ -349,6 +349,16 @@ def test_discord_and_oracle_reject_bad_entries(bad, mode):
         discord_oracle(g, mode)
 
 
+@pytest.mark.parametrize("mode", [0, 1])
+def test_discord_and_oracle_reject_nonphysical_input(mode):
+    # the oracle used to clamp silently: 0.0 on the first, 0.078 on the second
+    for g in (np.diag([0.5, 0.5, 1.0, 1.0]), 0.5 * MEASURED_SPLIT_SQUEEZED_CM.entries):
+        with pytest.raises(NonPhysicalStateError):
+            discord(g, mode)
+        with pytest.raises(NonPhysicalStateError):
+            discord_oracle(g, mode)
+
+
 def _reference_invariants(g, measured_mode):
     # (A, B, C, D) as gathered by np.stack and np.moveaxis
     dets = np.linalg.det(np.stack(_blocks(g, measured_mode), axis=-3))

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from gausscorr.core import ppt_min_eig, reduce
 from gausscorr.correlations import discord
 from gausscorr.core import CovMatrix
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
-from gausscorr.sampling import (cm_resampling_pipeline, electronic_demodulation,
-                                error_monte_carlo, estimate_cm, matched_sample_size,
-                                sample, SampleBatch, write_batch_csv)
+from gausscorr.sampling import (_SHOT_CHUNK_ROWS, cm_resampling_pipeline,
+                                electronic_demodulation, error_monte_carlo, estimate_cm,
+                                matched_sample_size, sample, SampleBatch, write_batch_csv)
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioState, build_split_state,
                                  duan_value, recover_demodulate)
 
@@ -50,19 +51,29 @@ def test_seeded_determinism():
 
 def test_sample_equals_outer_product_formula():
     # each loading adds draws * v only where v is nonzero: the same array as
-    # adding the full outer product draws v^T
+    # adding the full outer product draws v^T; the chunked draws of the
+    # quantum part are the one (n, d) draw
     coherent = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.4)
     states = [build_split_state(SQUEEZED, 0.5),
               build_split_state(coherent, 0.3).attenuate_mode("B", 0.6, keep_environment=True)]
     for st in states:
-        batch = sample(st, 3000, seed=21)
-        rng = np.random.default_rng(21)
-        raw_cov = st.quantum_cm.entries / 2.0
-        chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
-        shots = rng.standard_normal((3000, raw_cov.shape[0])) @ chol.T
-        for ld in st.loadings:
-            shots += np.outer(rng.normal(0.0, np.sqrt(ld.variance / 2.0), 3000), ld.vector)
-        assert np.array_equal(batch.columns, shots)
+        for n in (3000, 2 * _SHOT_CHUNK_ROWS + 7):
+            batch = sample(st, n, seed=21)
+            rng = np.random.default_rng(21)
+            raw_cov = st.quantum_cm.entries / 2.0
+            chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
+            shots = rng.standard_normal((n, raw_cov.shape[0])) @ chol.T
+            for ld in st.loadings:
+                shots += np.outer(rng.normal(0.0, np.sqrt(ld.variance / 2.0), n), ld.vector)
+            assert np.array_equal(batch.columns, shots), n
+
+
+@pytest.mark.parametrize("n", [2, 100000])
+def test_estimate_cm_matches_sample_covariance(n):
+    batch = sample(build_split_state(SQUEEZED, 0.5), n, seed=13)
+    ref = 2.0 * np.cov(batch.columns.T, ddof=1)
+    got = estimate_cm(batch).cm.entries
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_sample_matches_analytic_effective_cm():
@@ -112,6 +123,31 @@ def test_electronic_demodulation_zero_modulation_is_identity():
     demod = electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5))
     # x_B shifts by (gT+R)*xbar with xbar drawn at zero variance
     assert np.array_equal(demod.columns, batch.columns)
+
+
+def test_electronic_demodulation_shares_unchanged_quadratures():
+    batch = sample(build_split_state(SQUEEZED, 0.5), 1000, seed=4)
+    before = batch.columns
+    demod = electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5))
+    assert np.array_equal(batch.columns, before)
+    for label, q in zip(batch.quadrature_labels, demod.quadratures):
+        assert np.shares_memory(q, batch.column(label)) == (label != "x_B"), label
+
+
+def test_shot_pipeline_memory_is_one_batch():
+    # sample -> demodulate -> estimate holds the batch, the displacement
+    # record, the new x_B and one temporary of n shots, plus a few chunks
+    st = build_split_state(SQUEEZED, 0.5)
+    n, d, sources = 500000, 6, len(st.loadings)
+    assert sources == 2
+    tracemalloc.start()
+    try:
+        batch = sample(st, n, seed=1)
+        estimate_cm(electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (d + sources + 2) * n * 8 + 4 * _SHOT_CHUNK_ROWS * d * 8
 
 
 def test_electronic_demodulation_prefactor():
@@ -178,6 +214,12 @@ def test_matched_sample_size_rejects_non_positive_errors(measured_cm, measured_e
     err[1, 2] = bad
     with pytest.raises(InvalidInputError):
         matched_sample_size(measured_cm, err)
+
+
+@pytest.mark.parametrize("bad", [[[1, 2], [3]], [["a"] * 4] * 4])
+def test_matched_sample_size_rejects_malformed_errors(measured_cm, bad):
+    with pytest.raises(InvalidInputError):
+        matched_sample_size(measured_cm, bad)
 
 
 def test_resampling_pipeline_scale(measured_cm, measured_errors):
@@ -314,7 +356,7 @@ def test_batch_csv_matches_csv_writer(tmp_path):
                 [np.inf, -np.inf, np.nan, -0.0]]
     xbar = rng.normal(0.0, 1.0, n)
     xbar[:2] = [-0.0, 1e-300]
-    batch = SampleBatch(columns=cols, quadrature_labels=("x_A", "p_A", "x_B", "p_B"),
+    batch = SampleBatch(quadratures=tuple(cols.T), quadrature_labels=("x_A", "p_A", "x_B", "p_B"),
                         displacement_record={"mod": xbar, "aux": -xbar}, seed=0)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
