@@ -16,10 +16,9 @@ from .core import (CovMatrix, StandardForm, SymplecticTransform, apply_symplecti
                    tensor, two_mode_symplectic_values, validate_physical, williamson,
                    write_cm_file)
 from .channels import (InputSpec, attenuate, beamsplitter, cmr_noise, db_to_variance,
-                       modulate, rotation, squeezer, tmsv_cm, tmsv_from_squeezing)
-from .correlations import (DiscordReport, GEoFResult, KWFlowPoint, classical_correlation,
-                           discord, discord_oracle, entropy_f, geof, kw_audit,
-                           mutual_information, von_neumann_entropy)
+                       modulate, rotation, squeezer, tmsv_cm)
+from .correlations import (DiscordReport, GEoFResult, KWFlowPoint, discord, discord_oracle,
+                           entropy_f, geof, kw_audit, von_neumann_entropy)
 from .optimality import (DecompositionParams, OptimalityCertificate, certify,
                          decomposition_params, reconstructed_standard_form,
                          split_standard_form, vx_threshold)

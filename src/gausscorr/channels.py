@@ -194,13 +194,8 @@ def tmsv_cm(m: float) -> CovMatrix:
     return CovMatrix(g)
 
 
-def tmsv_from_squeezing(r: float) -> CovMatrix:
-    """TMSV parameterized by the squeezing parameter r (m = cosh 2r)."""
-    return tmsv_cm(float(np.cosh(2 * r)))
-
-
 __all__ = [
     "InputSpec", "db_to_variance", "beamsplitter",
     "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
-    "minimal_purification", "tmsv_cm", "tmsv_from_squeezing",
+    "minimal_purification", "tmsv_cm",
 ]

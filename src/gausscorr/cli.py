@@ -23,12 +23,12 @@ import sys
 
 from . import __version__
 from .core import ppt_min_eig, read_cm_file, validate_physical
-from .correlations import discord, kw_audit
+from .correlations import discord
 from .errors import (GausscorrError, InvalidInputError, NonPhysicalStateError,
                      NumericalError)
 from .optimality import certify
 from .sampling import estimate_cm, sample, write_batch_csv
-from .scenarios import (ScenarioConfig, attenuation_sweep, build_split_state,
+from .scenarios import (ScenarioConfig, attenuation_sweep, build_split_state, correlation_flow,
                         measurement_optimality_note, run_recovery)
 
 EXIT_OK = 0
@@ -88,23 +88,28 @@ def cmd_discord(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _check_out_path(args.out)
+    if cfg.kw_columns and cfg.cmr_a != 0.0:
+        # E_F rests on the pure global model: J on the noisy CM against it
+        # would leave a residual that is no property of the state
+        raise InvalidInputError("kw_columns relies on global purity: needs cmr_a = 0")
     state = build_split_state(cfg.input_spec, cfg.bs_t)
-    rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a,
-                             include_ef=cfg.kw_columns)
+    rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
     header = ["t", "discord", "mutual_info", "classical_corr"]
     if cfg.kw_columns:
+        flow = correlation_flow(state, cfg.attenuation_grid)
         header += ["E_F_AE", "S_A", "residual"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
+        for i, row in enumerate(rows):
             rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
                    f"{row.classical_corr:.10g}"]
             if cfg.kw_columns:
                 # rounding noise near 1e-15 must not rewrite the file: an absolute
                 # 1e-12 grid, far below the audit's 1e-10 gate, with -0.0 made 0
-                resid = round(kw_audit(row.s_a, row.classical_corr, row.e_f_ae), 12) + 0.0
-                rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
+                p = flow[i]
+                resid = round(p.residual, 12) + 0.0
+                rec += [f"{p.e_f_ae:.10g}", f"{p.s_a:.10g}", f"{resid:.10g}"]
             writer.writerow(rec)
     return EXIT_OK
 

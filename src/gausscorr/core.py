@@ -149,12 +149,12 @@ class StandardForm:
 
 def validate_physical(cm) -> float:
     """Minimum eigenvalue of the Hermitian gamma + i Omega; >= -PHYSICALITY_TOL is physical."""
-    return _min_eig(_checked(cm))
+    return float(_min_eig(_checked(cm)))
 
 
-def _min_eig(g: np.ndarray) -> float:
-    """Minimum eigenvalue of g + i Omega for an already checked array g."""
-    return float(np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[0] // 2)).min())
+def _min_eig(g: np.ndarray):
+    """Minimum eigenvalue of g + i Omega per matrix of an already checked array or stack g."""
+    return np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[-1] // 2)).min(axis=-1)
 
 
 def symplectic_spectrum(cm) -> np.ndarray:
@@ -289,7 +289,7 @@ def ppt_min_eig(cm) -> float:
     sign-flipped in place of :func:`partial_transpose`, which would check
     them a second time.
     """
-    return _min_eig(_two_mode(cm) * _FLIP_P_A)
+    return float(_min_eig(_two_mode(cm) * _FLIP_P_A))
 
 
 def _quadrature_indices(n: int, modes) -> np.ndarray:

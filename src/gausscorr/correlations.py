@@ -79,9 +79,7 @@ class KWFlowPoint:
     s_a: float
     j_ab: float
     e_f_ae: float
-    geof_converged: bool | None = None
-    geof_feasibility_gap: float | None = None
-    geof_nfev: int | None = None
+    geof_feasibility_gap: float
 
     @property
     def residual(self) -> float:
@@ -191,16 +189,6 @@ def _oriented(cm, measured_mode: int) -> np.ndarray:
     if measured_mode not in (0, 1):
         raise InvalidInputError("measured_mode must be 0 or 1")
     return _two_mode(cm)
-
-
-def mutual_information(cm, allow_measured: bool = False) -> float:
-    """I(AB) = S(A) + S(B) - S(AB)."""
-    return discord(cm, measured_mode=1, allow_measured=allow_measured).mutual_info
-
-
-def classical_correlation(cm, measured_mode: int = 1, allow_measured: bool = False) -> float:
-    """One-way classical correlation J with measurement on the given mode."""
-    return discord(cm, measured_mode, allow_measured=allow_measured).classical_corr
 
 
 # ---------------------------------------------------------------------------
@@ -633,5 +621,5 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
 __all__ = [
     "entropy_f", "von_neumann_entropy", "DiscordReport",
     "GEoFResult", "KWFlowPoint", "discord", "discord_oracle",
-    "mutual_information", "classical_correlation", "kw_audit", "geof",
+    "kw_audit", "geof",
 ]

@@ -30,6 +30,8 @@ class SampleBatch:
     :func:`electronic_demodulation` replaces one array and shares the rest,
     so a batch and its demodulated copy hold d + 1 arrays of n shots
     between them.  :attr:`columns` and :meth:`rows` stack shots on demand.
+    The quadratures and the record are read-only views of the arrays passed
+    in, which stay writable.
     """
 
     quadratures: tuple             # one (n,) array per label, raw units
@@ -38,13 +40,13 @@ class SampleBatch:
     seed: int
 
     def __post_init__(self):
-        quads = tuple(np.asarray(q, dtype=float) for q in self.quadratures)
+        quads = tuple(_read_only(q) for q in self.quadratures)
         if (not quads or len(quads) != len(self.quadrature_labels)
                 or any(q.ndim != 1 or q.shape != quads[0].shape for q in quads)):
             raise InvalidInputError("quadratures must be one equal-length 1-D array per label")
-        for q in quads:
-            q.flags.writeable = False
         object.__setattr__(self, "quadratures", quads)
+        object.__setattr__(self, "displacement_record",
+                           {k: _read_only(v) for k, v in self.displacement_record.items()})
 
     @property
     def n(self) -> int:
@@ -64,6 +66,13 @@ class SampleBatch:
             return self.quadratures[self.quadrature_labels.index(label)]
         except ValueError:
             raise InvalidInputError(f"no quadrature {label!r}") from None
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only float view of a (no copy when a is already a float array)."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,6 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
         for j in np.flatnonzero(ld.vector):   # a loading touches few quadratures
             shots[j] += draws * ld.vector[j]
         record[ld.source_id] = draws
-    shots.flags.writeable = False   # the quadratures are its rows
     labels = tuple(f"{q}_{m}" for m in state.mode_names for q in ("x", "p"))
     return SampleBatch(quadratures=tuple(shots), quadrature_labels=labels,
                        displacement_record=record, seed=seed)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._brent import bounded_brent
-from .channels import InputSpec, attenuate, beamsplitter, minimal_purification
-from .core import (CovMatrix, apply_symplectic, symplectic_form, tensor, PHYSICALITY_TOL,
+from .channels import InputSpec, attenuate, beamsplitter, _purify
+from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig, _physical,
                    _quadrature_indices, _symplectic, _two_mode, _williamson_frame)
 from .correlations import (KWFlowPoint, entropy_f, _discord_report, _k1_geof,
                            _oriented_invariants)
@@ -63,10 +63,6 @@ class SweepRow:
     mutual_info: float
     classical_corr: float
     s_a: float
-    e_f_ae: float | None = None
-    geof_converged: bool | None = None
-    geof_feasibility_gap: float | None = None
-    geof_nfev: int | None = None
 
 
 @dataclass(frozen=True)
@@ -182,91 +178,62 @@ def build_split_state(spec: InputSpec, bs_t: float) -> ScenarioState:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0,
-                      include_ef: bool = False) -> list:
+def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
     """Discord and companions versus attenuation of mode B.
 
     At power transmittance t the effective (A, B') CM is affine in t: alpha
-    stays, beta becomes t beta + (1 - t) I and delta becomes sqrt(t) delta,
-    plus the common-mode-rejection noise diag(a, a, t a, t a).  The (A, B)
-    blocks are therefore taken once, at t = 1, and the whole grid is built
-    as one (N, 4, 4) stack.  One stacked eigvalsh(gamma + i Omega) checks
-    every point's physicality (NonPhysicalStateError names the first bad t),
-    one stacked det pass gives the invariants A, B, C, D, and each row is the
-    scalar discord closed form on its invariants, the same one
-    :func:`~gausscorr.correlations.discord` uses.  cmr_a must be nonnegative
-    and every t in [0, 1], checked before any point is computed.
-
-    With include_ef (which needs cmr_a = 0) each row adds E_F of A with its
-    environment E, with the GEoF's converged flag, feasibility gap and nfev.
-    The effective (A, B) CM is purified once (:func:`minimal_purification`,
-    one purifying mode P per symplectic eigenvalue above 1), every (A, P, V')
-    CM is read off its blocks (:func:`_environment_stack`), and each point is
-    the closed form :func:`~gausscorr.correlations._k1_geof` on its own
-    Williamson frame.  GEoF takes at most two environment modes, so a state
-    with two symplectic eigenvalues above 1 raises InvalidInputError.
+    stays, beta becomes t beta + (1 - t) I and delta becomes sqrt(t) delta
+    (:func:`_loss_stack`), plus the common-mode-rejection noise
+    diag(a, a, t a, t a).  The (A, B) blocks are therefore taken once, at
+    t = 1, and the whole grid is built as one (N, 4, 4) stack.  One stacked
+    eigvalsh(gamma + i Omega) checks every point's physicality
+    (NonPhysicalStateError names the first bad t), one stacked det pass gives
+    the invariants A, B, C, D, and each row is the scalar discord closed form
+    on its invariants, the same one :func:`~gausscorr.correlations.discord`
+    uses.  cmr_a must be nonnegative and every t in [0, 1], checked before
+    any point is computed.
     """
     if cmr_a < 0:
         raise InvalidInputError("CMR variance must be nonnegative")
+    return _sweep(state.effective_cm(["A", "B"]).entries, t_grid, cmr_a)
+
+
+def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
+    """:func:`attenuation_sweep` rows of the effective (A, B) array g1."""
     t_grid = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
-    if include_ef and cmr_a != 0.0:
-        raise InvalidInputError("E_F relies on global purity: needs cmr_a = 0")
-    eff = state.effective_cm(["A", "B"])
-    g1 = eff.entries
-    if include_ef:
-        env = _environment_stack(minimal_purification(eff).entries, t_grid)
-
-    t = np.array(t_grid, dtype=float)[:, None, None]
-    eye = np.eye(2)
-    g = np.empty((len(t_grid), 4, 4))
-    g[:, :2, :2] = g1[:2, :2] + cmr_a * eye
-    g[:, 2:, 2:] = t * g1[2:, 2:] + (1.0 - t) * eye + (t * cmr_a) * eye
-    g[:, :2, 2:] = np.sqrt(t) * g1[:2, 2:]
-    g[:, 2:, :2] = np.swapaxes(g[:, :2, 2:], 1, 2)
+    g = _loss_stack(g1, t_grid)
+    g[:, :2, :2] += cmr_a * np.eye(2)
+    g[:, 2:, 2:] += (np.array(t_grid)[:, None, None] * cmr_a) * np.eye(2)
     _check_stack(g, t_grid)
-
     rows = []
-    for i, (t_i, *inv) in enumerate(zip(t_grid, *_oriented_invariants(g, 1))):
+    for t, *inv in zip(t_grid, *_oriented_invariants(g, 1)):
         rep = _discord_report(*inv, allow_measured=False)
-        row = SweepRow(t=t_i, discord=rep.discord, mutual_info=rep.mutual_info,
-                       classical_corr=rep.classical_corr,
-                       s_a=entropy_f(max(math.sqrt(inv[0]), 1.0)))
-        if include_ef:
-            e_f, _, gap = _k1_geof(env[i], *_williamson_frame(env[i]))
-            row = replace(row, e_f_ae=e_f, geof_converged=True,
-                          geof_feasibility_gap=gap, geof_nfev=0)
-        rows.append(row)
+        rows.append(SweepRow(t=t, discord=rep.discord, mutual_info=rep.mutual_info,
+                             classical_corr=rep.classical_corr,
+                             s_a=entropy_f(max(math.sqrt(inv[0]), 1.0))))
     return rows
 
 
-def _environment_stack(pure: np.ndarray, t_grid: list) -> np.ndarray:
-    """Stack of the (A, P..., V') CMs, one per t, of a pure (A, B, P...) CM.
+def _loss_stack(g: np.ndarray, t_grid: list) -> np.ndarray:
+    """Stack of g with its last mode sent through loss, one CM per transmittance t.
 
-    Attenuating B with a vacuum loss port V sends V' = sqrt(1 - t) B - sqrt(t) V,
-    so the (A, P) blocks stay, V' has (1 - t) beta + t I and its cross blocks
-    are sqrt(1 - t) times the B columns.  One stacked eigvalsh checks them all.
+    A beamsplitter with a vacuum port turns the last mode's block beta into
+    t beta + (1 - t) I and scales its cross blocks by sqrt(t); the other
+    blocks stay.
     """
-    if pure.shape[0] > 6:
-        raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "
-                                "has more than one symplectic eigenvalue above 1")
     t = np.array(t_grid, dtype=float)[:, None, None]
-    ap = np.r_[0:2, 4:pure.shape[0]]  # A and the purifiers
-    size = len(ap) + 2
-    env = np.empty((len(t_grid), size, size))
-    env[:, :-2, :-2] = pure[np.ix_(ap, ap)]
-    env[:, -2:, -2:] = (1.0 - t) * pure[2:4, 2:4] + t * np.eye(2)
-    env[:, :-2, -2:] = np.sqrt(1.0 - t) * pure[ap, 2:4]
-    env[:, -2:, :-2] = np.swapaxes(env[:, :-2, -2:], 1, 2)
-    _check_stack(env, t_grid)
-    return env
+    out = np.repeat(g[None], len(t_grid), axis=0)
+    out[:, -2:, -2:] = t * g[-2:, -2:] + (1.0 - t) * np.eye(2)
+    out[:, :-2, -2:] = np.sqrt(t) * g[:-2, -2:]
+    out[:, -2:, :-2] = np.swapaxes(out[:, :-2, -2:], 1, 2)
+    return out
 
 
 def _check_stack(g: np.ndarray, t_grid: list):
-    """One stacked eigvalsh(gamma + i Omega); NonPhysicalStateError names the first bad t."""
-    worst = np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[-1] // 2)).min(axis=-1)
-    bad = np.flatnonzero(worst < -PHYSICALITY_TOL)
+    """One stacked physicality test; NonPhysicalStateError names the first bad t."""
+    bad = np.flatnonzero(_min_eig(g) < -PHYSICALITY_TOL)
     if bad.size:
         raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
 
@@ -274,19 +241,36 @@ def _check_stack(g: np.ndarray, t_grid: list):
 def correlation_flow(state: ScenarioState, t_grid) -> list:
     """Marginal-entropy balance along the attenuation grid, on a purification.
 
-    The points are the rows of ``attenuation_sweep(include_ef=True)``: S(A)
-    from the A marginal, J from the discord closed form on (A, B'), and the
-    entanglement of formation of A with the environment E (the purifier of
-    the (A, B) CM plus the loss ancilla V).  The complement of (A, E) is the
-    one mode B', so that GEoF has one purifying mode P and is the
-    closed-form infimum on (A, P).  B' and P are local-symplectic images of
-    each other: the residual compares J on (A, B') with J on (A, P).
+    S(A) and J come from the :func:`attenuation_sweep` rows on (A, B'), and
+    E_F is the entanglement of formation of A with its environment E: the
+    purifier P of the effective (A, B) CM plus the loss ancilla V.  The
+    (A, B) CM is purified once (one purifying mode per symplectic eigenvalue
+    above 1), and every (A, P, V') CM is that pure CM with B sent through
+    loss at transmittance 1 - t (:func:`_loss_stack`), since V' =
+    sqrt(1 - t) B - sqrt(t) V.  The complement of (A, E) is the one mode B',
+    so each point is the closed form
+    :func:`~gausscorr.correlations._k1_geof` on its own Williamson frame: the
+    measurement infimum on (A, P).  B' and P are local-symplectic images of
+    each other, so the residual compares J on (A, B') with J on (A, P).
+    GEoF takes at most two environment modes, so a state whose (A, B) CM has
+    two symplectic eigenvalues above 1 raises InvalidInputError.
     """
-    rows = attenuation_sweep(state, t_grid, include_ef=True)
-    return [KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=r.e_f_ae,
-                        geof_converged=r.geof_converged,
-                        geof_feasibility_gap=r.geof_feasibility_gap, geof_nfev=r.geof_nfev)
-            for r in rows]
+    eff = state.effective_cm(["A", "B"]).entries
+    rows = _sweep(eff, t_grid, 0.0)
+    pure = _purify(*_williamson_frame(_physical(eff)))
+    if pure.shape[0] > 6:
+        raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "
+                                "has more than one symplectic eigenvalue above 1")
+    order = np.r_[0:2, 4:pure.shape[0], 2:4]  # (A, P..., B)
+    t_grid = [r.t for r in rows]
+    env = _loss_stack(pure[np.ix_(order, order)], [1.0 - t for t in t_grid])
+    _check_stack(env, t_grid)
+    points = []
+    for r, g in zip(rows, env):
+        e_f, _, gap = _k1_geof(g, *_williamson_frame(g))
+        points.append(KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=e_f,
+                                  geof_feasibility_gap=gap))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from gausscorr.cli import main
 from gausscorr.core import CovMatrix
 from gausscorr.errors import NumericalError
 from gausscorr.channels import InputSpec, tmsv_cm
-from gausscorr.scenarios import ScenarioState, build_split_state, attenuation_sweep
+from gausscorr.scenarios import (ScenarioState, attenuation_sweep, build_split_state,
+                                 correlation_flow)
 
 
 @pytest.fixture
@@ -197,6 +198,25 @@ def test_sweep_command_residual_on_fixed_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].endswith("E_F_AE,S_A,residual")
     assert [line.split(",")[-1] for line in lines[1:]] == ["0"] * 5
+
+
+def test_sweep_command_joins_the_sweep_and_the_flow(tmp_path):
+    # kw_columns appends the flow's columns to the discord sweep's, row by row
+    spec = {"kind": "coherent", "squeezing_db": 0.0, "v_x": 7.1, "v_p": 1.0}
+    grid = [0.95, 0.65, 0.35, 0.05, 0.0]
+    csvs = []
+    for kw in (False, True):
+        cfg = tmp_path / f"kw_{kw}.json"
+        cfg.write_text(json.dumps({"input": spec, "bs_t": 0.3, "attenuation_grid": grid,
+                                   "kw_columns": kw}))
+        out = tmp_path / f"kw_{kw}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append([line.split(",") for line in out.read_text().splitlines()])
+    plain, joined = csvs
+    assert [row[:4] for row in joined] == plain
+    flow = correlation_flow(build_split_state(InputSpec(**spec), 0.3), grid)
+    assert [row[4:6] for row in joined[1:]] == [[f"{p.e_f_ae:.10g}", f"{p.s_a:.10g}"]
+                                                for p in flow]
 
 
 def test_sweep_command_rejects_kw_columns_with_cmr_noise(tmp_path, capsys):

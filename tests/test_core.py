@@ -9,7 +9,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             standard_form, symplectic_form, symplectic_spectrum,
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
-from gausscorr.channels import minimal_purification, tmsv_cm, tmsv_from_squeezing
+from gausscorr.channels import minimal_purification, tmsv_cm
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
 from conftest import cm_call_args, cm_entry_points, make_coherent_mixture_cm
@@ -109,7 +109,7 @@ def test_spectrum_thermal_diagonal():
 
 @pytest.mark.parametrize("r", [0.1, 0.35, 0.8])
 def test_spectrum_tmsv_pure(r):
-    sp = symplectic_spectrum(tmsv_from_squeezing(r))
+    sp = symplectic_spectrum(tmsv_cm(np.cosh(2 * r)))
     assert np.allclose(sp, [1.0, 1.0], atol=1e-9)
 
 
@@ -248,7 +248,7 @@ def test_ppt_vacua_boundary():
 
 
 def test_ppt_tmsv_entangled():
-    assert ppt_min_eig(tmsv_from_squeezing(0.35)) < 0
+    assert ppt_min_eig(tmsv_cm(np.cosh(2 * 0.35))) < 0
 
 
 def test_reduce_examples(measured_cm):

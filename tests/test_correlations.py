@@ -7,15 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import attenuate, beamsplitter, tmsv_cm, tmsv_from_squeezing
+from gausscorr.channels import attenuate, beamsplitter, tmsv_cm
 from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
                             ppt_min_eig, random_physical_cm, random_symplectic, reduce,
                             tensor, validate_physical, _symplectic_pair)
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, _e_profile, _oracle_infimum,
-                                    _oriented_invariants, _seed_chart, classical_correlation,
-                                    discord, discord_oracle, entropy_f, kw_audit,
-                                    mutual_information, von_neumann_entropy)
+                                    _oriented_invariants, _seed_chart, discord,
+                                    discord_oracle, entropy_f, kw_audit, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
@@ -64,7 +63,7 @@ def test_discord_raises_on_undefined_symplectic_value():
 def test_von_neumann_entropy_cases():
     assert von_neumann_entropy(np.eye(4)) == 0.0
     assert von_neumann_entropy(np.diag([3.0, 3.0])) == pytest.approx(entropy_f(3.0))
-    assert von_neumann_entropy(tmsv_from_squeezing(0.6)) == pytest.approx(0.0, abs=1e-8)
+    assert von_neumann_entropy(tmsv_cm(np.cosh(2 * 0.6))) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_discord_product_state_zero():
@@ -269,8 +268,9 @@ def test_discord_oracle_calls_no_nelder_mead_or_closed_form(monkeypatch):
 
 def test_mutual_information_cases(measured_cm):
     g = np.diag([2.0, 2.0, 3.0, 3.0])
-    assert mutual_information(g) == pytest.approx(0.0, abs=1e-10)
-    assert classical_correlation(g) == pytest.approx(0.0, abs=1e-10)
+    product = discord(g)
+    assert product.mutual_info == pytest.approx(0.0, abs=1e-10)
+    assert product.classical_corr == pytest.approx(0.0, abs=1e-10)
     rep = discord(measured_cm)
     assert rep.mutual_info - rep.classical_corr == pytest.approx(0.49, abs=0.01)
 
@@ -281,8 +281,8 @@ def test_mutual_information_symmetric_under_swap():
     swap = np.zeros((4, 4))
     swap[np.ix_([0, 1], [2, 3])] = np.eye(2)
     swap[np.ix_([2, 3], [0, 1])] = np.eye(2)
-    assert mutual_information(g) == pytest.approx(
-        mutual_information(swap @ g @ swap.T), rel=1e-12)
+    assert discord(g).mutual_info == pytest.approx(
+        discord(swap @ g @ swap.T).mutual_info, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

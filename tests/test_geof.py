@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 import scipy.optimize
 from scipy.optimize import OptimizeResult, minimize
 
-from gausscorr.channels import (attenuate, beamsplitter, minimal_purification, tmsv_cm,
-                                tmsv_from_squeezing)
+from gausscorr.channels import attenuate, beamsplitter, minimal_purification, tmsv_cm
 from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             random_physical_cm, random_symplectic, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
@@ -143,7 +142,7 @@ def test_geof_symmetric_lossy_tmsv_matches_closed_form(squeezing_db):
     # Giedke et al. (PRL 91, 107901, 2003): E_F = f((1 + nu^2) / (2 nu)) for a
     # symmetric state, nu the smallest symplectic eigenvalue of its partial transpose
     eta = 0.8
-    g = tmsv_from_squeezing(-squeezing_db * np.log(10.0) / 20.0)
+    g = tmsv_cm(np.cosh(2 * (-squeezing_db * np.log(10.0) / 20.0)))
     g = attenuate(attenuate(g, 0, eta), 1, eta)
     nu = two_mode_symplectic_values(partial_transpose(g, 1))[0]
     assert nu < 1.0
@@ -169,7 +168,7 @@ def test_minimal_purification_random(seed, n_modes, n_pure, append_pure_mode):
 
 
 def _symmetric_lossy_tmsv(squeezing_db, eta):
-    g = tmsv_from_squeezing(-squeezing_db * np.log(10.0) / 20.0)
+    g = tmsv_cm(np.cosh(2 * (-squeezing_db * np.log(10.0) / 20.0)))
     return attenuate(attenuate(g, 0, eta), 1, eta)
 
 

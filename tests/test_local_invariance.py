@@ -67,3 +67,20 @@ def test_two_mode_correlations_do_not_rise_under_local_loss(mode):
         before, after = _correlations(cm), _correlations(attenuate(cm, mode, t))
         assert after[0] <= before[0] + TOL, (t, before, after)
         assert np.all(after[1:] <= before[1:]), (t, before, after)
+
+
+@pytest.mark.parametrize("seed, loss_mode", [(20, 0), (21, 1)])
+def test_one_by_two_nelder_mead_geof_under_local_operations(seed, loss_mode):
+    # two symplectic eigenvalues above 1 (k = 2) put geof on its Nelder-Mead
+    # route; loss on A or B makes the state k = 3, still Nelder-Mead
+    rng = np.random.default_rng(seed)
+    nus = np.repeat(rng.uniform(1.1, 2.0, 2), 2)
+    cm = apply_symplectic(np.diag([*nus, 1.0, 1.0]), random_symplectic(rng, 3, 1.0))
+    before = geof(cm)
+    moved = geof(apply_symplectic(cm, _local(rng, (1, 2))))
+    lossy = geof(attenuate(cm, loss_mode, rng.uniform(0.3, 0.9)))
+    assert before.value > 0.1
+    assert before.method == moved.method == lossy.method == "nelder-mead"
+    assert before.converged and moved.converged and lossy.converged
+    assert abs(moved.value - before.value) <= TOL
+    assert lossy.value <= before.value + TOL

@@ -134,6 +134,20 @@ def test_electronic_demodulation_shares_unchanged_quadratures():
         assert np.shares_memory(q, batch.column(label)) == (label != "x_B"), label
 
 
+def test_batch_stores_read_only_views_of_the_callers_arrays():
+    # the batch is immutable, but the arrays it is built from stay the caller's
+    quads = tuple(np.arange(3.0) + k for k in range(4))
+    xbar = np.arange(3.0)
+    batch = SampleBatch(quadratures=quads, quadrature_labels=("x_A", "p_A", "x_B", "p_B"),
+                        displacement_record={"mod": xbar}, seed=0)
+    stored = (*batch.quadratures, batch.displacement_record["mod"])
+    for mine, kept in zip((*quads, xbar), stored):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert np.shares_memory(mine, kept)
+    quads[0][0] = 7.0
+    assert batch.column("x_A")[0] == 7.0
+
+
 def test_shot_pipeline_memory_is_one_batch():
     # sample -> demodulate -> estimate holds the batch, the displacement
     # record, the new x_B and one temporary of n shots, plus a few chunks

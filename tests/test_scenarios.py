@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,14 @@ from hypothesis import strategies as st
 import scipy.optimize
 
 from gausscorr.channels import (InputSpec, attenuate, cmr_noise, db_to_variance,
-                                minimal_purification, tmsv_from_squeezing)
+                                minimal_purification, tmsv_cm)
 from gausscorr.core import (CovMatrix, ppt_min_eig, random_physical_cm, random_symplectic,
                             reduce, symplectic_spectrum, validate_physical)
 from gausscorr import channels, correlations, scenarios
 from gausscorr.correlations import (KWFlowPoint, _oriented_invariants, discord,
                                     discord_oracle, entropy_f, geof)
 from gausscorr.errors import InvalidInputError
-from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState,
+from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState, SweepRow,
                                  attenuation_sweep, build_split_state,
                                  correlation_flow, duan_optimize,
                                  duan_value, optimal_demodulation,
@@ -229,7 +231,6 @@ def test_correlation_flow_balance_to_machine_precision():
     assert len(pts) == len(grid)
     assert max(abs(p.residual) for p in pts) <= 1e-12
     for p in pts:
-        assert p.geof_converged and p.geof_nfev == 0
         assert p.geof_feasibility_gap >= -1e-9
 
 
@@ -260,14 +261,14 @@ UNMODULATED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=db_to_variance(-
 def test_flow_matches_per_point_reference(state):
     # the flow builds every (A, P, V') CM from one purification's blocks
     grid = [0.0, 0.49, 0.51, 1.0, *np.linspace(0.0, 1.0, 101)]
-    rows = attenuation_sweep(state, grid, include_ef=True)
-    assert len(rows) == len(grid)
-    for row, t in zip(rows, grid):
-        assert abs(row.e_f_ae - _reference_flow_geof(state, t).value) <= 1e-12, t
-        assert row.geof_feasibility_gap >= -1e-9, t
+    pts = correlation_flow(state, grid)
+    assert len(pts) == len(grid)
+    for p, t in zip(pts, grid):
+        assert abs(p.e_f_ae - _reference_flow_geof(state, t).value) <= 1e-12, t
+        assert p.geof_feasibility_gap >= -1e-9, t
     if minimal_purification(state.effective_cm(["A", "B"])).n_modes == 2:
         # pure (A, B): E is V alone, an untouched vacuum at t = 1
-        assert rows[3].e_f_ae <= 1e-12 and rows[-1].e_f_ae <= 1e-12
+        assert pts[3].e_f_ae <= 1e-12 and pts[-1].e_f_ae <= 1e-12
 
 
 def test_sweep_and_flow_rows_carry_python_floats():
@@ -290,54 +291,45 @@ def test_flow_builds_no_covariance_matrix_per_point(monkeypatch):
     counts = []
     for grid in ([0.6], list(np.linspace(1.0, 0.2, 9))):
         made.clear()
-        attenuation_sweep(st, grid, include_ef=True)
+        correlation_flow(st, grid)
         counts.append(len(made))
     assert counts[0] == counts[1] > 0
 
 
 def test_sweep_carries_geof_diagnostics():
+    # the flow carries the feasibility gap of each point's GEoF certificate;
+    # the discord sweep's rows carry no E_F field
     st = build_split_state(SQUEEZED, 0.5)
-    rows = attenuation_sweep(st, [1.0, 0.5], include_ef=True)
     flow = correlation_flow(st, [1.0, 0.5])
-    for row, p in zip(rows, flow):
-        assert row.e_f_ae == p.e_f_ae
-        assert (row.geof_converged, row.geof_feasibility_gap, row.geof_nfev) == (
-            p.geof_converged, p.geof_feasibility_gap, p.geof_nfev)
-        assert row.geof_converged and row.geof_nfev == 0 and row.geof_feasibility_gap >= -1e-9
-    plain = attenuation_sweep(st, [0.5])[0]
-    assert (plain.e_f_ae, plain.geof_converged, plain.geof_feasibility_gap,
-            plain.geof_nfev) == (None, None, None, None)
+    assert all(p.geof_feasibility_gap >= -1e-9 for p in flow)
+    assert [f.name for f in dataclasses.fields(SweepRow)] == [
+        "t", "discord", "mutual_info", "classical_corr", "s_a"]
+    assert [f.name for f in dataclasses.fields(KWFlowPoint)] == [
+        "t", "s_a", "j_ab", "e_f_ae", "geof_feasibility_gap"]
 
 
 def test_flow_rows_describe_the_state_they_are_given():
-    # E_F purifies the (A, B) CM the sweep reads, so the include_ef rows are
-    # the plain sweep's rows, also for a state transformed after the split
+    # E_F purifies the (A, B) CM the sweep reads, so the flow's S(A) and J
+    # are the plain sweep's, also for a state transformed after the split
     grid = list(np.linspace(1.0, 0.2, 9))
     split = build_split_state(SQUEEZED, 0.5)
     for st in (split, split.attenuate_mode("B", 0.6, keep_environment=False)):
         plain = attenuation_sweep(st, grid)
-        flow = attenuation_sweep(st, grid, include_ef=True)
+        flow = correlation_flow(st, grid)
         assert len(flow) == len(grid)
         for p, f in zip(plain, flow):
-            assert (f.t, f.discord, f.mutual_info, f.classical_corr, f.s_a) == (
-                p.t, p.discord, p.mutual_info, p.classical_corr, p.s_a)
-            assert abs(f.s_a - f.classical_corr - f.e_f_ae) <= 1e-10
+            assert (f.t, f.s_a, f.j_ab) == (p.t, p.s_a, p.classical_corr)
+            assert abs(f.residual) <= 1e-10
     # demodulated (A, B) has two symplectic eigenvalues above 1: three
     # environment modes, more than GEoF takes
     with pytest.raises(InvalidInputError):
-        attenuation_sweep(recover_demodulate(split, 1.0), grid, include_ef=True)
-
-
-def test_sweep_rejects_ef_with_cmr_noise():
-    st = build_split_state(SQUEEZED, 0.5)
-    with pytest.raises(InvalidInputError):
-        attenuation_sweep(st, [1.0], cmr_a=0.047, include_ef=True)
+        correlation_flow(recover_demodulate(split, 1.0), grid)
 
 
 def test_flow_point_positional_construction():
-    p = KWFlowPoint(0.5, 2.0, 0.75, 1.0)
+    p = KWFlowPoint(0.5, 2.0, 0.75, 1.0, 0.0)
     assert p.residual == 0.25
-    assert (p.geof_converged, p.geof_feasibility_gap, p.geof_nfev) == (None, None, None)
+    assert p.geof_feasibility_gap == 0.0
 
 
 def test_duan_two_vacua_boundary():
@@ -348,9 +340,9 @@ def test_duan_two_vacua_boundary():
 
 def test_duan_tmsv_value():
     r = 0.45
-    rep = duan_value(tmsv_from_squeezing(r).entries, 1.0, signs=(-1, 1))
+    rep = duan_value(tmsv_cm(np.cosh(2 * r)).entries, 1.0, signs=(-1, 1))
     assert rep.value == pytest.approx(np.exp(-4 * r), rel=1e-10)
-    best = duan_optimize(tmsv_from_squeezing(r))
+    best = duan_optimize(tmsv_cm(np.cosh(2 * r)))
     assert best.value <= np.exp(-4 * r) + 1e-12
     assert best.signs == (-1, 1)
 

@@ -53,7 +53,7 @@ WARM_PATHS = """
     scalars = {"discord": lambda m: gc.discord(m, 1, allow_measured=True).discord}
     gc.error_monte_carlo(gc.cm_resampling_pipeline(g, 5000, scalars), trials=2, seed=0)
 
-    print(json.dumps({"methods": methods, "flow_nfev": flow[0].geof_nfev, "codes": codes,
+    print(json.dumps({"methods": methods, "flow_residual": flow[0].residual, "codes": codes,
                       "loaded": sorted(m for m in sys.modules if m.startswith("scipy."))}))
 """
 
@@ -61,7 +61,7 @@ WARM_PATHS = """
 def test_warm_paths_import_no_scipy_submodule(tmp_path):
     out = _run(WARM_PATHS, tmp_path)
     assert out["methods"] == ["xp-search", "xp-search"]
-    assert out["flow_nfev"] == 0 and out["codes"] == [0, 0]
+    assert abs(out["flow_residual"]) <= 1e-12 and out["codes"] == [0, 0]
     assert not [m for m in out["loaded"] if m.startswith(HEAVY)], out["loaded"]
 
 
