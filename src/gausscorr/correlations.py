@@ -6,10 +6,10 @@ the local invariants A = det alpha, B = det beta, C = det delta, D = det gamma
 that minimizes the conditional entropy over pure Gaussian measurement seeds.
 The oracle charts the seeds as P_u / e + e P_v (u = (cos theta, sin theta),
 v perpendicular to u, e in [0, 1]), one chart that runs from heterodyne
-(e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in scalar
-2x2 arithmetic.  det eps is a ratio of two quadratics in e, which the oracle
+(e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in plain
+float arithmetic.  det eps is a ratio of two quadratics in e, which the oracle
 minimizes exactly at each theta; only theta is searched, on a grid refined
-by a bounded Brent search.
+by a bounded Brent search, both through one float e-profile.
 """
 
 from __future__ import annotations
@@ -220,25 +220,28 @@ def _adj(m):
 
 
 def _chart_coefficients(alpha, beta, delta):
-    """Numerator (mt, mc, ms, m1) and denominator (bt, bc, bs, 1 + B) of det eps on the chart."""
-    a = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
-    b = beta[0, 0] * beta[1, 1] - beta[0, 1] * beta[1, 0]
-    c = delta[0, 0] * delta[1, 1] - delta[0, 1] * delta[1, 0]
+    """Numerator (mt, mc, ms, m1) and denominator (bt, bc, bs, 1 + B) of det eps on the chart.
+
+    The coefficients are returned as Python floats.
+    """
+    a, b, c = _det2(alpha), _det2(beta), _det2(delta)
     q = delta.T @ _adj(alpha) @ delta
-    m = a * beta - q
     m1 = a * (1.0 + b) - float(np.sum(_adj(beta) * q)) + c * c
+    (m00, m01), (_, m11) = (a * beta - q).tolist()
+    (b00, b01), (_, b11) = beta.tolist()
     # w^T x w = tr(x) / 2 +- ((x00 - x11) / 2 cos 2theta + x01 sin 2theta) for w = u, v
-    return (((m[0, 0] + m[1, 1]) / 2, (m[0, 0] - m[1, 1]) / 2, m[0, 1], m1),
-            ((beta[0, 0] + beta[1, 1]) / 2, (beta[0, 0] - beta[1, 1]) / 2, beta[0, 1], 1.0 + b))
+    return (((m00 + m11) / 2, (m00 - m11) / 2, m01, m1),
+            ((b00 + b11) / 2, (b00 - b11) / 2, b01, 1.0 + b))
 
 
-def _seed_chart(alpha, beta, delta):
+def _seed_chart(coefficients):
     """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
 
-    The returned function is plain arithmetic: it takes Python floats and
-    broadcast arrays alike.
+    coefficients are those of :func:`_chart_coefficients`.  The returned
+    function is plain arithmetic: it takes Python floats and broadcast arrays
+    alike.
     """
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
 
     def det_eps(cos2, sin2, e):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
@@ -275,27 +278,29 @@ def _e_profile(alpha, beta, delta):
     q / a2 and a0 / q; a vanishing a2 leaves a0 / q as the linear root.
     Every candidate is scored by :func:`_seed_chart`, so a misplaced root can
     only raise the minimum, never report a value the chart does not take.
-    The returned function broadcasts over (cos 2theta, sin 2theta) and
-    returns (det, e).
+    The coefficients are computed once; the returned function takes
+    (cos 2theta, sin 2theta) as Python floats and returns (det, e) in
+    plain float arithmetic.
     """
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
-    det_eps = _seed_chart(alpha, beta, delta)
+    coefficients = _chart_coefficients(alpha, beta, delta)
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
+    det_eps = _seed_chart(coefficients)
 
     def profile(cos2, sin2):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
         n0, n2, d0, d2 = mt - mh, mt + mh, bt - bh, bt + bh
         a2, a1, a0 = n2 * b1 - m1 * d2, n2 * d0 - n0 * d2, m1 * d0 - n0 * b1
-        q = -(a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - a2 * a0, 0.0)), a1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.stack((q / a2, a0 / q))
-        # roots outside [0, 1], or undefined (a constant profile), fall back to e = 0
-        roots = np.where(np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
-        es = np.concatenate([np.zeros_like(roots[:1]), np.ones_like(roots[:1]), roots])
-        values = det_eps(cos2, sin2, es)
-        # the first minimum wins, so ties keep the homodyne limit e = 0
-        i = np.argmin(values, axis=0)[None]
-        return (np.take_along_axis(values, i, axis=0)[0],
-                np.take_along_axis(es, i, axis=0)[0])
+        q = -(a1 + math.copysign(math.sqrt(max(a1 * a1 - a2 * a0, 0.0)), a1))
+        # candidates e = 0, 1, q / a2, a0 / q; the first minimum wins, so ties keep
+        # the homodyne limit e = 0.  Roots outside [0, 1] are clipped; undefined
+        # ones (a constant profile) fall back to e = 0.
+        value, e = det_eps(cos2, sin2, 0.0), 0.0
+        for r in (1.0, q / a2 if a2 else 0.0, a0 / q if q else 0.0):
+            r = (1.0 if r > 1.0 else r) if 0.0 <= r < math.inf else 0.0
+            v = det_eps(cos2, sin2, r)
+            if v < value:
+                value, e = v, r
+        return value, e
 
     return profile
 
@@ -307,23 +312,25 @@ def _oracle_infimum(alpha, beta, delta):
     """(inf det eps, theta, e) over pure seeds P_u / e + e P_v, found numerically.
 
     e is minimized exactly at each theta (:func:`_e_profile`); theta is
-    searched on an ORACLE_GRID-point grid over [0, pi), evaluated in one
-    broadcast pass, and the best cell is refined by one bounded Brent search.
+    searched on an ORACLE_GRID-point grid over [0, pi), one profile call per
+    point, and the best cell is refined by one bounded Brent search on the
+    same profile.
     """
     profile = _e_profile(alpha, beta, delta)
     step = math.pi / ORACLE_GRID
     thetas = step * np.arange(ORACLE_GRID)
-    grid, grid_e = profile(np.cos(2 * thetas), np.sin(2 * thetas))
-    i = int(np.argmin(grid))
+    grid = list(map(profile, np.cos(2 * thetas).tolist(), np.sin(2 * thetas).tolist()))
+    i = min(range(ORACLE_GRID), key=lambda j: grid[j][0])
     # Brent's tolerance is sqrt(eps) |theta| + xatol / 3; xatol keeps it near
     # 1e-8 at theta = 0, where symmetric states put their optimum.  At a
     # smooth minimum that moves the value by about 1e-16 relative.
-    x, fun, _ = bounded_brent(lambda th: float(profile(math.cos(2 * th), math.sin(2 * th))[0]),
+    x, fun, _ = bounded_brent(lambda th: profile(math.cos(2 * th), math.sin(2 * th))[0],
                               thetas[i] - step, thetas[i] + step, xatol=3e-8)
-    if fun < grid[i]:
+    det, e = grid[i]
+    if fun < det:
         det, e = profile(math.cos(2 * x), math.sin(2 * x))
-        return float(det), x % math.pi, float(e)
-    return float(grid[i]), float(thetas[i]), float(grid_e[i])
+        return det, x % math.pi, e
+    return det, float(thetas[i]), e
 
 
 def discord_oracle(cm, measured_mode: int = 1) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,12 +32,12 @@ class SampleBatch:
     so a batch and its demodulated copy hold d + 1 arrays of n shots
     between them.  :attr:`columns` and :meth:`rows` stack shots on demand.
     The quadratures and the record are read-only views of the arrays passed
-    in, which stay writable.
+    in, which stay writable; the record itself is a read-only mapping.
     """
 
     quadratures: tuple             # one (n,) array per label, raw units
     quadrature_labels: tuple       # e.g. ("x_A", "p_A", "x_B", "p_B")
-    displacement_record: dict      # source_id -> per-shot values, shape (n,)
+    displacement_record: MappingProxyType  # source_id -> per-shot values, shape (n,)
     seed: int
 
     def __post_init__(self):
@@ -45,8 +46,8 @@ class SampleBatch:
                 or any(q.ndim != 1 or q.shape != quads[0].shape for q in quads)):
             raise InvalidInputError("quadratures must be one equal-length 1-D array per label")
         object.__setattr__(self, "quadratures", quads)
-        object.__setattr__(self, "displacement_record",
-                           {k: _read_only(v) for k, v in self.displacement_record.items()})
+        object.__setattr__(self, "displacement_record", MappingProxyType(
+            {k: _read_only(v) for k, v in self.displacement_record.items()}))
 
     @property
     def n(self) -> int:

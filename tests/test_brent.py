@@ -19,7 +19,7 @@ def _random_function(rng, kind):
         return lambda x: math.exp(c[0] * x) + math.exp(-c[1] * x)
     if kind == 3:
         return lambda x: abs(x - c[0]) + 0.1 * math.cos(5.0 * c[1] * x)
-    # undefined (math.inf) below a cut, as neg_log_h in the PPT product search
+    # undefined (math.inf) below a cut, which bounded_brent's contract allows
     return lambda x: math.inf if x < c[0] else (x - c[0]) ** 2 - math.log(x - c[0] + 1e-3)
 
 

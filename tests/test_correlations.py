@@ -7,14 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import attenuate, beamsplitter, tmsv_cm
+from gausscorr.channels import attenuate, beamsplitter, squeezer, tmsv_cm
 from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
                             ppt_min_eig, random_physical_cm, random_symplectic, reduce,
                             tensor, validate_physical, _symplectic_pair)
 import gausscorr.correlations as corr
-from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, _e_profile, _oracle_infimum,
-                                    _oriented_invariants, _seed_chart, discord,
-                                    discord_oracle, entropy_f, kw_audit, von_neumann_entropy)
+from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, ORACLE_GRID, _chart_coefficients,
+                                    _e_profile, _oracle_infimum, _oriented_invariants,
+                                    _seed_chart, discord, discord_oracle, entropy_f, kw_audit,
+                                    von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
@@ -145,7 +146,7 @@ def test_seed_chart_matches_conditional_update(mode):
     for _ in range(5):
         g = random_physical_cm(rng, 2).entries
         alpha, beta, delta = _blocks(g, mode)
-        det_eps = _seed_chart(alpha, beta, delta)
+        det_eps = _seed_chart(_chart_coefficients(alpha, beta, delta))
         for theta in np.linspace(0.0, np.pi, 7):
             c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
             # e = 0: homodyne of the quadrature v perpendicular to u = (cos, sin)
@@ -200,19 +201,24 @@ def _split_coherent_cm():
                            [gin - np.eye(2), gin + np.eye(2)]])
 
 
-def test_e_profile_is_the_minimum_over_e():
-    # the exact e step against a dense e grid of the chart, no closed form involved
+def _profile_cms():
+    # 20 random CMs, then the product state (every root undefined, e = 0), a
+    # decoupled mode and the split coherent CM (a2 vanishes at theta = pi/4)
     rng = np.random.default_rng(31)
     cms = [random_physical_cm(rng, 2).entries for _ in range(20)]
     squeezed_vacuum = apply_symplectic(np.eye(2), random_symplectic(rng, 1, 1.0))
-    cms += [np.diag([2.0, 2.0, 3.0, 3.0]),                              # product state
-            tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,  # decoupled mode
-            _split_coherent_cm()]
+    return cms + [np.diag([2.0, 2.0, 3.0, 3.0]),
+                  tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,
+                  _split_coherent_cm()]
+
+
+def test_e_profile_is_the_minimum_over_e():
+    # the exact e step against a dense e grid of the chart, no closed form involved
     es = np.linspace(0.0, 1.0, 2001)
     thetas = np.append(np.linspace(0.0, np.pi, 7, endpoint=False), np.pi / 4)
-    for i, g in enumerate(cms):
+    for i, g in enumerate(_profile_cms()):
         blocks = _blocks(g, i % 2)
-        det_eps, profile = _seed_chart(*blocks), _e_profile(*blocks)
+        det_eps, profile = _seed_chart(_chart_coefficients(*blocks)), _e_profile(*blocks)
         for theta in thetas:
             c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
             value, e = profile(c2, s2)
@@ -220,6 +226,115 @@ def test_e_profile_is_the_minimum_over_e():
             assert 0.0 <= e <= 1.0
             assert value <= floor + 1e-12 * abs(floor)
             assert value == det_eps(c2, s2, e)
+
+
+def _broadcast_profile(coefficients):
+    """The e-profile in numpy over broadcast (cos 2theta, sin 2theta): a reference for
+    the oracle's float profile, with the same candidates, roots and tie rule."""
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
+    det_eps = _seed_chart(coefficients)
+
+    def profile(cos2, sin2):
+        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
+        n0, n2, d0, d2 = mt - mh, mt + mh, bt - bh, bt + bh
+        a2, a1, a0 = n2 * b1 - m1 * d2, n2 * d0 - n0 * d2, m1 * d0 - n0 * b1
+        q = -(a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - a2 * a0, 0.0)), a1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack((q / a2, a0 / q))
+        roots = np.where(np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
+        es = np.concatenate([np.zeros_like(roots[:1]), np.ones_like(roots[:1]), roots])
+        values = det_eps(cos2, sin2, es)
+        i = np.argmin(values, axis=0)[None]
+        return (np.take_along_axis(values, i, axis=0)[0],
+                np.take_along_axis(es, i, axis=0)[0])
+
+    return profile
+
+
+def test_e_profile_matches_broadcast_reference():
+    # at every grid theta of the oracle and at pi/4, bit for bit, in Python floats
+    thetas = np.append(np.pi / ORACLE_GRID * np.arange(ORACLE_GRID), np.pi / 4)
+    cos2s, sin2s = np.cos(2 * thetas), np.sin(2 * thetas)
+    for i, g in enumerate(_profile_cms()):
+        blocks = _blocks(g, i % 2)
+        coefficients = _chart_coefficients(*blocks)
+        det_eps, profile = _seed_chart(coefficients), _e_profile(*blocks)
+        ref_values, ref_es = _broadcast_profile(coefficients)(cos2s, sin2s)
+        for c2, s2, ref_value, ref_e in zip(cos2s.tolist(), sin2s.tolist(), ref_values, ref_es):
+            value, e = profile(c2, s2)
+            assert type(value) is float and type(e) is float
+            assert (value, e) == (ref_value, ref_e)
+            assert value == det_eps(c2, s2, e)
+
+
+def _branch_tie(m, log_s_end, mode):
+    # a TMSV(m) squeezed by s on mode A, then halved in power on A: the heterodyne
+    # branch holds at s = 1 and the homodyne one at |log s| = 3; bisect log s
+    # on the sign of (D - AB)^2 - (1 + B) C^2 (A + D) until the bracket is one ulp
+    def family(log_s):
+        squeezed = apply_symplectic(tmsv_cm(m), squeezer(math.exp(log_s), 2, 0))
+        return attenuate(squeezed, 0, 0.5).entries
+
+    def sides(g):
+        a, b, c, d = _oriented_invariants(g, mode)
+        return (d - a * b) ** 2, (1 + b) * c * c * (a + d)
+
+    lo, hi = 0.0, log_s_end
+    assert np.subtract(*sides(family(lo))) < 0 < np.subtract(*sides(family(hi)))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lhs, rhs = sides(family(mid))
+        lo, hi = (mid, hi) if lhs < rhs else (lo, mid)
+    return family(lo), sides(family(lo))
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+@pytest.mark.parametrize("m", [1.5, 3.0])
+@pytest.mark.parametrize("log_s_end", [3.0, -3.0])
+def test_discord_oracle_at_branch_tie(m, log_s_end, mode):
+    g, (lhs, rhs) = _branch_tie(m, log_s_end, mode)
+    # the closed form sees a tie and takes the smaller branch
+    assert abs(lhs - rhs) <= BRANCH_TIE_TOL * max(abs(lhs), abs(rhs))
+    rep = discord(g, measured_mode=mode)
+    assert abs(rep.discord - discord_oracle(g, measured_mode=mode)) <= 1e-10
+
+
+def test_discord_oracle_cost(monkeypatch):
+    # one coefficient pass and one float profile call per grid point and Brent
+    # evaluation (plus the refined point), with no timing involved
+    counts = {}
+    chart_coefficients, e_profile, brent = corr._chart_coefficients, corr._e_profile, corr.bounded_brent
+
+    def counted_coefficients(*args):
+        counts["coefficients"] += 1
+        return chart_coefficients(*args)
+
+    def counted_e_profile(*args):
+        profile = e_profile(*args)
+
+        def counted(cos2, sin2):
+            assert type(cos2) is float and type(sin2) is float
+            counts["profile"] += 1
+            return profile(cos2, sin2)
+        return counted
+
+    def counted_brent(*args, **kwargs):
+        x, fun, nfev = brent(*args, **kwargs)
+        counts["nfev"].append(nfev)
+        return x, fun, nfev
+
+    monkeypatch.setattr(corr, "_chart_coefficients", counted_coefficients)
+    monkeypatch.setattr(corr, "_e_profile", counted_e_profile)
+    monkeypatch.setattr(corr, "bounded_brent", counted_brent)
+    rng = np.random.default_rng(8)
+    cms = [random_physical_cm(rng, 2) for _ in range(4)]
+    cms += [CovMatrix(np.diag([2.0, 2.0, 3.0, 3.0])), CovMatrix(_split_coherent_cm())]
+    for cm in cms:
+        for mode in (0, 1):
+            counts.update(coefficients=0, profile=0, nfev=[])
+            discord_oracle(cm, measured_mode=mode)
+            assert counts["coefficients"] == 1
+            assert len(counts["nfev"]) == 1
+            assert counts["profile"] <= ORACLE_GRID + counts["nfev"][0] + 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -148,6 +148,21 @@ def test_batch_stores_read_only_views_of_the_callers_arrays():
     assert batch.column("x_A")[0] == 7.0
 
 
+def test_batch_displacement_record_is_read_only():
+    # a frozen batch cannot have its record swapped under the demodulation or the CSV writer
+    batch = sample(vacuum_state(), 16, seed=1)
+    xbar = batch.displacement_record[MODULATION_SOURCE]
+    with pytest.raises(TypeError):
+        batch.displacement_record[MODULATION_SOURCE] = np.zeros(batch.n)
+    with pytest.raises(TypeError):
+        del batch.displacement_record[MODULATION_SOURCE]
+    assert batch.displacement_record[MODULATION_SOURCE] is xbar
+    demod = electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5))
+    assert np.array_equal(demod.displacement_record[MODULATION_SOURCE], xbar)
+    with pytest.raises(TypeError):
+        demod.displacement_record[MODULATION_SOURCE] = np.zeros(batch.n)
+
+
 def test_shot_pipeline_memory_is_one_batch():
     # sample -> demodulate -> estimate holds the batch, the displacement
     # record, the new x_B and one temporary of n shots, plus a few chunks
