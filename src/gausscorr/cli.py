@@ -28,8 +28,8 @@ from .errors import (GausscorrError, InvalidInputError, NonPhysicalStateError,
                      NumericalError)
 from .optimality import certify
 from .sampling import estimate_cm, sample, write_batch_csv
-from .scenarios import (ScenarioConfig, attenuation_sweep, build_split_state, correlation_flow,
-                        measurement_optimality_note, run_recovery)
+from .scenarios import (ScenarioConfig, attenuation_sweep, build_split_state,
+                        measurement_optimality_note, run_recovery, _flow)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -96,7 +96,8 @@ def cmd_sweep(args) -> int:
     rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
     header = ["t", "discord", "mutual_info", "classical_corr"]
     if cfg.kw_columns:
-        flow = correlation_flow(state, cfg.attenuation_grid)
+        # cmr_a is 0, so these rows are the flow's own: it takes them as they are
+        flow = _flow(state.effective_cm(["A", "B"]).entries, rows)
         header += ["E_F_AE", "S_A", "residual"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -72,15 +72,21 @@ class CovMatrix:
         g = g.astype(float, copy=False)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
             raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {g.shape}")
-        peak = np.abs(g).max()
-        if not peak < np.inf:  # NaN fails every comparison, so ask for the true case
+        # the decisions run on Python floats, which costs less than numpy's
+        # per-call overhead for the small matrices of this package
+        n = g.shape[0]
+        flat = g.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             raise InvalidInputError("covariance matrix has non-finite entries")
-        gt = g.T
-        if np.abs(g - gt).max() > SYMMETRY_RTOL * max(1.0, peak):
-            raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
-        if g.diagonal().min() <= 0:
+        tol = SYMMETRY_RTOL * max(1.0, max(map(abs, flat)))
+        # |x - y| = |y - x| in IEEE arithmetic, so one triangle decides
+        for i in range(1, n):
+            for j in range(i):
+                if abs(flat[i * n + j] - flat[j * n + i]) > tol:
+                    raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
+        if min(flat[::n + 1]) <= 0:
             raise InvalidInputError("covariance matrix has non-positive diagonal entries")
-        g = (g + gt) / 2
+        g = (g + g.T) / 2
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
@@ -152,9 +158,20 @@ def validate_physical(cm) -> float:
     return float(_min_eig(_checked(cm)))
 
 
+@functools.cache
+def _i_symplectic_form(n_modes: int) -> np.ndarray:
+    """Read-only i Omega, shared per mode count like :func:`symplectic_form`."""
+    out = 1j * symplectic_form(n_modes)
+    out.flags.writeable = False
+    return out
+
+
 def _min_eig(g: np.ndarray):
-    """Minimum eigenvalue of g + i Omega per matrix of an already checked array or stack g."""
-    return np.linalg.eigvalsh(g + 1j * symplectic_form(g.shape[-1] // 2)).min(axis=-1)
+    """Minimum eigenvalue of g + i Omega per matrix of an already checked array or stack g.
+
+    eigvalsh returns the eigenvalues in ascending order, so the first is the minimum.
+    """
+    return np.linalg.eigvalsh(g + _i_symplectic_form(g.shape[-1] // 2))[..., 0]
 
 
 def symplectic_spectrum(cm) -> np.ndarray:

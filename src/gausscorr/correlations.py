@@ -23,7 +23,7 @@ import numpy as np
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
 from .core import (CovMatrix, symplectic_spectrum, _checked, _physical, _quadrature_indices,
-                   _seralian, _standard_form, _symplectic_pair, _two_mode, _williamson_frame)
+                   _standard_form, _symplectic_pair, _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -38,9 +38,13 @@ def entropy_f(x: float) -> float:
     """
     if not x >= 1.0 - F_CLAMP_TOL:
         raise InvalidInputError(f"entropy argument {x} below 1 - 1e-6")
-    x = max(x, 1.0)
+    return float(_f(max(x, 1.0)))
+
+
+def _f(x: float) -> float:
+    """:func:`entropy_f` of an argument already known to be >= 1, without its checks."""
     u, v = (x + 1) / 2, (x - 1) / 2
-    return float(u * math.log(u) - (v * math.log(v) if v else 0.0))
+    return u * math.log(u) - (v * math.log(v) if v else 0.0)
 
 
 def von_neumann_entropy(cm) -> float:
@@ -155,12 +159,15 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
         raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
     inf_det, branch = _inf_det_eps(a, b, c, d)
 
-    args = [math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)), nu_minus, nu_plus,
-            math.sqrt(max(inf_det, 0.0))]
-    clamped = any(x < 1.0 - F_CLAMP_TOL for x in args)
+    args = (math.sqrt(a), math.sqrt(b), nu_minus, nu_plus, math.sqrt(max(inf_det, 0.0)))
+    # args[0] is a number, and min skips a NaN that comes after one
+    clamped = min(args) < 1.0 - F_CLAMP_TOL
     if clamped and not allow_measured:
         raise NonPhysicalStateError("entropy arguments below 1; state not physical")
-    sa, sb, fm, fp, fc = (entropy_f(max(x, 1.0)) for x in args)
+    # each argument is >= 0, +inf or NaN, so the sum is NaN only for a NaN argument
+    if math.isnan(sum(args)):
+        raise InvalidInputError("entropy argument nan below 1 - 1e-6")
+    sa, sb, fm, fp, fc = (_f(x if x > 1.0 else 1.0) for x in args)
 
     mutual_info = sa + sb - fm - fp
     classical_corr = sa - fc
@@ -349,11 +356,11 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     without allow_measured: a nonphysical CM raises NonPhysicalStateError.
     """
     g = _physical(_oriented(cm, measured_mode))
-    alpha, beta, delta = _blocks(g, measured_mode)
-    best = _oracle_infimum(alpha, beta, delta)[0]
+    best = _oracle_infimum(*_blocks(g, measured_mode))[0]
 
-    nu_minus, nu_plus = _symplectic_pair(_seralian(g), float(np.linalg.det(g)))
-    return (entropy_f(max(np.sqrt(np.linalg.det(beta)), 1.0)) - entropy_f(max(nu_minus, 1.0))
+    a, b, c, d = _oriented_invariants(g, measured_mode)
+    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    return (entropy_f(max(math.sqrt(b), 1.0)) - entropy_f(max(nu_minus, 1.0))
             - entropy_f(nu_plus) + entropy_f(max(np.sqrt(best), 1.0)))
 
 

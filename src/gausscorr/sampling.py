@@ -9,6 +9,7 @@ gamma-units with analytic Gaussian fourth-moment standard errors.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -98,7 +99,8 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     _SHOT_CHUNK_ROWS shots at a time into one quadrature-major (d, n)
     buffer; the chunks consume the random stream in the order one (n, d)
     draw would, so the shots do not depend on the chunk size.  The
-    loadings are drawn after all the shots.
+    loadings are drawn after all the shots, and each one's draws times
+    its vector are added in blocks of the same size.
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
@@ -114,7 +116,9 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     for ld in state.loadings:
         draws = rng.normal(0.0, np.sqrt(ld.variance / 2.0), n)
         for j in np.flatnonzero(ld.vector):   # a loading touches few quadratures
-            shots[j] += draws * ld.vector[j]
+            for start in range(0, n, _SHOT_CHUNK_ROWS):  # no temporary of n shots
+                block = slice(start, start + _SHOT_CHUNK_ROWS)
+                shots[j, block] += draws[block] * ld.vector[j]
         record[ld.source_id] = draws
     labels = tuple(f"{q}_{m}" for m in state.mode_names for q in ("x", "p"))
     return SampleBatch(quadratures=tuple(shots), quadrature_labels=labels,
@@ -128,8 +132,8 @@ def estimate_cm(batch: SampleBatch) -> CMEstimate:
     gamma-units becomes se(gamma_ij) = sqrt((gamma_ii gamma_jj + gamma_ij^2)/n).
     A sample covariance needs at least two shots.  The estimate streams:
     the per-quadrature means come first, then c^T c of the centred shots
-    is summed over blocks of _SHOT_CHUNK_ROWS rows, so no centred copy of
-    the batch is made.
+    is summed over blocks of _SHOT_CHUNK_ROWS rows, one block held at a
+    time, so no centred copy of the batch is made.
     """
     if batch.n < 2:
         raise InvalidInputError(f"CM estimate needs at least 2 shots, got {batch.n}")
@@ -139,6 +143,7 @@ def estimate_cm(batch: SampleBatch) -> CMEstimate:
         c = batch.rows(slice(start, start + _SHOT_CHUNK_ROWS))
         c -= mean
         scatter += c.T @ c
+        del c   # else the next block is built while this one is still held
     g = 2.0 * scatter / (batch.n - 1)
     se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / batch.n)
     return CMEstimate(cm=CovMatrix(g), std_errors=se)
@@ -148,7 +153,8 @@ def electronic_demodulation(batch: SampleBatch, g: float, big_t: float,
                             big_r: float) -> SampleBatch:
     """Subtract (g T + R) xbar from the measured x_B quadrature, shot by shot.
 
-    Only x_B is new; every other quadrature is shared with the input batch.
+    Only x_B is new, built in one buffer; every other quadrature is shared
+    with the input batch.
     """
     if MODULATION_SOURCE not in batch.displacement_record:
         raise InvalidInputError("batch has no recorded modulation displacements")
@@ -158,7 +164,8 @@ def electronic_demodulation(batch: SampleBatch, g: float, big_t: float,
     except ValueError:
         raise InvalidInputError("batch has no x_B column") from None
     quads = list(batch.quadratures)
-    quads[jb] = quads[jb] - (g * big_t + big_r) * xbar
+    x_b = np.multiply(g * big_t + big_r, xbar)
+    quads[jb] = np.subtract(quads[jb], x_b, out=x_b)
     return replace(batch, quadratures=tuple(quads))
 
 
@@ -224,13 +231,17 @@ def cm_resampling_pipeline(cm, n: int, scalars: dict):
         raise InvalidInputError(f"sample size {n} too small for a {d} x {d} CM estimate "
                                 f"(need n > {d})")
     chol = np.linalg.cholesky(g + 2e-15 * np.eye(d))
-    chi2_dofs = df - np.arange(d)
-    below = np.tril_indices(d, -1)
+    # one scalar chi2 draw per degree of freedom takes the random stream,
+    # and gives the bits, of one array draw over all of them, at less cost
+    chi2_dofs = range(df, df - d, -1)
+    diagonal = np.arange(0, d * d, d + 1)
+    below = np.ravel_multi_index(np.tril_indices(d, -1), (d, d))
 
     def pipeline(rng):
-        a = np.diag(np.sqrt(rng.chisquare(chi2_dofs)))
-        a[below] = rng.standard_normal(below[0].size)
-        la = chol @ a
+        a = np.zeros(d * d)
+        a[diagonal] = [math.sqrt(rng.chisquare(k)) for k in chi2_dofs]
+        a[below] = rng.standard_normal(below.size)
+        la = chol @ a.reshape(d, d)
         est = la @ la.T / df
         return {name: float(fn(est)) for name, fn in scalars.items()}
 

@@ -256,7 +256,14 @@ def correlation_flow(state: ScenarioState, t_grid) -> list:
     two symplectic eigenvalues above 1 raises InvalidInputError.
     """
     eff = state.effective_cm(["A", "B"]).entries
-    rows = _sweep(eff, t_grid, 0.0)
+    return _flow(eff, _sweep(eff, t_grid, 0.0))
+
+
+def _flow(eff: np.ndarray, rows: list) -> list:
+    """:func:`correlation_flow` points of the effective (A, B) array eff, given its sweep rows.
+
+    rows must be the :func:`_sweep` rows of eff without CMR noise.
+    """
     pure = _purify(*_williamson_frame(_physical(eff)))
     if pure.shape[0] > 6:
         raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "

@@ -219,6 +219,24 @@ def test_sweep_command_joins_the_sweep_and_the_flow(tmp_path):
                                                 for p in flow]
 
 
+@pytest.mark.parametrize("kw", [False, True])
+def test_sweep_command_computes_the_discord_rows_once(tmp_path, monkeypatch, kw):
+    # the flow's columns reuse the sweep's rows instead of sweeping again
+    calls, sweep = [], scenarios._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(scenarios, "_sweep", counted)
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "input": {"kind": "coherent", "squeezing_db": 0.0, "v_x": 7.1, "v_p": 1.0},
+        "bs_t": 0.5, "attenuation_grid": [1.0, 0.6, 0.2], "kw_columns": kw}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "flow.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_sweep_command_rejects_kw_columns_with_cmr_noise(tmp_path, capsys):
     # J on the noisy CM against E_F on the noiseless pure model would leave a
     # residual of about 0.03 nats that is no property of the state

@@ -43,6 +43,94 @@ def test_covmatrix_rejects_non_finite(bad):
             CovMatrix(g)
 
 
+def _reference_entries(entries):
+    """The CovMatrix check on numpy arrays, the way it was written before the float-list check."""
+    try:
+        g = np.asarray(entries)
+        if g.dtype.kind not in "iuf":
+            raise TypeError(f"entries of dtype {g.dtype} are not real numbers")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad covariance matrix entries: {exc}") from None
+    g = g.astype(float, copy=False)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
+        raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {g.shape}")
+    peak = np.abs(g).max()
+    if not peak < np.inf:
+        raise InvalidInputError("covariance matrix has non-finite entries")
+    gt = g.T
+    if np.abs(g - gt).max() > 1e-12 * max(1.0, peak):
+        raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
+    if g.diagonal().min() <= 0:
+        raise InvalidInputError("covariance matrix has non-positive diagonal entries")
+    return (g + gt) / 2
+
+
+@st.composite
+def _checked_candidates(draw):
+    """Symmetric 2x2 to 8x8 float or int arrays, then at most one defect of the check's kinds."""
+    n = 2 * draw(st.integers(1, 4))
+    integer = draw(st.booleans())
+    if integer:
+        dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint16]))
+        low = 0 if dtype == np.uint16 else -100
+        values = draw(st.lists(st.integers(low, 100), min_size=n * n, max_size=n * n))
+    else:
+        dtype = float
+        values = draw(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300]),
+                               min_size=n * n, max_size=n * n))
+    m = np.array(values, dtype=dtype).reshape(n, n)
+    if not integer:   # peaks below 1 too, where the bound is 1e-12 absolute
+        m *= draw(st.sampled_from([1.0, 1e-9]))
+    m = np.triu(m) + np.triu(m, 1).T
+    m[np.diag_indices(n)] = np.abs(m.diagonal()) + (1 if integer else 1e-3)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    other = draw(st.integers(1, n - 1))   # an off-diagonal column of row i
+    defects = ["none", "asymmetric", "zero diagonal"]
+    defects += ["negative diagonal"] if dtype != np.uint16 else []
+    defects += [] if integer else ["nan", "+inf", "-inf", "both infs"]
+    defect = draw(st.sampled_from(defects))
+    if defect == "asymmetric":
+        k = (i + other) % n
+        if integer:
+            m[i, k] += 1
+        elif draw(st.booleans()):
+            scale = draw(st.sampled_from([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]))
+            m[i, k] += scale * 1e-12 * max(1.0, np.abs(m).max())
+        else:   # |g_ik - g_ki| exactly at the bound, which is still symmetric enough
+            m[i, k] = m[k, i] = 0.0
+            m[i, k] = 1e-12 * max(1.0, np.abs(m).max())
+    elif defect == "zero diagonal":
+        m[i, i] = 0
+    elif defect == "negative diagonal":
+        m[i, i] = -m[i, i]
+    elif defect in ("nan", "+inf", "-inf"):
+        m[i, j] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[defect]
+    elif defect == "both infs":
+        m[i, j], m[(i + other) % n, j] = np.inf, -np.inf
+    return m
+
+
+def _decision(check, m):
+    try:
+        return "accepted", check(m)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_checked_candidates())
+def test_covmatrix_check_matches_the_numpy_check(m):
+    with np.errstate(all="ignore"):
+        want = _decision(_reference_entries, m)
+    got = _decision(lambda x: CovMatrix(x).entries, m)
+    assert got[0] == want[0]
+    if got[0] == "accepted":
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        assert not got[1].flags.writeable
+    else:
+        assert got[1] == want[1]
+
+
 def _malformed(kind):
     g = np.eye(4).tolist()
     if kind == "nan":

@@ -61,6 +61,15 @@ def test_discord_raises_on_undefined_symplectic_value():
                 discord(cm, mode, allow_measured=True)
 
 
+def test_discord_raises_on_nan_entropy_argument():
+    # det gamma overflows to -inf, so nu_minus^2 = -inf / inf is NaN: no NaN report
+    x, y = 1e80, 2e80
+    g = np.array([[x, 0, y, 0], [0, x, 0, 0], [y, 0, x, 0], [0, 0, 0, x]])
+    for mode in (0, 1):
+        with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="nan"):
+            discord(g, mode, allow_measured=True)
+
+
 def test_von_neumann_entropy_cases():
     assert von_neumann_entropy(np.eye(4)) == 0.0
     assert von_neumann_entropy(np.diag([3.0, 3.0])) == pytest.approx(entropy_f(3.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from gausscorr import sampling
 from gausscorr.channels import InputSpec
 from gausscorr.core import ppt_min_eig, reduce
 from gausscorr.correlations import discord
@@ -179,6 +180,26 @@ def test_shot_pipeline_memory_is_one_batch():
     assert peak <= (d + sources + 2) * n * 8 + 4 * _SHOT_CHUNK_ROWS * d * 8
 
 
+def test_shot_pipeline_memory_has_no_temporary_of_n_shots(monkeypatch):
+    # the loadings are added in blocks and the new x_B is one buffer, so the
+    # peak is the batch, the record and the new x_B, plus a few chunks.  The
+    # chunk is made smaller than the default (the shots do not depend on it),
+    # so that one temporary of n shots would not fit into the chunks' share
+    st = build_split_state(SQUEEZED, 0.5)
+    n, d, sources, k = 300000, 6, len(st.loadings), 8192
+    assert sources == 2 and 4 * k * d < n
+    monkeypatch.setattr(sampling, "_SHOT_CHUNK_ROWS", k)
+    sample(st, 10, seed=0)   # any lazy imports of the random stream happen here
+    tracemalloc.start()
+    try:
+        batch = sample(st, n, seed=1)
+        estimate_cm(electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (d + sources + 1) * n * 8 + 4 * k * d * 8
+
+
 def test_electronic_demodulation_prefactor():
     st = build_split_state(SQUEEZED, 0.5)
     batch = sample(st, 100, seed=3)
@@ -311,6 +332,39 @@ def test_resampling_pipeline_seeded(measured_cm):
     c = error_monte_carlo(pipe, trials=20, seed=6)["g01"].values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _array_draw_pipeline(cm, n):
+    """Reference: the Bartlett step with one array chi2 draw over the diagonal, returning W / df."""
+    g = cm.entries
+    d, df = g.shape[0], n - 1
+    chol = np.linalg.cholesky(g + 2e-15 * np.eye(d))
+    below = np.tril_indices(d, -1)
+
+    def pipeline(rng):
+        a = np.diag(np.sqrt(rng.chisquare(df - np.arange(d))))
+        a[below] = rng.standard_normal(below[0].size)
+        la = chol @ a
+        return la @ la.T / df
+
+    return pipeline
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_resampling_pipeline_pins_the_wishart_draw(measured_cm, d):
+    # the estimates, and the random stream they leave behind, are those of the
+    # array draw, bit for bit
+    cm = measured_cm if d == 4 else build_split_state(SQUEEZED, 0.5).effective_cm()
+    for n in (d + 1, 50, 33426, 10 ** 6):
+        estimates = []
+        pipeline = cm_resampling_pipeline(cm, n, {"m": lambda m: estimates.append(m) or 0.0})
+        reference = _array_draw_pipeline(cm, n)
+        for seed in (0, 12, 2 ** 40 + 3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                pipeline(rng)
+                assert np.array_equal(estimates.pop(), reference(ref_rng)), (n, seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
 
 
 @pytest.mark.parametrize("n", [1, 4])
