@@ -17,12 +17,12 @@ from .core import (CovMatrix, StandardForm, SymplecticTransform, apply_symplecti
                    write_cm_file)
 from .channels import (InputSpec, attenuate, beamsplitter, cmr_noise, db_to_variance,
                        modulate, rotation, squeezer, tmsv_cm)
-from .correlations import (DiscordReport, GEoFResult, KWFlowPoint, discord, discord_oracle,
+from .correlations import (DiscordReport, GEoFResult, discord, discord_oracle,
                            entropy_f, geof, kw_audit, von_neumann_entropy)
 from .optimality import (DecompositionParams, OptimalityCertificate, certify,
                          decomposition_params, reconstructed_standard_form,
                          split_standard_form, vx_threshold)
-from .scenarios import (DuanReport, NoiseLoading, RecoveryConfig, ScenarioConfig,
+from .scenarios import (DuanReport, KWFlowPoint, NoiseLoading, ScenarioConfig,
                         ScenarioState, SweepRow, attenuation_sweep,
                         build_split_state, correlation_flow,
                         duan_optimize, duan_value, optimal_demodulation,

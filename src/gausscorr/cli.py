@@ -29,7 +29,7 @@ from .errors import (GausscorrError, InvalidInputError, NonPhysicalStateError,
 from .optimality import certify
 from .sampling import estimate_cm, sample, write_batch_csv
 from .scenarios import (ScenarioConfig, attenuation_sweep, build_split_state,
-                        measurement_optimality_note, run_recovery, _flow)
+                        correlation_flow, measurement_optimality_note, run_recovery)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -93,24 +93,23 @@ def cmd_sweep(args) -> int:
         # would leave a residual that is no property of the state
         raise InvalidInputError("kw_columns relies on global purity: needs cmr_a = 0")
     state = build_split_state(cfg.input_spec, cfg.bs_t)
-    rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
     header = ["t", "discord", "mutual_info", "classical_corr"]
     if cfg.kw_columns:
-        # cmr_a is 0, so these rows are the flow's own: it takes them as they are
-        flow = _flow(state.effective_cm(["A", "B"]).entries, rows)
+        rows = correlation_flow(state, cfg.attenuation_grid)
         header += ["E_F_AE", "S_A", "residual"]
+    else:
+        rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, row in enumerate(rows):
+        for row in rows:
             rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
                    f"{row.classical_corr:.10g}"]
             if cfg.kw_columns:
                 # rounding noise near 1e-15 must not rewrite the file: an absolute
                 # 1e-12 grid, far below the audit's 1e-10 gate, with -0.0 made 0
-                p = flow[i]
-                resid = round(p.residual, 12) + 0.0
-                rec += [f"{p.e_f_ae:.10g}", f"{p.s_a:.10g}", f"{resid:.10g}"]
+                resid = round(row.residual, 12) + 0.0
+                rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
             writer.writerow(rec)
     return EXIT_OK
 
@@ -118,10 +117,7 @@ def cmd_sweep(args) -> int:
 def cmd_recover(args) -> int:
     cfg = _load_config(args.config)
     state = build_split_state(cfg.input_spec, cfg.bs_t)
-    gain = bs_t_be = None
-    if cfg.recovery is not None:
-        gain, bs_t_be = cfg.recovery.gain, cfg.recovery.bs_t_be
-    final, rep = run_recovery(state, args.mode, gain=gain, bs_t_be=bs_t_be)
+    final, rep = run_recovery(state, args.mode)
     out = {
         "mode": args.mode,
         "g": rep.g,

@@ -41,6 +41,27 @@ def _two_mode(cm) -> np.ndarray:
     return g
 
 
+def _blocks(g: np.ndarray, measured_mode: int):
+    """(alpha, beta, delta): kept, measured and cross blocks of a two-mode CM or stack."""
+    k, m = 2 * (1 - measured_mode), 2 * measured_mode
+    return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
+
+
+# flat indices of the (alpha, beta, delta) blocks of a 4x4 CM, per measured mode
+_BLOCK_INDEX = tuple(np.stack(_blocks(np.arange(16).reshape(4, 4), m)) for m in (0, 1))
+
+
+def _oriented_invariants(g: np.ndarray, measured_mode: int):
+    """(A, B, C, D) with the measured mode in the beta slot, as Python floats.
+
+    g is one 4x4 CM or an (N, 4, 4) stack; a stack gives each invariant as
+    a list of N.  One gather and one det call cover the three 2x2 blocks,
+    one det the whole matrix.
+    """
+    blocks = g.reshape(g.shape[:-2] + (16,))[..., _BLOCK_INDEX[measured_mode]]
+    return (*np.linalg.det(blocks).T.tolist(), np.linalg.det(g).tolist())
+
+
 def _physical(g: np.ndarray, hint: str = "") -> np.ndarray:
     """The checked entries g, after the bona-fide test gamma + i Omega >= -PHYSICALITY_TOL."""
     low = _min_eig(g)
@@ -196,8 +217,8 @@ def symplectic_spectrum(cm) -> np.ndarray:
 
 def two_mode_symplectic_values(cm) -> tuple[float, float]:
     """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping."""
-    g = _two_mode(cm)
-    return _symplectic_pair(_seralian(g), float(np.linalg.det(g)))
+    a, b, c, d = _oriented_invariants(_two_mode(cm), 1)
+    return _symplectic_pair(a + b + 2 * c, d)
 
 
 def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
@@ -217,13 +238,9 @@ def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
 
 
 def seralian(cm) -> float:
-    """Sum of the determinants of the four 2x2 subblocks of a two-mode CM."""
-    return _seralian(_two_mode(cm))
-
-
-def _seralian(g: np.ndarray) -> float:
-    return float(np.linalg.det(g[:2, :2]) + np.linalg.det(g[2:, 2:])
-                 + 2 * np.linalg.det(g[:2, 2:]))
+    """Sum of the determinants of the four 2x2 subblocks of a two-mode CM: A + B + 2C."""
+    a, b, c, _ = _oriented_invariants(_two_mode(cm), 1)
+    return a + b + 2 * c
 
 
 def _rotation(theta: float) -> np.ndarray:

@@ -22,8 +22,9 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
-from .core import (CovMatrix, symplectic_spectrum, _checked, _physical, _quadrature_indices,
-                   _standard_form, _symplectic_pair, _two_mode, _williamson_frame)
+from .core import (CovMatrix, symplectic_spectrum, _blocks, _checked, _oriented_invariants,
+                   _physical, _quadrature_indices, _standard_form, _symplectic_pair, _two_mode,
+                   _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
@@ -42,7 +43,14 @@ def entropy_f(x: float) -> float:
 
 
 def _f(x: float) -> float:
-    """:func:`entropy_f` of an argument already known to be >= 1, without its checks."""
+    """:func:`entropy_f` of an argument already known to be >= 1, without its checks.
+
+    From x = 2^53 (about 9e15) on, x + 1 and x - 1 are no longer both
+    floats, and u ln u - v ln v with u - v = 1 can keep no digit: such an
+    argument (inf too) raises NumericalError instead of returning a value.
+    """
+    if x >= 2.0 ** 53:
+        raise NumericalError(f"entropy argument {x:.6g} is beyond float precision")
     u, v = (x + 1) / 2, (x - 1) / 2
     return u * math.log(u) - (v * math.log(v) if v else 0.0)
 
@@ -75,42 +83,6 @@ class GEoFResult:
     method: str = "nelder-mead"
 
 
-@dataclass(frozen=True)
-class KWFlowPoint:
-    """One attenuation point of the correlation-flow audit."""
-
-    t: float
-    s_a: float
-    j_ab: float
-    e_f_ae: float
-    geof_feasibility_gap: float
-
-    @property
-    def residual(self) -> float:
-        return kw_audit(self.s_a, self.j_ab, self.e_f_ae)
-
-
-def _blocks(g: np.ndarray, measured_mode: int):
-    """(alpha, beta, delta): kept, measured and cross blocks of a two-mode CM or stack."""
-    k, m = 2 * (1 - measured_mode), 2 * measured_mode
-    return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
-
-
-# flat indices of the (alpha, beta, delta) blocks of a 4x4 CM, per measured mode
-_BLOCK_INDEX = tuple(np.stack(_blocks(np.arange(16).reshape(4, 4), m)) for m in (0, 1))
-
-
-def _oriented_invariants(g: np.ndarray, measured_mode: int):
-    """(A, B, C, D) with the measured mode in the beta slot, as Python floats.
-
-    g is one 4x4 CM or an (N, 4, 4) stack; a stack gives each invariant as
-    a list of N.  One gather and one det call cover the three 2x2 blocks,
-    one det the whole matrix.
-    """
-    blocks = g.reshape(g.shape[:-2] + (16,))[..., _BLOCK_INDEX[measured_mode]]
-    return (*np.linalg.det(blocks).T.tolist(), np.linalg.det(g).tolist())
-
-
 def _inf_det_eps_heterodyne_case(a, b, c, d):
     inner = max(c * c + (b - 1) * (d - a), 0.0)
     return (2 * c * c + (b - 1) * (d - a) + 2 * abs(c) * math.sqrt(inner)) / (b - 1) ** 2
@@ -126,22 +98,40 @@ def _inf_det_eps(a, b, c, d):
 
     Branch condition (D - AB)^2 <= (1 + B) C^2 (A + D) selects the
     heterodyne-like case; ties within 1e-12 relative evaluate both branches
-    and keep the minimum (continuity at the boundary).
+    and keep the minimum (continuity at the boundary).  A power that
+    overflows a float (CM entries near 1e38 and above) raises NumericalError.
     """
     if abs(b - 1.0) < 1e-13:
         # pure measured mode carries no correlations: eps = alpha; the branch
         # formulas lose their digits to the (b - 1) denominators below this
         return a, "heterodyne-case"
-    lhs = (d - a * b) ** 2
-    rhs = (1 + b) * c * c * (a + d)
-    scale = max(abs(lhs), abs(rhs))
-    if abs(lhs - rhs) <= BRANCH_TIE_TOL * scale:
-        het = _inf_det_eps_heterodyne_case(a, b, c, d)
-        hom = _inf_det_eps_homodyne_case(a, b, c, d)
-        return (het, "heterodyne-case") if het <= hom else (hom, "homodyne-case")
-    if lhs <= rhs:
-        return _inf_det_eps_heterodyne_case(a, b, c, d), "heterodyne-case"
-    return _inf_det_eps_homodyne_case(a, b, c, d), "homodyne-case"
+    try:
+        lhs = (d - a * b) ** 2
+        rhs = (1 + b) * c * c * (a + d)
+        scale = max(abs(lhs), abs(rhs))
+        if abs(lhs - rhs) <= BRANCH_TIE_TOL * scale:
+            het = _inf_det_eps_heterodyne_case(a, b, c, d)
+            hom = _inf_det_eps_homodyne_case(a, b, c, d)
+            return (het, "heterodyne-case") if het <= hom else (hom, "homodyne-case")
+        if lhs <= rhs:
+            return _inf_det_eps_heterodyne_case(a, b, c, d), "heterodyne-case"
+        return _inf_det_eps_homodyne_case(a, b, c, d), "homodyne-case"
+    except OverflowError:
+        raise NumericalError("the discord closed form overflows a float: "
+                             "CM entries too large") from None
+
+
+def _symplectic_values(a, b, c, d) -> tuple[float, float]:
+    """(nu_minus, nu_plus) from the oriented invariants; undefined ones raise.
+
+    A <= 0, B <= 0 or nu_plus^2 < 0 (also a det gamma that overflowed)
+    leaves a symplectic value undefined: NonPhysicalStateError, in
+    :func:`discord` and :func:`discord_oracle` alike.
+    """
+    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    if not (a > 0 and b > 0) or math.isnan(nu_plus):
+        raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
+    return nu_minus, nu_plus
 
 
 def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
@@ -154,9 +144,7 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
     always raises.  This is the one scalar closed form behind :func:`discord`
     and every :func:`~gausscorr.scenarios.attenuation_sweep` row.
     """
-    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
-    if not (a > 0 and b > 0) or math.isnan(nu_plus):
-        raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
+    nu_minus, nu_plus = _symplectic_values(a, b, c, d)
     inf_det, branch = _inf_det_eps(a, b, c, d)
 
     args = (math.sqrt(a), math.sqrt(b), nu_minus, nu_plus, math.sqrt(max(inf_det, 0.0)))
@@ -353,13 +341,13 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     branch condition or Nelder-Mead is used.  Entropy terms outside the
     infimum reuse the exact symplectic values, so the comparison isolates
     the measurement term.  The input rule is that of :func:`discord`
-    without allow_measured: a nonphysical CM raises NonPhysicalStateError.
+    without allow_measured: a nonphysical CM raises NonPhysicalStateError,
+    and one beyond float range NumericalError.
     """
     g = _physical(_oriented(cm, measured_mode))
-    best = _oracle_infimum(*_blocks(g, measured_mode))[0]
-
     a, b, c, d = _oriented_invariants(g, measured_mode)
-    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    nu_minus, nu_plus = _symplectic_values(a, b, c, d)
+    best = _oracle_infimum(*_blocks(g, measured_mode))[0]
     return (entropy_f(max(math.sqrt(b), 1.0)) - entropy_f(max(nu_minus, 1.0))
             - entropy_f(nu_plus) + entropy_f(max(np.sqrt(best), 1.0)))
 
@@ -516,8 +504,14 @@ def _xp_geof(g):
     grid = marginal_det(np.cos(phis), np.sin(phis))
     i = int(np.argmin(grid))
     lo, hi = phis[i] - step, phis[i] + step
-    phi, det, nfev = bounded_brent(lambda p: marginal_det(math.cos(p), math.sin(p)),
-                                   lo, hi, xatol=1e-12)
+    try:
+        phi, det, nfev = bounded_brent(lambda p: marginal_det(math.cos(p), math.sin(p)),
+                                       lo, hi, xatol=1e-12)
+    except ZeroDivisionError:
+        det = math.nan
+    if not 0.0 < det < math.inf:
+        # det X >= 1 / det Gp > 0 was lost to rounding against x11 x22
+        raise NumericalError("x-p GEoF search lost det X to rounding: CM entries too large")
     # a grid point at the exact optimum (symmetric states) can beat the refine by a few ulps
     converged = bool(lo < phi < hi and det <= grid[i] * (1.0 + 1e-13))
     x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
@@ -634,6 +628,6 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
 
 __all__ = [
     "entropy_f", "von_neumann_entropy", "DiscordReport",
-    "GEoFResult", "KWFlowPoint", "discord", "discord_oracle",
+    "GEoFResult", "discord", "discord_oracle",
     "kw_audit", "geof",
 ]

@@ -20,10 +20,10 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import InputSpec, attenuate, beamsplitter, _purify
-from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig, _physical,
-                   _quadrature_indices, _symplectic, _two_mode, _williamson_frame)
-from .correlations import (KWFlowPoint, entropy_f, _discord_report, _k1_geof,
-                           _oriented_invariants)
+from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig,
+                   _oriented_invariants, _physical, _quadrature_indices, _symplectic, _two_mode,
+                   _williamson_frame)
+from .correlations import entropy_f, kw_audit, _discord_report, _k1_geof
 from .errors import InvalidInputError, NonPhysicalStateError
 
 MODULATION_SOURCE = "modulation_x"
@@ -63,6 +63,22 @@ class SweepRow:
     mutual_info: float
     classical_corr: float
     s_a: float
+
+
+@dataclass(frozen=True)
+class KWFlowPoint(SweepRow):
+    """One attenuation point of the correlation-flow audit: its sweep row plus E_F(A:E)."""
+
+    e_f_ae: float
+    geof_feasibility_gap: float
+
+    @property
+    def j_ab(self) -> float:
+        return self.classical_corr
+
+    @property
+    def residual(self) -> float:
+        return kw_audit(self.s_a, self.j_ab, self.e_f_ae)
 
 
 @dataclass(frozen=True)
@@ -241,7 +257,8 @@ def _check_stack(g: np.ndarray, t_grid: list):
 def correlation_flow(state: ScenarioState, t_grid) -> list:
     """Marginal-entropy balance along the attenuation grid, on a purification.
 
-    S(A) and J come from the :func:`attenuation_sweep` rows on (A, B'), and
+    S(A) and J come from the :func:`attenuation_sweep` rows on (A, B'), which
+    each point extends, and
     E_F is the entanglement of formation of A with its environment E: the
     purifier P of the effective (A, B) CM plus the loss ancilla V.  The
     (A, B) CM is purified once (one purifying mode per symplectic eigenvalue
@@ -256,14 +273,7 @@ def correlation_flow(state: ScenarioState, t_grid) -> list:
     two symplectic eigenvalues above 1 raises InvalidInputError.
     """
     eff = state.effective_cm(["A", "B"]).entries
-    return _flow(eff, _sweep(eff, t_grid, 0.0))
-
-
-def _flow(eff: np.ndarray, rows: list) -> list:
-    """:func:`correlation_flow` points of the effective (A, B) array eff, given its sweep rows.
-
-    rows must be the :func:`_sweep` rows of eff without CMR noise.
-    """
+    rows = _sweep(eff, t_grid, 0.0)
     pure = _purify(*_williamson_frame(_physical(eff)))
     if pure.shape[0] > 6:
         raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "
@@ -275,8 +285,7 @@ def _flow(eff: np.ndarray, rows: list) -> list:
     points = []
     for r, g in zip(rows, env):
         e_f, _, gap = _k1_geof(g, *_williamson_frame(g))
-        points.append(KWFlowPoint(t=r.t, s_a=r.s_a, j_ab=r.classical_corr, e_f_ae=e_f,
-                                  geof_feasibility_gap=gap))
+        points.append(KWFlowPoint(**vars(r), e_f_ae=e_f, geof_feasibility_gap=gap))
     return points
 
 
@@ -432,19 +441,17 @@ def recovery_closed_form(r: float, big_t: float, g: float) -> float:
     return float(up * down / (g * g + 1) ** 2)
 
 
-def run_recovery(state: ScenarioState, mode: str, gain=None, bs_t_be=None):
-    """Execute one recovery protocol; returns (final_state, DuanReport).
+def run_recovery(state: ScenarioState, mode: str):
+    """Execute one recovery protocol with optimized settings; returns (final_state, DuanReport).
 
-    gain None means jointly optimized; for the interference route the Duan
-    gain is always optimized after mixing.
+    "demodulate" is :func:`optimal_demodulation`; "interfere" mixes in the
+    ancilla at the optimized bs_t_be (:func:`recover_interfere`) and then
+    optimizes the Duan gain.
     """
     if mode == "demodulate":
-        if gain is None:
-            return optimal_demodulation(state)
-        out = recover_demodulate(state, gain)
-        return out, duan_value(out.effective_cm(["A", "B"]), gain)
+        return optimal_demodulation(state)
     if mode == "interfere":
-        out = recover_interfere(state, bs_t_be)
+        out = recover_interfere(state)
         return out, duan_optimize(out.effective_cm(["A", "B"]))
     raise InvalidInputError(f"unknown recovery mode {mode!r}")
 
@@ -467,25 +474,18 @@ def measurement_optimality_note(spec: InputSpec) -> dict:
 # scenario configuration (shared by the CLI and the experiment scripts)
 
 @dataclass(frozen=True)
-class RecoveryConfig:
-    gain: float | None = None       # None -> optimized
-    bs_t_be: float | None = None    # None -> optimized
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     input_spec: InputSpec
     bs_t: float
     attenuation_grid: tuple
     cmr_a: float = 0.0
     kw_columns: bool = False
-    recovery: RecoveryConfig | None = None
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise InvalidInputError("config must be a JSON object")
-        allowed = {"input", "bs_t", "attenuation_grid", "cmr_a", "kw_columns", "recovery"}
+        allowed = {"input", "bs_t", "attenuation_grid", "cmr_a", "kw_columns"}
         unknown = set(obj) - allowed
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
@@ -503,20 +503,11 @@ class ScenarioConfig:
         kw_columns = obj.get("kw_columns", False)
         if not isinstance(kw_columns, bool):
             raise InvalidInputError(f"kw_columns must be true or false, got {kw_columns!r}")
-        rec = None
-        if obj.get("recovery") is not None:
-            r = obj["recovery"]
-            r_allowed = {"gain", "bs_t_be"}
-            if not isinstance(r, dict) or set(r) - r_allowed:
-                raise InvalidInputError(f"recovery block allows keys {sorted(r_allowed)}")
-            gain, bst = (None if r.get(k) in (None, "optimized") else _number(r[k], k)
-                         for k in ("gain", "bs_t_be"))
-            rec = RecoveryConfig(gain=gain, bs_t_be=bst)
         return ScenarioConfig(input_spec=spec, bs_t=_number(obj.get("bs_t"), "bs_t"),
                               attenuation_grid=tuple(_number(t, "attenuation_grid entry")
                                                      for t in grid),
                               cmr_a=_number(obj.get("cmr_a", 0.0), "cmr_a"),
-                              kw_columns=kw_columns, recovery=rec)
+                              kw_columns=kw_columns)
 
 
 def _number(value, name: str) -> float:
@@ -528,10 +519,10 @@ def _number(value, name: str) -> float:
 
 __all__ = [
     "MODULATION_SOURCE", "PHASE_NOISE_SOURCE", "NoiseLoading", "DuanReport",
-    "SweepRow", "ScenarioState", "build_split_state",
+    "SweepRow", "KWFlowPoint", "ScenarioState", "build_split_state",
     "attenuation_sweep", "correlation_flow", "duan_value", "duan_optimize",
     "recover_demodulate", "optimal_demodulation",
     "recover_interfere", "recovery_closed_form", "run_recovery",
     "measurement_optimality_note",
-    "RecoveryConfig", "ScenarioConfig",
+    "ScenarioConfig",
 ]

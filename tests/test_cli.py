@@ -151,6 +151,20 @@ def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypat
     assert err == {"error": "NumericalError", "message": "optimizer did not converge"}
 
 
+@pytest.mark.parametrize("flags", [[], ["--allow-measured"], ["--measured-mode", "A"]])
+def test_discord_command_beyond_float_range_exit_code(tmp_path, capsys, flags):
+    # a physical CM whose closed form overflows a float: exit 1 with a traceback before
+    g = 1e70 * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                         [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
+    assert main(["discord", "--cm", str(path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "NumericalError"
+
+
 def test_discord_command_missing_file(tmp_path, capsys):
     assert main(["discord", "--cm", str(tmp_path / "nope.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"

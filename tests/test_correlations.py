@@ -14,9 +14,9 @@ from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partia
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, ORACLE_GRID, _chart_coefficients,
                                     _e_profile, _oracle_infimum, _oriented_invariants,
-                                    _seed_chart, discord, discord_oracle, entropy_f, kw_audit,
-                                    von_neumann_entropy)
-from gausscorr.errors import InvalidInputError, NonPhysicalStateError
+                                    _seed_chart, discord, discord_oracle, entropy_f, geof,
+                                    kw_audit, von_neumann_entropy)
+from gausscorr.errors import InvalidInputError, NonPhysicalStateError, NumericalError
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
 
@@ -481,6 +481,98 @@ def test_discord_and_oracle_reject_nonphysical_input(mode):
             discord(g, mode)
         with pytest.raises(NonPhysicalStateError):
             discord_oracle(g, mode)
+
+
+# physical, and accepted by CovMatrix, but beyond float range: (D - AB)^2
+# overflows in the closed form, and every entropy argument is above 1e69
+HUGE_CM = 1e70 * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                           [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the class of the package error it raises."""
+    try:
+        return fn(*args)
+    except (InvalidInputError, NonPhysicalStateError, NumericalError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_functionals_raise_numerical_error_beyond_float_range(mode):
+    # an OverflowError, a ZeroDivisionError and an oracle value of 0.0 before
+    assert validate_physical(HUGE_CM) >= -PHYSICALITY_TOL
+    for allow_measured in (False, True):
+        with pytest.raises(NumericalError):
+            discord(HUGE_CM, mode, allow_measured=allow_measured)
+    with pytest.raises(NumericalError):
+        discord_oracle(HUGE_CM, mode)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        geof(HUGE_CM, mode)
+    # at 1e100 det gamma overflows and nu_plus is undefined: the oracle raised
+    # InvalidInputError where discord raised NonPhysicalStateError
+    with np.errstate(all="ignore"):
+        outcomes = (_outcome(discord, 1e30 * HUGE_CM, mode),
+                    _outcome(discord_oracle, 1e30 * HUGE_CM, mode))
+    assert outcomes == (NonPhysicalStateError,) * 2
+
+
+def _near_pure_cm(rng, log_leak, mode):
+    # a squeezed thermal mode that leaks 10^log_leak of its power into the measured vacuum
+    nu = rng.uniform(1.2, 2.5)
+    inner, outer = np.eye(4), np.eye(4)
+    inner[:2, :2] = random_symplectic(rng, 1).entries
+    outer[:2, :2] = random_symplectic(rng, 1).entries
+    outer[2:, 2:] = random_symplectic(rng, 1).entries
+    g = np.diag([nu, nu, 1.0, 1.0])
+    for s in (inner, beamsplitter(1.0 - 10 ** log_leak).entries, outer):
+        g = s @ g @ s.T
+    return g if mode == 1 else g[[2, 3, 0, 1]][:, [2, 3, 0, 1]]
+
+
+# each family with the tolerance the oracle tests above use for it
+_ORACLE_FAMILIES = {"random": 1e-10, "near-pure": 1e-10, "tie": 1e-10, "hot": 1e-8}
+_DEFECTS = {"nan": InvalidInputError, "inf": InvalidInputError,
+            "asymmetric": InvalidInputError, "ragged": InvalidInputError,
+            "nonphysical": NonPhysicalStateError, "huge": NumericalError}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_ORACLE_FAMILIES)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0, 1]), st.sampled_from([None, *sorted(_DEFECTS)]))
+def test_discord_and_oracle_agree_or_fail_alike(family, seed, mode, defect):
+    # a differential test: the closed form and the oracle return the same
+    # discord, or both raise the same package error
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        g = random_physical_cm(rng, 2).entries
+    elif family == "hot":
+        g = random_physical_cm(rng, 2, max_thermal=200.0, squeeze_scale=2.5).entries
+    elif family == "near-pure":
+        g = _near_pure_cm(rng, rng.uniform(-11.0, np.log10(2e-3)), mode)
+    else:
+        g = _branch_tie(rng.uniform(1.2, 4.0), rng.choice([3.0, -3.0]), mode)[0]
+    if defect is None:
+        closed, oracle = discord(g, mode).discord, discord_oracle(g, mode)
+        assert abs(closed - oracle) <= _ORACLE_FAMILIES[family]
+        return
+    g = np.array(g)
+    i, j = rng.integers(4, size=2)
+    if defect == "nan":
+        g[i, j] = np.nan
+    elif defect == "inf":
+        g[i, j] = rng.choice([np.inf, -np.inf])
+    elif defect == "asymmetric":
+        g[i, (i + 1 + j % 3) % 4] += 0.5
+    elif defect == "ragged":
+        g = [list(row) for row in g]
+        del g[i][j]
+    elif defect == "nonphysical":
+        g = np.diag([0.5, 0.5, 1.0, 1.0])
+    else:
+        g = HUGE_CM
+    with np.errstate(all="ignore"):
+        outcomes = _outcome(discord, g, mode), _outcome(discord_oracle, g, mode)
+    assert outcomes == (_DEFECTS[defect],) * 2
 
 
 def _reference_invariants(g, measured_mode):

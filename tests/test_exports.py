@@ -87,3 +87,23 @@ def test_private_names_have_a_caller_in_the_package():
     unused = sorted(f"{name}.{private}" for name, tree in trees.items()
                     for private in _module_level_privates(tree) if private not in used)
     assert not unused, f"private names no package module uses: {unused}"
+
+
+def test_front_ends_import_only_public_names():
+    # the CLI and the experiment scripts stay on the public API: a private
+    # name (leading underscore, dunders aside) is an internal they must not reach
+    root = Path(gausscorr.__file__).resolve().parents[2]
+    paths = [Path(gausscorr.__file__).with_name("cli.py"), *sorted(root.glob("scripts/*.py"))]
+    assert len(paths) > 1
+    private = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names for part in name.split(".")
+                        if part.startswith("_") and not part.startswith("__")]
+    assert not private, f"front ends import private names: {private}"

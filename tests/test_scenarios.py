@@ -11,10 +11,11 @@ from gausscorr.channels import (InputSpec, attenuate, cmr_noise, db_to_variance,
 from gausscorr.core import (CovMatrix, ppt_min_eig, random_physical_cm, random_symplectic,
                             reduce, symplectic_spectrum, validate_physical)
 from gausscorr import channels, correlations, scenarios
-from gausscorr.correlations import (KWFlowPoint, _oriented_invariants, discord,
+from gausscorr.correlations import (_oriented_invariants, discord,
                                     discord_oracle, entropy_f, geof)
 from gausscorr.errors import InvalidInputError
-from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioConfig, ScenarioState, SweepRow,
+from gausscorr.scenarios import (MODULATION_SOURCE, KWFlowPoint, ScenarioConfig, ScenarioState,
+                                 SweepRow,
                                  attenuation_sweep, build_split_state,
                                  correlation_flow, duan_optimize,
                                  duan_value, optimal_demodulation,
@@ -305,7 +306,8 @@ def test_sweep_carries_geof_diagnostics():
     assert [f.name for f in dataclasses.fields(SweepRow)] == [
         "t", "discord", "mutual_info", "classical_corr", "s_a"]
     assert [f.name for f in dataclasses.fields(KWFlowPoint)] == [
-        "t", "s_a", "j_ab", "e_f_ae", "geof_feasibility_gap"]
+        "t", "discord", "mutual_info", "classical_corr", "s_a", "e_f_ae",
+        "geof_feasibility_gap"]
 
 
 def test_flow_rows_describe_the_state_they_are_given():
@@ -327,7 +329,8 @@ def test_flow_rows_describe_the_state_they_are_given():
 
 
 def test_flow_point_positional_construction():
-    p = KWFlowPoint(0.5, 2.0, 0.75, 1.0, 0.0)
+    p = KWFlowPoint(0.5, 0.5, 1.25, 0.75, 2.0, 1.0, 0.0)
+    assert p.j_ab == 0.75
     assert p.residual == 0.25
     assert p.geof_feasibility_gap == 0.0
 
@@ -521,11 +524,9 @@ def test_scenario_config_parsing():
         "attenuation_grid": [1.0, 0.5],
         "cmr_a": 0.047,
         "kw_columns": True,
-        "recovery": {"bs_t_be": "optimized"},
     })
     assert cfg.input_spec.v_p == 38.4
     assert cfg.kw_columns
-    assert cfg.recovery.bs_t_be is None
 
 
 def test_scenario_config_rejects_unknown_keys():
