@@ -45,14 +45,17 @@ def entropy_f(x: float) -> float:
 def _f(x: float) -> float:
     """:func:`entropy_f` of an argument already known to be >= 1, without its checks.
 
-    From x = 2^53 (about 9e15) on, x + 1 and x - 1 are no longer both
-    floats, and u ln u - v ln v with u - v = 1 can keep no digit: such an
-    argument (inf too) raises NumericalError instead of returning a value.
+    With v = (x - 1)/2, f = (v + 1) ln(v + 1) - v ln v = log1p(v) + v log1p(1/v),
+    which keeps full relative precision on the whole range: near x = 1, v is
+    exact where (x + 1)/2 would round, and the two large terms never cancel.
+    From x = 2^53 (about 9e15) on, x - 1 is no longer exact and entropy
+    differences of such arguments keep no digit: such an argument (inf too)
+    raises NumericalError instead of returning a value.
     """
     if x >= 2.0 ** 53:
         raise NumericalError(f"entropy argument {x:.6g} is beyond float precision")
-    u, v = (x + 1) / 2, (x - 1) / 2
-    return u * math.log(u) - (v * math.log(v) if v else 0.0)
+    v = (x - 1) / 2
+    return math.log1p(v) + v * math.log1p(1 / v) if v else 0.0
 
 
 def von_neumann_entropy(cm) -> float:
@@ -78,7 +81,7 @@ class GEoFResult:
     optimal_pure_cm: CovMatrix
     feasibility_gap: float
     converged: bool
-    nfev: int = 0            # GEoF objective evaluations over all starts and the polish
+    nfev: int = 0            # Nelder-Mead evaluations, or the x-p candidates scored
     # how the value was obtained: "k1-closed-form", "xp-search" or "nelder-mead"
     method: str = "nelder-mead"
 
@@ -451,22 +454,56 @@ def _xp_pure_cm(sf, x):
     local symplectics of sf then undo the reduction to standard form.
     """
     pure = np.zeros((4, 4))
-    pure[0::2, 0::2], pure[1::2, 1::2] = x, np.linalg.inv(x)
-    s = np.zeros((4, 4))
-    s[:2, :2], s[2:, 2:] = (op.entries for op in sf.local_ops)
-    s_inv = np.linalg.inv(s)
+    pure[0::2, 0::2], pure[1::2, 1::2] = x, _adj(x) / _det2(x)
+    # a 2x2 symplectic has det 1, so its inverse is its adjugate
+    s_inv = np.zeros((4, 4))
+    s_inv[:2, :2], s_inv[2:, 2:] = (_adj(op.entries) for op in sf.local_ops)
     pure = s_inv @ pure @ s_inv.T
     return (pure + pure.T) / 2
 
 
-XP_GRID = 64
 # seeded Nelder-Mead starts beside the vacuum start, and their generator's seed (1x2, k >= 2)
 GEOF_RESTARTS = 8
 GEOF_SEED = 0
 
 
+def _polymul(a, b) -> list:
+    """Product of two coefficient lists (lowest degree first), in plain floats."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _stationary_points(num, den) -> list:
+    """Real parts of the roots of num' den - num den': the stationary points of num / den.
+
+    Coefficients run from the lowest degree up.  The polynomial's terms
+    (i - j) num_i den_j t^(i + j - 1) vanish exactly for i = j, so equal
+    degrees drop the top one; its roots are the eigenvalues of its companion
+    matrix.  Callers score every candidate with their own evaluator, so a
+    misplaced root can only raise their minimum.  A coefficient beyond float
+    range raises NumericalError.
+    """
+    p = [0.0] * (len(num) + len(den) - 2)
+    for i, x in enumerate(num):
+        for j, y in enumerate(den):
+            p[i + j - 1] += (i - j) * x * y
+    while p and p[-1] == 0.0:
+        p.pop()
+    if len(p) < 2:
+        return []
+    column = [-c / p[-1] for c in p[:-1]]
+    if not all(map(math.isfinite, column + p[-1:])):
+        raise NumericalError("stationary-point polynomial has a coefficient beyond float range")
+    companion = np.eye(len(column), k=-1)
+    companion[:, -1] = column
+    return np.linalg.eigvals(companion).real.tolist()
+
+
 def _xp_geof(g):
-    """GEoF of a two-mode CM with both symplectic eigenvalues above 1, by a 1-D search.
+    """GEoF of a two-mode CM with both symplectic eigenvalues above 1, minimized exactly in 1-D.
 
     In standard form, ordered (x_A, x_B | p_A, p_B), gamma = Gx (+) Gp with
     Gx = [[a, c_plus], [c_plus, b]] and Gp = [[a, c_minus], [c_minus, b]].
@@ -478,45 +515,45 @@ def _xp_geof(g):
     to n.  This is X = Gx - u u^T / (u^T M^-1 u) with u = L^-T n'.  Charting
     by n rather than u spreads the angle evenly when M is nearly singular
     (near k = 1), and forms no det M, whose rounding would leave X infeasible
-    there.  A grid of XP_GRID angles over [0, pi), evaluated in one broadcast
-    pass, picks the cell, and a bounded Brent search refines it.  Returns the
-    marginal det, the certifying pure CM in gamma's frame, the evaluation
-    count (grid plus refine) and whether the refined minimum lies inside its
-    grid bracket at or below every grid value (to 1e-13 relative, rounding).
+    there.  With t = tan phi, (1 + t^2) X is quadratic in t, so the marginal
+    det is a ratio of two quartics: its minimum over [0, pi) lies at one of
+    their stationary points (:func:`_stationary_points`) or at phi = pi/2.
+    Each candidate is scored in phi.  Returns the marginal det, the
+    certifying pure CM in gamma's frame and the number of scored candidates.
     """
     sf = _standard_form(g)
     a, b, cm = sf.a, sf.b, sf.c_minus
     dp = a * b - cm * cm                   # det Gp
     p11, p22, p12 = b / dp, a / dp, -cm / dp
-    (l11, _), (l21, l22) = np.linalg.cholesky(
-        np.array([[a - p11, sf.c_plus - p12], [sf.c_plus - p12, b - p22]])).tolist()
+    # M = Gx - Gp^-1 = L L^T, factored in floats
+    m11, m21 = a - p11, sf.c_plus - p12
+    m22 = b - p22 - m21 * m21 / m11 if m11 > 0.0 else math.nan
+    if not 0.0 < m22 < math.inf:
+        raise NumericalError("x-p GEoF search lost Gx - Gp^-1 > 0 to rounding")
+    l11, l22 = math.sqrt(m11), math.sqrt(m22)
+    l21 = m21 / l11
 
     def tight(c, s):
         v1, v2 = l11 * c, l21 * c + l22 * s
         return p11 + v1 * v1, p22 + v2 * v2, p12 + v1 * v2
 
-    def marginal_det(c, s):
-        x11, x22, x12 = tight(c, s)
-        return x11 * x22 / (x11 * x22 - x12 * x12)
-
-    step = math.pi / XP_GRID
-    phis = step * np.arange(XP_GRID)
-    grid = marginal_det(np.cos(phis), np.sin(phis))
-    i = int(np.argmin(grid))
-    lo, hi = phis[i] - step, phis[i] + step
-    try:
-        phi, det, nfev = bounded_brent(lambda p: marginal_det(math.cos(p), math.sin(p)),
-                                       lo, hi, xatol=1e-12)
-    except ZeroDivisionError:
-        det = math.nan
-    if not 0.0 < det < math.inf:
-        # det X >= 1 / det Gp > 0 was lost to rounding against x11 x22
-        raise NumericalError("x-p GEoF search lost det X to rounding: CM entries too large")
-    # a grid point at the exact optimum (symmetric states) can beat the refine by a few ulps
-    converged = bool(lo < phi < hi and det <= grid[i] * (1.0 + 1e-13))
+    # (1 + t^2) (x11, x22, x12) as quadratics in t = tan phi
+    num = _polymul([p11 + l11 * l11, 0.0, p11],
+                   [p22 + l21 * l21, 2.0 * l21 * l22, p22 + l22 * l22])
+    q12 = [p12 + l11 * l21, l11 * l22, p12]
+    den = [x - y for x, y in zip(num, _polymul(q12, q12))]
+    phis = [math.atan(t) for t in _stationary_points(num, den)] + [math.pi / 2]
+    scored = []
+    for phi in phis:
+        x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
+        det_x = x11 * x22 - x12 * x12
+        if not 0.0 < det_x < math.inf:
+            # det X >= 1 / det Gp > 0 was lost to rounding against x11 x22
+            raise NumericalError("x-p GEoF search lost det X to rounding: CM entries too large")
+        scored.append((x11 * x22 / det_x, phi))
+    det, phi = min(scored)
     x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
-    return (float(det), _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])),
-            XP_GRID + nfev, converged)
+    return det, _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])), len(phis)
 
 
 def _k1_geof(g, s, nus, a_mode: int = 0):
@@ -562,13 +599,13 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
     single a_mode)); the rest side must have 1 or 2 modes.  The route follows
     k, the number of symplectic eigenvalues above 1, read from one Williamson
     frame: k <= 1 (pure inputs included) is the closed form :func:`_k1_geof`,
-    a two-mode input with k = 2 is a 1-D search in the standard form's x-p
-    picture (:func:`_xp_geof`), and a 1x2 input with k >= 2 takes the best
-    Nelder-Mead optimum over the vacuum start and GEOF_RESTARTS seeded ones;
+    a two-mode input with k = 2 is an exact 1-D minimization in the standard
+    form's x-p picture (:func:`_xp_geof`), and a 1x2 input with k >= 2 takes
+    the best Nelder-Mead optimum over the vacuum start and GEOF_RESTARTS seeded ones;
     there converged asks that two starts end within 1e-9 of the value.  A PPT
     input gets GEoF = 0 from whichever route its k selects.  Returns the
     value with the certifying pure CM, the number of objective evaluations
-    (0 for the closed form, grid plus refine for the x-p search) and the
+    (0 for the closed form, the scored candidates for the x-p search) and the
     method that produced it.
     """
     g = _checked(cm)
@@ -587,11 +624,11 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
 
     if n == 2:
         # k = 2; both marginals of a pure two-mode CM have the same det: a_mode drops out
-        det_a, gamma_p, nfev, converged = _xp_geof(g)
+        det_a, gamma_p, nfev = _xp_geof(g)
         return GEoFResult(value=entropy_f(max(math.sqrt(det_a), 1.0)),
                           optimal_pure_cm=CovMatrix(gamma_p),
                           feasibility_gap=float(np.linalg.eigvalsh(g - gamma_p).min()),
-                          converged=converged, nfev=nfev, method="xp-search")
+                          converged=True, nfev=nfev, method="xp-search")
 
     from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
 

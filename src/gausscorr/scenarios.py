@@ -14,6 +14,7 @@ purification serves, because E_F(A:E) does not change under a unitary on E.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,9 +24,11 @@ from .channels import InputSpec, attenuate, beamsplitter, _purify
 from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig,
                    _oriented_invariants, _physical, _quadrature_indices, _symplectic, _two_mode,
                    _williamson_frame)
-from .correlations import entropy_f, kw_audit, _discord_report, _k1_geof
-from .errors import InvalidInputError, NonPhysicalStateError
+from .correlations import (entropy_f, kw_audit, _discord_report, _k1_geof, _polymul,
+                           _stationary_points)
+from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
+_EPS = sys.float_info.epsilon
 MODULATION_SOURCE = "modulation_x"
 PHASE_NOISE_SOURCE = "phase_noise_p"
 
@@ -296,15 +299,31 @@ def _duan(e, g, sx):
     """Duan value at gain g and signs (sx, -sx) of the 4x4 nested list e.
 
     (g^2 m00 + sx g mx + m22)(g^2 m11 - sx g mp + m33) / (g^2 + 1)^2 with
-    mx = m02 + m20 and mp = m13 + m31; g may be an array.
+    mx = m02 + m20 and mp = m13 + m31.
     """
     g2 = g * g
     return ((g2 * e[0][0] + sx * g * (e[0][2] + e[2][0]) + e[2][2])
-            * (g2 * e[1][1] - sx * g * (e[1][3] + e[3][1]) + e[3][3]) / (g2 + 1) ** 2)
+            * (g2 * e[1][1] - sx * g * (e[1][3] + e[3][1]) + e[3][3]) / ((g2 + 1) * (g2 + 1)))
 
 
 def _duan_report(e, g, sx) -> DuanReport:
-    value = float(_duan(e, g, sx))
+    """The Duan value at (g, sx); NumericalError where float rounding decides it.
+
+    Each factor of the value is the variance of a quadrature combination, so
+    positive for a physical state.  A factor at or below its rounding bound
+    4 eps (g^2 |m_ii| + g |m_ij + m_ji| + |m_jj|), or a gain or value that is
+    not finite, leaves the value, and the entanglement verdict, without a digit.
+    """
+    value = _duan(e, g, sx)
+    if not (math.isfinite(g) and math.isfinite(value)):
+        raise NumericalError(f"Duan value {value!r} at gain {g!r} is beyond float range")
+    g2 = g * g
+    for (i, j), s in (((0, 2), sx), ((1, 3), -sx)):
+        mix = s * g * (e[i][j] + e[j][i])
+        if not (g2 * e[i][i] + mix + e[j][j]
+                > 4 * _EPS * (g2 * abs(e[i][i]) + abs(mix) + abs(e[j][j]))):
+            raise NumericalError(f"a Duan quadrature variance at gain {g:.6g} is lost to "
+                                 "rounding: CM entries too large")
     return DuanReport(g=float(g), signs=(sx, -sx), value=value, entangled=value < 1.0)
 
 
@@ -322,33 +341,33 @@ def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     return _duan_report(_two_mode(cm).tolist(), g, sx)
 
 
-DUAN_GRID = 128
-
-
 def _duan_search(e, sxs) -> tuple:
     """(g, sx) minimizing the Duan value of e over g in [e^-6, e^6] and sx in sxs.
 
-    A DUAN_GRID-point log g grid for each sign, evaluated in one broadcast
-    pass, picks the best cell, and one bounded Brent search refines it; the
-    value can have three local minima in log g, so a search started from one
-    bracket alone can stop in a local minimum.
+    The value at sign -1 and gain g is that at sign +1 and gain -g, a ratio
+    of two quartics in g, so one root solve (:func:`_stationary_points`)
+    gives the stationary points for both signs.  The candidates are those
+    with e^-6 < |g| < e^6 and the ends +-e^-6 and +-e^6; sxs = (1,) keeps
+    g > 0.  Each is scored by :func:`_duan`, and the first minimum wins.
     """
-    step = 12.0 / (DUAN_GRID - 1)
-    lgs = -6.0 + step * np.arange(DUAN_GRID)
-    gs = np.exp(lgs)
-    grid = np.stack([_duan(e, gs, sx) for sx in sxs])
-    si, i = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    sx = sxs[si]
-    lg, fun, _ = bounded_brent(lambda lg: _duan(e, math.exp(lg), sx),
-                               max(lgs[i] - step, -6.0), min(lgs[i] + step, 6.0), xatol=1e-12)
-    lg = lg if fun < grid[si, i] else lgs[i]
-    return math.exp(lg), sx
+    lo, hi = math.exp(-6.0), math.exp(6.0)
+    num = _polymul([e[2][2], e[0][2] + e[2][0], e[0][0]],
+                   [e[3][3], -(e[1][3] + e[3][1]), e[1][1]])
+    roots = [r for r in _stationary_points(num, [1.0, 0.0, 2.0, 0.0, 1.0]) if lo < abs(r) < hi]
+    best, arg = math.inf, (lo, sxs[0])
+    for r in roots + [lo, hi, -lo, -hi]:
+        sx = 1 if r > 0 else -1
+        if sx in sxs:
+            v = _duan(e, abs(r), sx)
+            if v < best:
+                best, arg = v, (abs(r), sx)
+    return arg
 
 
 def duan_optimize(cm) -> DuanReport:
     """Minimize the Duan value over gain g in [e^-6, e^6] (both sign pairs).
 
-    :func:`optimal_demodulation` runs the same grid and Brent search.
+    :func:`optimal_demodulation` runs the same exact search.
     """
     e = _two_mode(cm).tolist()
     return _duan_report(e, *_duan_search(e, (1, -1)))

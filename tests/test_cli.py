@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from gausscorr.errors import NumericalError
 from gausscorr.channels import InputSpec, tmsv_cm
 from gausscorr.scenarios import (ScenarioState, attenuation_sweep, build_split_state,
                                  correlation_flow)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -350,6 +353,22 @@ def test_recover_command_interfere(fig3_config, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["entangled"] is True
     assert 0.0 < out["bs_t_be"] < 1.0
+
+
+@pytest.mark.parametrize("mode", ["demodulate", "interfere"])
+@pytest.mark.parametrize("huge", [("v_x",), ("v_x", "v_p")])
+def test_recover_command_beyond_float_range_exit_code(tmp_path, capsys, mode, huge):
+    # v_x = 1e200 read "value": 0.0, "entangled": true (interfere) or 1.27e180
+    # (demodulate); v_x = v_p = 1e200 wrote "value": Infinity, which is not JSON
+    cfg = json.loads((ROOT / "scripts" / "configs" / "recovery.json").read_text())
+    cfg["input"].update(dict.fromkeys(huge, 1e200))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["recover", "--config", str(path), "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "NumericalError"
 
 
 def test_recover_command_no_modulation_not_entangled(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -33,6 +34,32 @@ def test_entropy_f_monotone():
     xs = np.linspace(1.0, 50.0, 200)
     vals = [entropy_f(x) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_entropy_f_matches_a_decimal_reference():
+    # u ln u - v ln v lost 8e-2 relative near 1e15 and 5e-11 near 1; 60 digits as reference
+    xs = [1.0 + d for d in np.logspace(-15, 53 * math.log10(2.0), 2001).tolist()]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for x in [x for x in xs if x < 2.0 ** 53] + [2.0 ** 53 - 1]:
+            v = (decimal.Decimal(x) - 1) / 2
+            want = (v + 1) * (v + 1).ln() - v * v.ln()
+            assert abs(decimal.Decimal(entropy_f(x)) - want) <= decimal.Decimal(4e-16) * want, x
+
+
+def test_discord_and_oracle_follow_a_scaled_separable_state():
+    # s g0 has discord near 1 / (6 s); with u ln u - v ln v the closed form read
+    # -4.8e-7 at s = 1e8 and the oracle 0.0 at 1e10.  Beyond about s = 1e6 the
+    # discord is a difference of entropy terms near ln s that keeps only their
+    # last few ulps, so agreement is asked to 1e-6 relative or to 4 ulps of them
+    g0 = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                   [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+    for k in range(11):
+        g = 10.0 ** k * g0
+        closed, oracle = discord(g).discord, discord_oracle(g)
+        assert closed > 0 and oracle > 0, k
+        floor = 4 * math.ulp(entropy_f(math.sqrt(np.linalg.det(g[2:, 2:]))))
+        assert abs(closed - oracle) <= 1e-6 * closed + floor, k
 
 
 def test_entropy_f_rejects_below_clamp():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
                             two_mode_symplectic_values, validate_physical)
 from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, discord,
                                     entropy_f, geof, von_neumann_entropy)
-from gausscorr.errors import InvalidInputError
+from gausscorr.errors import InvalidInputError, NumericalError
 
 from conftest import make_separable_cm
 
@@ -383,6 +385,24 @@ def test_geof_two_mode_k2_matches_search(monkeypatch):
         assert np.linalg.eigvalsh(g - pure).min() >= -1e-9
         det_a = np.linalg.det(pure[ai, ai])
         assert abs(entropy_f(max(np.sqrt(det_a), 1.0)) - res.value) <= 1e-12
+
+
+def test_geof_of_a_scaled_separable_state_is_zero():
+    # s g0 is PPT, hence separable; the 64-point grid missed its valley, about
+    # 1/s wide, from s = 1e2 on (2.0e-8 at 1e4, 1.1e-4 at 1e6, unconverged)
+    g0 = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                   [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+    assert ppt_min_eig(g0) >= -1e-15
+    for k in range(8):
+        g = 10.0 ** k * g0
+        res = geof(g)
+        assert res.value <= 1e-12 and res.converged and res.method == "xp-search", k
+        assert res.feasibility_gap >= -1e-15 * np.abs(g).max(), k
+    # det X is lost to rounding at 1e8: a package error, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            geof(1e8 * g0)
 
 
 def test_geof_three_mixed_modes_feasible_and_pure():

@@ -13,7 +13,7 @@ from gausscorr.core import (CovMatrix, ppt_min_eig, random_physical_cm, random_s
 from gausscorr import channels, correlations, scenarios
 from gausscorr.correlations import (_oriented_invariants, discord,
                                     discord_oracle, entropy_f, geof)
-from gausscorr.errors import InvalidInputError
+from gausscorr.errors import InvalidInputError, NumericalError
 from gausscorr.scenarios import (MODULATION_SOURCE, KWFlowPoint, ScenarioConfig, ScenarioState,
                                  SweepRow,
                                  attenuation_sweep, build_split_state,
@@ -374,6 +374,13 @@ def test_duan_sign_validation():
         duan_value(np.eye(4), -1.0)
 
 
+def test_duan_value_beyond_float_range_raises():
+    # a gain of 1e100 raised a bare OverflowError from (g^2 + 1) ** 2
+    for g in (1e100, 1e200):
+        with pytest.raises(NumericalError):
+            duan_value(np.eye(4), g)
+
+
 def test_demodulate_kills_combination_loading():
     st = build_split_state(SQUEEZED, 0.5)
     g = 1.3
@@ -462,7 +469,8 @@ def test_full_demodulation_pipeline_recovers_entanglement():
     out, rep = optimal_demodulation(st)
     assert rep.entangled
     assert rep.value == pytest.approx(db_to_variance(-3.0), abs=1e-6)
-    assert rep.g == pytest.approx(1.0, abs=1e-4)
+    # the balanced split's optimum is g = 1; a grid and Brent cell stopped 2.6e-9 off
+    assert abs(rep.g - 1.0) <= 1e-12
 
 
 def test_interfere_pipeline_recovers_entanglement():
