@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CovMatrix, SymplecticTransform, _checked, _physical, _quadrature_indices,
-                   _two_mode, _williamson_frame)
+from .core import CovMatrix, SymplecticTransform, _checked, _quadrature_indices
 from .errors import InvalidInputError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
@@ -128,46 +127,15 @@ def attenuate(cm, mode: int, t: float, keep_environment: bool = False) -> CovMat
     return CovMatrix(out)
 
 
-def modulate(cm, mode: int, w_x: float, w_p: float) -> CovMatrix:
-    """Add classical Gaussian displacement noise diag(w_x, w_p) to one mode."""
-    if w_x < 0 or w_p < 0:
-        raise InvalidInputError("noise variances must be nonnegative")
-    g = _checked(cm).copy()
-    x, p = _quadrature_indices(g.shape[0] // 2, [mode])
-    g[x, x] += w_x
-    g[p, p] += w_p
-    return CovMatrix(g)
-
-
-def cmr_noise(cm, a: float, t: float) -> CovMatrix:
-    """Detector common-mode-rejection noise on a two-mode CM.
-
-    Adds diag(a, a, t*a, t*a): constant on the first mode, scaled by the
-    attenuation transmittance t on the second.
-    """
-    if a < 0:
-        raise InvalidInputError("CMR variance must be nonnegative")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError("transmittance must be in [0, 1]")
-    return CovMatrix(_two_mode(cm) + np.diag([a, a, t * a, t * a]))
-
-
-def minimal_purification(cm) -> CovMatrix:
-    """Pure CM of the given n modes plus one purifying mode per mixed Williamson mode.
-
-    Williamson-decompose gamma = S (oplus nu_i I) S^T.  Each nu_i > 1 + 1e-6
-    gets a two-mode squeezed vacuum core with m = nu_i whose partner mode is
-    appended after the n system modes (in Williamson order); the other nu_i
-    are set to exactly 1, so their modes need no purifier.  S is then applied
-    on the system modes.  The system reduction is gamma up to that tolerance.
-    The input's physicality is checked once; the cores are written in place
-    and the frame is applied on plain arrays (:func:`_purify`).
-    """
-    return CovMatrix(_purify(*_williamson_frame(_physical(_checked(cm)))))
-
-
 def _purify(s, nus) -> np.ndarray:
-    """Symmetric :func:`minimal_purification` array of a Williamson frame (s, nus)."""
+    """Pure CM, as a symmetric array, of the Williamson frame (s, nus) of an n-mode CM.
+
+    Each nu_i > 1 + PURE_TOL gets a two-mode squeezed vacuum core with
+    m = nu_i whose partner mode is appended after the n system modes (in
+    Williamson order); the other nu_i are set to exactly 1, so their modes
+    need no purifier.  s is then applied on the system modes, whose reduction
+    is the CM up to that tolerance.
+    """
     n = len(nus)
     mixed = np.flatnonzero(nus > 1.0 + PURE_TOL)
     size = 2 * (n + len(mixed))
@@ -196,6 +164,5 @@ def tmsv_cm(m: float) -> CovMatrix:
 
 __all__ = [
     "InputSpec", "db_to_variance", "beamsplitter",
-    "squeezer", "rotation", "attenuate", "modulate", "cmr_noise",
-    "minimal_purification", "tmsv_cm",
+    "squeezer", "rotation", "attenuate", "tmsv_cm",
 ]

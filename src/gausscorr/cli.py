@@ -54,7 +54,10 @@ def _check_out_path(path):
 
 
 def _emit(obj, out_path=None):
-    text = json.dumps(obj, indent=1)
+    try:
+        text = json.dumps(obj, indent=1, allow_nan=False)
+    except ValueError as exc:  # NaN or Infinity, which JSON has no literal for
+        raise NumericalError(f"output is not finite: {exc}") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NonPhysicalStateError
+from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -243,11 +243,6 @@ def seralian(cm) -> float:
     return a + b + 2 * c
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def _proper_svd(m: np.ndarray):
     """m = u diag(d) vt with u, vt proper rotations; d[1] may be negative."""
     u, sv, vt = np.linalg.svd(m)
@@ -273,6 +268,7 @@ def standard_form(cm) -> StandardForm:
     Each local block is Williamson-diagonalized to a multiple of the
     identity, the cross block is then diagonalized with local rotations, and
     the signs/order are fixed to the canonical convention c_plus >= |c_minus|.
+    A local block whose determinant overflows a float raises NumericalError.
     """
     return _standard_form(_physical(_two_mode(cm)))
 
@@ -280,26 +276,22 @@ def standard_form(cm) -> StandardForm:
 def _standard_form(g: np.ndarray) -> StandardForm:
     """:func:`standard_form` of the checked entries g of a physical two-mode CM."""
     alpha, beta, delta = g[:2, :2], g[2:, 2:], g[:2, 2:]
-    a = float(np.sqrt(np.linalg.det(alpha)))
-    b = float(np.sqrt(np.linalg.det(beta)))
+    det_a, det_b = float(np.linalg.det(alpha)), float(np.linalg.det(beta))
+    if not (0.0 < det_a < math.inf and 0.0 < det_b < math.inf):
+        raise NumericalError("standard form: a local determinant is beyond float range")
+    a, b = math.sqrt(det_a), math.sqrt(det_b)
     # symmetric det-1 congruence bringing each block to a multiple of identity
     sa = np.linalg.inv(_sqrt_2x2(alpha / a))
     sb = np.linalg.inv(_sqrt_2x2(beta / b))
 
+    # rotations with u^T (sa delta sb^T) vt^T = diag(d); the singular values come
+    # sorted and non-negative, and only d[1] changes sign, so d[0] >= |d[1]| is
+    # already the canonical order
     u, d, vt = _proper_svd(sa @ delta @ sb.T)
-    ra, rb = u.T, vt  # rotations with ra (sa delta sb^T) rb^T = diag(d)
-    c1, c2 = float(d[0]), float(d[1])
-    if abs(c2) > abs(c1):
-        quarter = _rotation(np.pi / 2)
-        ra, rb = quarter @ ra, quarter @ rb
-        c1, c2 = c2, c1
-    if c1 < 0:
-        ra = -ra  # pi rotation on mode A flips both cross entries
-        c1, c2 = -c1, -c2
-
-    s_a = SymplecticTransform(ra @ sa)
-    s_b = SymplecticTransform(rb @ sb)
-    return StandardForm(a=a, b=b, c_plus=c1, c_minus=c2, local_ops=(s_a, s_b))
+    s_a = SymplecticTransform(u.T @ sa)
+    s_b = SymplecticTransform(vt @ sb)
+    return StandardForm(a=a, b=b, c_plus=float(d[0]), c_minus=float(d[1]),
+                        local_ops=(s_a, s_b))
 
 
 def partial_transpose(cm, mode: int) -> CovMatrix:
@@ -398,39 +390,6 @@ def _williamson_frame(g: np.ndarray):
     z = np.empty((2 * n, 2 * n))
     z[:, 0::2], z[:, 1::2] = u.imag, u.real
     return root @ z / np.repeat(np.sqrt(nus), 2), nus
-
-
-# ---------------------------------------------------------------------------
-# random physical states (seeded; used by property tests and the oracle suite)
-
-def random_symplectic(rng, n_modes: int, squeeze_scale: float = 0.6) -> SymplecticTransform:
-    """Random symplectic built from rotations, local squeezers and beamsplitters."""
-    from .channels import beamsplitter, squeezer  # local import avoids a cycle
-
-    s = np.eye(2 * n_modes)
-    for i in range(n_modes):
-        sq = np.exp(rng.uniform(-squeeze_scale, squeeze_scale))
-        loc = (_rotation(rng.uniform(0, 2 * np.pi))
-               @ np.diag([sq, 1.0 / sq])
-               @ _rotation(rng.uniform(0, 2 * np.pi)))
-        full = np.eye(2 * n_modes)
-        full[2 * i:2 * i + 2, 2 * i:2 * i + 2] = loc
-        s = full @ s
-    for i in range(n_modes):
-        for j in range(i + 1, n_modes):
-            s = beamsplitter(rng.uniform(0.05, 0.95), n_modes, (i, j)).entries @ s
-    for i in range(n_modes):
-        sq = squeezer(np.exp(rng.uniform(-squeeze_scale, squeeze_scale)), n_modes, i)
-        s = sq.entries @ s
-    return SymplecticTransform(s)
-
-
-def random_physical_cm(rng, n_modes: int = 2, max_thermal: float = 2.5,
-                       squeeze_scale: float = 0.6) -> CovMatrix:
-    """Random physical CM: S diag(nu_i I) S^T with nu_i >= 1."""
-    nus = rng.uniform(1.0, max_thermal, n_modes)
-    core = np.diag(np.repeat(nus, 2))
-    return apply_symplectic(core, random_symplectic(rng, n_modes, squeeze_scale))
 
 
 # ---------------------------------------------------------------------------

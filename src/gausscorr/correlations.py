@@ -127,10 +127,13 @@ def _inf_det_eps(a, b, c, d):
 def _symplectic_values(a, b, c, d) -> tuple[float, float]:
     """(nu_minus, nu_plus) from the oriented invariants; undefined ones raise.
 
-    A <= 0, B <= 0 or nu_plus^2 < 0 (also a det gamma that overflowed)
-    leaves a symplectic value undefined: NonPhysicalStateError, in
-    :func:`discord` and :func:`discord_oracle` alike.
+    An invariant that overflowed a float (det gamma first, from CM entries
+    near 1e77) raises NumericalError.  Finite A <= 0, B <= 0 or
+    nu_plus^2 < 0 leaves a symplectic value undefined: NonPhysicalStateError,
+    in :func:`discord` and :func:`discord_oracle` alike.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise NumericalError("a local invariant overflows a float: CM entries too large")
     nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
     if not (a > 0 and b > 0) or math.isnan(nu_plus):
         raise NonPhysicalStateError("a symplectic value is undefined; state not physical")

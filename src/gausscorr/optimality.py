@@ -10,11 +10,12 @@ discord, so interpreting the Gaussian value as discord is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 
 CERTIFY_TOL = 1e-9
 
@@ -45,57 +46,27 @@ class OptimalityCertificate(DecompositionParams):
 
 
 def _check_ordering(v_x: float, v_p: float):
-    if not v_p > v_x > 1.0:
-        raise InvalidInputError(f"need v_p > v_x > 1, got v_x={v_x}, v_p={v_p}")
-
-
-def split_standard_form(v_x: float, v_p: float):
-    """Standard-form elements (a, c_x, c_p) of the balanced split state.
-
-    a = b = sqrt((V_x+1)(V_p+1))/2 and the cross entries carried by the x and
-    p quadratures respectively.  Note c_x < c_p for V_p > V_x, so the
-    canonical ordering of :func:`gausscorr.core.standard_form` lists them
-    swapped.
-    """
-    _check_ordering(v_x, v_p)
-    a = np.sqrt((v_x + 1) * (v_p + 1)) / 2
-    c_x = np.sqrt((v_p + 1) / (v_x + 1)) * (v_x - 1) / 2
-    c_p = np.sqrt((v_x + 1) / (v_p + 1)) * (v_p - 1) / 2
-    return float(a), float(c_x), float(c_p)
+    if not (math.isfinite(v_p) and v_p > v_x > 1.0):
+        raise InvalidInputError(f"need finite v_p > v_x > 1, got v_x={v_x}, v_p={v_p}")
 
 
 def decomposition_params(v_x: float, v_p: float) -> DecompositionParams:
-    """Channel decomposition (m, tau, eta, r, xi) of the split squeezed state."""
+    """Channel decomposition (m, tau, eta, r, xi) of the split squeezed state.
+
+    v_p > v_x > 1 must hold with v_p finite (InvalidInputError); a parameter
+    that overflows a float raises NumericalError.
+    """
     _check_ordering(v_x, v_p)
     denom = (v_x + 1) * (v_p + 1) - 4
     m = np.sqrt((v_x + 1) * (v_p + 1)) / 2
     tau = -(v_x - 1) * (v_p - 1) / denom
     eta = 2 * (v_x * v_p - 1) / denom
     r = np.sqrt((v_x + 1) / (v_p + 1)) * (v_p - 1) / (v_x - 1)
-    theta = _theta_factory(m, tau, eta)
-    xi = r * theta(1 / r) / theta(r)
-    return DecompositionParams(m=float(m), tau_channel=float(tau), eta=float(eta),
-                               r=float(r), xi=float(xi))
-
-
-def _theta_factory(m, tau, eta):
-    def theta(r):
-        return np.sqrt(eta * r + abs(tau) * m)
-    return theta
-
-
-def reconstructed_standard_form(params: DecompositionParams):
-    """Standard-form elements (a, c_x, c_p) rebuilt from the decomposition.
-
-    a = theta(r) theta(1/r), c entries from |tau| (m^2 - 1) and the theta
-    ratio; signs follow the phase-conjugating channel (tau < 0).
-    """
-    m, tau, r = params.m, params.tau_channel, params.r
-    theta = _theta_factory(m, tau, params.eta)
-    a = theta(r) * theta(1 / r)
-    c_x = np.sqrt(abs(tau) * (m * m - 1) * theta(1 / r) / theta(r))
-    c_p = -np.sign(tau) * np.sqrt(abs(tau) * (m * m - 1) * theta(r) / theta(1 / r))
-    return float(a), float(c_x), float(c_p)
+    xi = r * np.sqrt(eta * (1 / r) + abs(tau) * m) / np.sqrt(eta * r + abs(tau) * m)
+    values = tuple(map(float, (m, tau, eta, r, xi)))
+    if not all(map(math.isfinite, values)):
+        raise NumericalError(f"decomposition parameters overflow a float at v_x={v_x}, v_p={v_p}")
+    return DecompositionParams(*values)
 
 
 def vx_threshold(v_p: float) -> float:
@@ -121,7 +92,6 @@ def certify(v_x: float, v_p: float) -> OptimalityCertificate:
 
 
 __all__ = [
-    "DecompositionParams", "OptimalityCertificate", "split_standard_form",
-    "decomposition_params", "reconstructed_standard_form", "vx_threshold",
-    "certify",
+    "DecompositionParams", "OptimalityCertificate", "decomposition_params",
+    "vx_threshold", "certify",
 ]

@@ -444,22 +444,6 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
     return replace(out, meta=dict(out.meta, bs_t_be=float(bs_t_be)))
 
 
-def recovery_closed_form(r: float, big_t: float, g: float) -> float:
-    """Ideal demodulated Duan value for a split squeezed input without excess noise.
-
-    [e^{2r}(gT-R)^2 + (gR+T)^2][e^{-2r}(gT+R)^2 + (gR-T)^2] / (g^2+1)^2
-    with R = sqrt(1 - T^2); for a balanced splitter and g = 1 this is e^{-2r}.
-    """
-    if not 0.0 <= big_t <= 1.0:
-        raise InvalidInputError("amplitude transmittance must be in [0, 1]")
-    if g <= 0:
-        raise InvalidInputError("gain must be positive")
-    big_r = np.sqrt(1.0 - big_t * big_t)
-    up = np.exp(2 * r) * (g * big_t - big_r) ** 2 + (g * big_r + big_t) ** 2
-    down = np.exp(-2 * r) * (g * big_t + big_r) ** 2 + (g * big_r - big_t) ** 2
-    return float(up * down / (g * g + 1) ** 2)
-
-
 def run_recovery(state: ScenarioState, mode: str):
     """Execute one recovery protocol with optimized settings; returns (final_state, DuanReport).
 
@@ -541,7 +525,7 @@ __all__ = [
     "SweepRow", "KWFlowPoint", "ScenarioState", "build_split_state",
     "attenuation_sweep", "correlation_flow", "duan_value", "duan_optimize",
     "recover_demodulate", "optimal_demodulation",
-    "recover_interfere", "recovery_closed_form", "run_recovery",
+    "recover_interfere", "run_recovery",
     "measurement_optimality_note",
     "ScenarioConfig",
 ]

@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from gausscorr.channels import InputSpec, cmr_noise
+from gausscorr.channels import InputSpec
 from gausscorr.cli import main
-from gausscorr.core import ppt_min_eig, random_physical_cm, reduce
+from gausscorr.core import ppt_min_eig, reduce
 from gausscorr.correlations import discord, discord_oracle, entropy_f, geof, kw_audit
 from gausscorr.reference import (MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM)
 from gausscorr.sampling import (cm_resampling_pipeline, electronic_demodulation,
@@ -23,8 +23,10 @@ from gausscorr.sampling import (cm_resampling_pipeline, electronic_demodulation,
                                 sample)
 from gausscorr.scenarios import (attenuation_sweep, build_split_state,
                                  correlation_flow, duan_value, optimal_demodulation,
-                                 recovery_closed_form, recover_demodulate,
-                                 run_recovery)
+                                 recover_demodulate, run_recovery)
+
+from helpers import (cmr_noise, make_separable_cm, random_physical_cm, random_symplectic,
+                     reconstructed_standard_form, recovery_closed_form, split_standard_form)
 
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
 COHERENT = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.0)
@@ -132,9 +134,7 @@ def test_criterion_5c_curve_heights_match_oracle():
 
 
 def test_criterion_6_optimality_certificate():
-    from gausscorr.optimality import (certify, decomposition_params,
-                                      reconstructed_standard_form,
-                                      split_standard_form)
+    from gausscorr.optimality import certify, decomposition_params
     cert = certify(9.84, 38.4)
     eta_gap = abs(cert.eta - (1.0 - cert.tau_channel))
     worst = 0.0
@@ -211,14 +211,13 @@ def test_criterion_9_sampling_statistics():
 
 
 def test_criterion_10_geof_sanity(measured_cm):
-    from conftest import make_separable_cm
     worst_sep = geof(measured_cm).value
     for k in range(19):
         cm = make_separable_cm(np.random.default_rng(7000 + k))
         worst_sep = max(worst_sep, geof(cm).value)
 
     from gausscorr.channels import tmsv_cm
-    from gausscorr.core import apply_symplectic, random_symplectic
+    from gausscorr.core import apply_symplectic
     from gausscorr.correlations import von_neumann_entropy
     worst_pure = 0.0
     for m in (1.0, 1.5, 2.5, 4.0):

@@ -2,13 +2,12 @@
 
 import numpy as np
 
-from gausscorr.channels import attenuate, cmr_noise, modulate
-from gausscorr.core import (ppt_min_eig, random_physical_cm,
-                            two_mode_symplectic_values, symplectic_spectrum,
+from gausscorr.channels import attenuate
+from gausscorr.core import (ppt_min_eig, two_mode_symplectic_values, symplectic_spectrum,
                             validate_physical)
 from gausscorr.correlations import discord
 
-from conftest import make_coherent_mixture_cm
+from helpers import cmr_noise, make_coherent_mixture_cm, modulate, random_physical_cm
 
 
 def test_channels_preserve_physicality_1000():

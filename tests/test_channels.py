@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscorr.channels import (InputSpec, attenuate, beamsplitter, cmr_noise,
-                                db_to_variance, minimal_purification, modulate, rotation,
+from gausscorr.channels import (InputSpec, attenuate, beamsplitter, db_to_variance, rotation,
                                 squeezer, tmsv_cm)
-from gausscorr.core import (apply_symplectic, random_physical_cm, reduce,
-                            symplectic_spectrum, validate_physical)
+from gausscorr.core import apply_symplectic, reduce, symplectic_spectrum, validate_physical
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
+
+from helpers import cmr_noise, minimal_purification, modulate, random_physical_cm
 
 
 def test_db_conversion():

@@ -156,16 +156,19 @@ def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypat
 
 @pytest.mark.parametrize("flags", [[], ["--allow-measured"], ["--measured-mode", "A"]])
 def test_discord_command_beyond_float_range_exit_code(tmp_path, capsys, flags):
-    # a physical CM whose closed form overflows a float: exit 1 with a traceback before
-    g = 1e70 * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
-                         [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
-    assert main(["discord", "--cm", str(path), *flags]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert json.loads(captured.err)["error"] == "NumericalError"
+    # a physical CM whose closed form overflows a float: exit 1 with a traceback before;
+    # at 1e100 det gamma overflows, and that exited 2 ("state not physical")
+    for scale in (1e70, 1e100):
+        g = scale * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                              [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
+        with np.errstate(all="ignore"):
+            assert main(["discord", "--cm", str(path), *flags]) == 3, scale
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "NumericalError"
 
 
 def test_discord_command_missing_file(tmp_path, capsys):
@@ -431,6 +434,27 @@ def test_certify_command_output_bytes(tmp_path, vx, vp):
 def test_certify_command_ordering_exit_code(capsys):
     assert main(["certify", "--vx", "5.0", "--vp", "3.0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("vx, vp, code, error", [
+    ("5", "inf", 2, "InvalidInputError"), ("5", "1e308", 3, "NumericalError"),
+    ("1e200", "1e300", 3, "NumericalError")])
+def test_certify_command_beyond_float_range_exit_code(capsys, vx, vp, code, error):
+    # each exited 0 and printed NaN or Infinity, which is not JSON
+    assert main(["certify", "--vx", vx, "--vp", vp]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == error
+
+
+def test_emit_refuses_nan_and_infinity(tmp_path):
+    # no command writes a NaN or Infinity literal, to stdout or to a file
+    out = tmp_path / "report.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(NumericalError):
+            cli._emit({"value": value}, str(out))
+    assert not out.exists()
 
 
 def test_simulate_command(fig3_config, tmp_path, capsys):

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dict,
-                            partial_transpose, ppt_min_eig, random_physical_cm,
-                            random_symplectic, read_cm_file, reduce, seralian,
+                            partial_transpose, ppt_min_eig, read_cm_file, reduce, seralian,
                             standard_form, symplectic_form, symplectic_spectrum,
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
-from gausscorr.channels import minimal_purification, tmsv_cm
+from gausscorr.channels import tmsv_cm
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
-from conftest import cm_call_args, cm_entry_points, make_coherent_mixture_cm
+from helpers import (cm_call_args, cm_entry_points, make_coherent_mixture_cm,
+                     minimal_purification, random_physical_cm, random_symplectic,
+                     split_block_form)
 
 
 def test_symplectic_form_invariants():
@@ -163,7 +164,7 @@ def test_cm_entry_points_are_found():
     assert {"seralian", "two_mode_symplectic_values", "duan_value", "duan_optimize",
             "symplectic_spectrum", "von_neumann_entropy", "williamson",
             "matched_sample_size", "cm_resampling_pipeline", "tensor", "geof",
-            "discord", "minimal_purification", "write_cm_file"} <= set(cm_entry_points())
+            "discord", "write_cm_file"} <= set(cm_entry_points())
 
 
 @pytest.mark.parametrize("kind", MALFORMED)
@@ -282,10 +283,7 @@ def test_standard_form_preserves_local_invariants(measured_cm):
 def test_standard_form_split_state_values():
     # balanced split of diag(v_x, v_p): blocks (gamma_in +- 1)/2
     v_x, v_p = 9.84, 38.4
-    gin = np.diag([v_x, v_p])
-    g = 0.5 * np.block([[gin + np.eye(2), gin - np.eye(2)],
-                        [gin - np.eye(2), gin + np.eye(2)]])
-    sf = standard_form(g)
+    sf = standard_form(split_block_form(v_x, v_p))
     a_expect = np.sqrt((v_x + 1) * (v_p + 1)) / 2
     c_x = np.sqrt((v_p + 1) / (v_x + 1)) * (v_x - 1) / 2
     c_p = np.sqrt((v_x + 1) / (v_p + 1)) * (v_p - 1) / 2

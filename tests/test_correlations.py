@@ -10,8 +10,8 @@ import scipy.optimize
 
 from gausscorr.channels import attenuate, beamsplitter, squeezer, tmsv_cm
 from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
-                            ppt_min_eig, random_physical_cm, random_symplectic, reduce,
-                            tensor, validate_physical, _symplectic_pair)
+                            ppt_min_eig, reduce, standard_form, tensor, validate_physical,
+                            _symplectic_pair)
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, ORACLE_GRID, _chart_coefficients,
                                     _e_profile, _oracle_infimum, _oriented_invariants,
@@ -21,7 +21,8 @@ from gausscorr.errors import InvalidInputError, NonPhysicalStateError, Numerical
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
 
-from conftest import cm_call_args, cm_entry_points
+from helpers import (cm_call_args, cm_entry_points, random_physical_cm, random_symplectic,
+                     split_block_form)
 
 
 def test_entropy_f_values():
@@ -89,11 +90,12 @@ def test_discord_raises_on_undefined_symplectic_value():
 
 
 def test_discord_raises_on_nan_entropy_argument():
-    # det gamma overflows to -inf, so nu_minus^2 = -inf / inf is NaN: no NaN report
+    # det gamma overflows to -inf, so nu_minus^2 = -inf / inf would be NaN: no NaN
+    # report, and the overflow is a numerical failure, not bad input
     x, y = 1e80, 2e80
     g = np.array([[x, 0, y, 0], [0, x, 0, 0], [y, 0, x, 0], [0, 0, 0, x]])
     for mode in (0, 1):
-        with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="nan"):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
             discord(g, mode, allow_measured=True)
 
 
@@ -132,9 +134,7 @@ def test_discord_requires_physicality_without_flag():
 
 
 def test_discord_split_modulated_coherent_matches_oracle():
-    gin = np.diag([7.1, 1.0])
-    g = 0.5 * np.block([[gin + np.eye(2), gin - np.eye(2)],
-                        [gin - np.eye(2), gin + np.eye(2)]])
+    g = split_block_form(7.1, 1.0)
     closed = discord(g).discord
     oracle = discord_oracle(g)
     assert abs(closed - oracle) <= 1e-5
@@ -230,13 +230,6 @@ def test_discord_oracle_near_pure_measured_mode(seed, log_leak, mode):
     assert abs(rep.discord - discord_oracle(g, measured_mode=mode)) <= 1e-10
 
 
-def _split_coherent_cm():
-    # rank-one cross block: the e quadratic of the profile vanishes at theta = pi/4
-    gin = np.diag([7.1, 1.0])
-    return 0.5 * np.block([[gin + np.eye(2), gin - np.eye(2)],
-                           [gin - np.eye(2), gin + np.eye(2)]])
-
-
 def _profile_cms():
     # 20 random CMs, then the product state (every root undefined, e = 0), a
     # decoupled mode and the split coherent CM (a2 vanishes at theta = pi/4)
@@ -245,7 +238,7 @@ def _profile_cms():
     squeezed_vacuum = apply_symplectic(np.eye(2), random_symplectic(rng, 1, 1.0))
     return cms + [np.diag([2.0, 2.0, 3.0, 3.0]),
                   tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,
-                  _split_coherent_cm()]
+                  split_block_form(7.1, 1.0)]
 
 
 def test_e_profile_is_the_minimum_over_e():
@@ -363,7 +356,7 @@ def test_discord_oracle_cost(monkeypatch):
     monkeypatch.setattr(corr, "bounded_brent", counted_brent)
     rng = np.random.default_rng(8)
     cms = [random_physical_cm(rng, 2) for _ in range(4)]
-    cms += [CovMatrix(np.diag([2.0, 2.0, 3.0, 3.0])), CovMatrix(_split_coherent_cm())]
+    cms += [CovMatrix(np.diag([2.0, 2.0, 3.0, 3.0])), CovMatrix(split_block_form(7.1, 1.0))]
     for cm in cms:
         for mode in (0, 1):
             counts.update(coefficients=0, profile=0, nfev=[])
@@ -535,12 +528,22 @@ def test_functionals_raise_numerical_error_beyond_float_range(mode):
         discord_oracle(HUGE_CM, mode)
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         geof(HUGE_CM, mode)
-    # at 1e100 det gamma overflows and nu_plus is undefined: the oracle raised
-    # InvalidInputError where discord raised NonPhysicalStateError
-    with np.errstate(all="ignore"):
-        outcomes = (_outcome(discord, 1e30 * HUGE_CM, mode),
-                    _outcome(discord_oracle, 1e30 * HUGE_CM, mode))
-    assert outcomes == (NonPhysicalStateError,) * 2
+    # from 1e77 det gamma overflows: both raised NonPhysicalStateError on this
+    # physical state, and before that the oracle raised InvalidInputError
+    for scale in (1e7, 1e30, 1e80):
+        with np.errstate(all="ignore"):
+            outcomes = (_outcome(discord, scale * HUGE_CM, mode),
+                        _outcome(discord_oracle, scale * HUGE_CM, mode))
+        assert outcomes == (NumericalError,) * 2, scale
+
+
+def test_standard_form_and_geof_raise_numerical_error_beyond_float_range():
+    # from 1e154 det alpha overflows: a bare LinAlgError ("SVD did not converge") before
+    for scale in (1e84, 1e130, 1e230):
+        with np.errstate(all="ignore"):
+            outcomes = [_outcome(standard_form, scale * HUGE_CM),
+                        *(_outcome(geof, scale * HUGE_CM, mode) for mode in (0, 1))]
+        assert outcomes == [NumericalError] * 3, scale
 
 
 def _near_pure_cm(rng, log_leak, mode):

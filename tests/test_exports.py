@@ -107,3 +107,32 @@ def test_front_ends_import_only_public_names():
             private += [f"{path.name}: {name}" for name in names for part in name.split(".")
                         if part.startswith("_") and not part.startswith("__")]
     assert not private, f"front ends import private names: {private}"
+
+
+HELPERS = Path(__file__).with_name("helpers.py")
+
+
+def test_package_stays_off_the_test_helpers():
+    # the test references and generators live in tests/helpers.py: the package
+    # neither imports from tests/ nor defines or exports a name that file defines
+    package = Path(gausscorr.__file__).parent
+    test_modules = {"tests", "conftest", *(path.stem for path in HELPERS.parent.glob("*.py"))}
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] in test_modules]
+    assert not imports, f"package modules import test code: {imports}"
+    defined = {node.name for node in ast.parse(HELPERS.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"random_physical_cm", "minimal_purification", "cmr_noise"} <= defined
+    leaked = [f"{module.__name__}.{name}" for module in (gausscorr, *MODULES)
+              for name in sorted(defined)
+              if name in getattr(module, "__all__", ()) or hasattr(module, name)]
+    assert not leaked, f"test helpers defined or exported by the package: {leaked}"

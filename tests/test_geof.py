@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 import scipy.optimize
 from scipy.optimize import OptimizeResult, minimize
 
-from gausscorr.channels import attenuate, beamsplitter, minimal_purification, tmsv_cm
-from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig,
-                            random_physical_cm, random_symplectic, reduce,
+from gausscorr.channels import attenuate, beamsplitter, tmsv_cm
+from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
 from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, discord,
                                     entropy_f, geof, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NumericalError
 
-from conftest import make_separable_cm
+from helpers import (make_separable_cm, minimal_purification, random_physical_cm,
+                     random_symplectic)
 
 
 def test_geof_pure_tmsv_is_entanglement_entropy():

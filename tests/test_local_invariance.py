@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from gausscorr.channels import attenuate
-from gausscorr.core import apply_symplectic, random_physical_cm, random_symplectic
+from gausscorr.core import apply_symplectic
 from gausscorr.correlations import discord, geof
+
+from helpers import random_physical_cm, random_symplectic
 
 N_STATES = 100
 TOL = 1e-12

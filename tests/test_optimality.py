@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscorr.errors import InvalidInputError
-from gausscorr.optimality import (certify, decomposition_params,
-                                  reconstructed_standard_form,
-                                  split_standard_form, vx_threshold)
+from gausscorr.optimality import certify, decomposition_params, vx_threshold
+
+from helpers import reconstructed_standard_form, split_standard_form
 
 
 def test_eta_equals_one_minus_tau_reference_point():

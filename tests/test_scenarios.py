@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import (InputSpec, attenuate, cmr_noise, db_to_variance,
-                                minimal_purification, tmsv_cm)
-from gausscorr.core import (CovMatrix, ppt_min_eig, random_physical_cm, random_symplectic,
-                            reduce, symplectic_spectrum, validate_physical)
-from gausscorr import channels, correlations, scenarios
+from gausscorr.channels import InputSpec, attenuate, db_to_variance, tmsv_cm
+from gausscorr.core import (CovMatrix, ppt_min_eig, reduce, symplectic_spectrum,
+                            validate_physical)
+from gausscorr import correlations, scenarios
 from gausscorr.correlations import (_oriented_invariants, discord,
                                     discord_oracle, entropy_f, geof)
 from gausscorr.errors import InvalidInputError, NumericalError
@@ -19,17 +18,13 @@ from gausscorr.scenarios import (MODULATION_SOURCE, KWFlowPoint, ScenarioConfig,
                                  attenuation_sweep, build_split_state,
                                  correlation_flow, duan_optimize,
                                  duan_value, optimal_demodulation,
-                                 recover_demodulate, recover_interfere,
-                                 recovery_closed_form, run_recovery)
+                                 recover_demodulate, recover_interfere, run_recovery)
+
+from helpers import (cmr_noise, minimal_purification, random_physical_cm, random_symplectic,
+                     recovery_closed_form, split_block_form)
 
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
 COHERENT = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.0)
-
-
-def split_block_form(v_x, v_p):
-    gin = np.diag([v_x, v_p])
-    eye = np.eye(2)
-    return 0.5 * np.block([[gin + eye, gin - eye], [gin - eye, gin + eye]])
 
 
 def test_build_split_state_balanced_blocks():
@@ -87,7 +82,6 @@ def test_sweep_matches_oracle_on_grid():
     rows = attenuation_sweep(st, grid, cmr_a=0.047)
     for row, t in zip(rows, grid):
         eff = st.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
-        from gausscorr.channels import cmr_noise
         noisy = cmr_noise(eff, 0.047, t)
         assert abs(row.discord - discord_oracle(noisy)) <= 1e-4
 
@@ -187,8 +181,6 @@ def test_stacked_sweep_takes_no_per_point_path(monkeypatch):
     expect = [_reference_row(state, t, 0.047) for t in grid]
     for module in (correlations, scenarios):
         monkeypatch.setattr(module, "discord", forbidden, raising=False)
-    for module in (channels, scenarios):
-        monkeypatch.setattr(module, "cmr_noise", forbidden, raising=False)
     monkeypatch.setattr(ScenarioState, "attenuate_mode", forbidden)
     rows = attenuation_sweep(state, grid, cmr_a=0.047)
     got = [(r.discord, r.mutual_info, r.classical_corr, r.s_a) for r in rows]

@@ -13,12 +13,13 @@ import textwrap
 import gausscorr
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gausscorr.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))  # the seeded generators live in helpers.py
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.special")
 
 
 def _run(code, tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -30,9 +31,10 @@ WARM_PATHS = """
     import numpy as np
     import gausscorr as gc
     from gausscorr import cli
+    from helpers import random_physical_cm
 
     rng = np.random.default_rng(5)
-    g = gc.random_physical_cm(rng, 2).entries
+    g = random_physical_cm(rng, 2).entries
     gc.discord(g), gc.discord(g, 0), gc.discord_oracle(g), gc.ppt_min_eig(g)
     separable = gc.tensor(np.diag([2.0, 3.0]), np.diag([1.5, 1.5]))
     entangled = gc.attenuate(gc.attenuate(gc.tmsv_cm(3.0), 0, 0.8), 1, 0.8)
@@ -71,10 +73,11 @@ def test_nelder_mead_path_imports_scipy_on_demand(tmp_path):
         import json, sys
         import numpy as np
         import gausscorr as gc
+        from helpers import random_physical_cm
 
         before = "scipy.optimize" in sys.modules
-        g = gc.random_physical_cm(np.random.default_rng(3), 3, max_thermal=1.3,
-                                  squeeze_scale=1.0)
+        g = random_physical_cm(np.random.default_rng(3), 3, max_thermal=1.3,
+                               squeeze_scale=1.0)
         res = gc.geof(g)
         print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
                           "method": res.method, "value": res.value,
