@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .core import ppt_min_eig, read_cm_file, validate_physical
 from .correlations import discord
@@ -206,7 +208,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow surfaces once, as the package's NumericalError on
+        # stderr, not also as numpy's RuntimeWarning printed before it
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (InvalidInputError, NonPhysicalStateError) as exc:
         _print_error(exc)
         return EXIT_INVALID

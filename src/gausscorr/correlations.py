@@ -8,8 +8,9 @@ The oracle charts the seeds as P_u / e + e P_v (u = (cos theta, sin theta),
 v perpendicular to u, e in [0, 1]), one chart that runs from heterodyne
 (e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in plain
 float arithmetic.  det eps is a ratio of two quadratics in e, which the oracle
-minimizes exactly at each theta; only theta is searched, on a grid refined
-by a bounded Brent search, both through one float e-profile.
+minimizes exactly at each theta by scoring e = 0, e = 1 and the stationary
+points strictly inside (0, 1); only theta is searched, on a fixed grid
+refined by a bounded Brent search, both through one float e-profile.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ def _symplectic_values(a, b, c, d) -> tuple[float, float]:
     """(nu_minus, nu_plus) from the oriented invariants; undefined ones raise.
 
     An invariant that overflowed a float (det gamma first, from CM entries
-    near 1e77) raises NumericalError.  Finite A <= 0, B <= 0 or
+    near 1e77) raises NumericalError, and so does a Seralian whose square
+    overflows (from about 1e154, as on diag(1e100, 1e100, 1, 1)), which
+    would give nu_plus = inf and nu_minus = 0.  Finite A <= 0, B <= 0 or
     nu_plus^2 < 0 leaves a symplectic value undefined: NonPhysicalStateError,
     in :func:`discord` and :func:`discord_oracle` alike.
     """
@@ -137,6 +140,8 @@ def _symplectic_values(a, b, c, d) -> tuple[float, float]:
     nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
     if not (a > 0 and b > 0) or math.isnan(nu_plus):
         raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
+    if nu_plus == math.inf:
+        raise NumericalError("the squared Seralian overflows a float: CM entries too large")
     return nu_minus, nu_plus
 
 
@@ -235,23 +240,6 @@ def _chart_coefficients(alpha, beta, delta):
             ((b00 + b11) / 2, (b00 - b11) / 2, b01, 1.0 + b))
 
 
-def _seed_chart(coefficients):
-    """det eps as a function of (cos 2theta, sin 2theta, e) on the seed chart.
-
-    coefficients are those of :func:`_chart_coefficients`.  The returned
-    function is plain arithmetic: it takes Python floats and broadcast arrays
-    alike.
-    """
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
-
-    def det_eps(cos2, sin2, e):
-        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
-        return (((mt - mh) + e * (m1 + e * (mt + mh)))
-                / ((bt - bh) + e * (b1 + e * (bt + bh))))
-
-    return det_eps
-
-
 def _chart_argmin(alpha, beta, delta, d_star):
     """(theta, e) on the seed chart where det eps attains its infimum d_star.
 
@@ -270,43 +258,49 @@ def _chart_argmin(alpha, beta, delta, d_star):
 def _e_profile(alpha, beta, delta):
     """Minimum over e in [0, 1] of det eps on the seed chart, and its argmin, at given 2 theta.
 
-    At fixed theta, det eps = (n0 + n1 e + n2 e^2) / (d0 + d1 e + d2 e^2)
-    with a positive denominator on [0, 1], and n1 = m1, d1 = 1 + B in the
-    terms of :func:`_chart_coefficients`.  Its minimum there is at e = 0,
-    e = 1 or a root of N' D - N D'.  The cubic terms cancel, leaving
-    a2 e^2 + 2 a1 e + a0 with a2 = n2 d1 - n1 d2, a1 = n2 d0 - n0 d2 and
-    a0 = n1 d0 - n0 d1, whose roots are taken in the cancellation-free form
-    q / a2 and a0 / q; a vanishing a2 leaves a0 / q as the linear root.
-    Every candidate is scored by :func:`_seed_chart`, so a misplaced root can
-    only raise the minimum, never report a value the chart does not take.
-    The coefficients are computed once; the returned function takes
-    (cos 2theta, sin 2theta) as Python floats and returns (det, e) in
-    plain float arithmetic.
+    At fixed theta, det eps = (n0 + m1 e + n2 e^2) / (d0 + b1 e + d2 e^2)
+    with b1 = 1 + B and a positive denominator on [0, 1], in the terms of
+    :func:`_chart_coefficients`.  Its minimum there is at e = 0, e = 1 or a
+    root of N' D - N D'.  The cubic terms cancel, leaving a2 e^2 + 2 a1 e + a0
+    with a2 = n2 b1 - m1 d2, a1 = n2 d0 - n0 d2 and a0 = m1 d0 - n0 b1, whose
+    roots are taken in the cancellation-free form q / a2 and a0 / q; a
+    vanishing a2 leaves a0 / q as the linear root.  The candidates are e = 0,
+    e = 1 and the roots strictly inside (0, 1), each scored by the chart's own
+    expression, so a misplaced root can only raise the minimum, never report
+    a value the chart does not take.  A root outside (0, 1), or an undefined
+    one, would repeat the e = 0 or e = 1 value and is not scored.  The
+    coefficients are computed once; the returned function takes
+    (cos 2theta, sin 2theta) as Python floats and returns (det, e) in plain
+    float arithmetic.
     """
-    coefficients = _chart_coefficients(alpha, beta, delta)
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
-    det_eps = _seed_chart(coefficients)
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
 
     def profile(cos2, sin2):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
         n0, n2, d0, d2 = mt - mh, mt + mh, bt - bh, bt + bh
         a2, a1, a0 = n2 * b1 - m1 * d2, n2 * d0 - n0 * d2, m1 * d0 - n0 * b1
         q = -(a1 + math.copysign(math.sqrt(max(a1 * a1 - a2 * a0, 0.0)), a1))
-        # candidates e = 0, 1, q / a2, a0 / q; the first minimum wins, so ties keep
-        # the homodyne limit e = 0.  Roots outside [0, 1] are clipped; undefined
-        # ones (a constant profile) fall back to e = 0.
-        value, e = det_eps(cos2, sin2, 0.0), 0.0
-        for r in (1.0, q / a2 if a2 else 0.0, a0 / q if q else 0.0):
-            r = (1.0 if r > 1.0 else r) if 0.0 <= r < math.inf else 0.0
-            v = det_eps(cos2, sin2, r)
-            if v < value:
-                value, e = v, r
+        # e = 0, e = 1, then each root in (0, 1); the first minimum wins, so ties
+        # keep the homodyne limit e = 0
+        value, e = n0 / d0, 0.0
+        v = (n0 + (m1 + n2)) / (d0 + (b1 + d2))
+        if v < value:
+            value, e = v, 1.0
+        for r in (q / a2 if a2 else 0.0, a0 / q if q else 0.0):
+            if 0.0 < r < 1.0:
+                v = (n0 + r * (m1 + r * n2)) / (d0 + r * (b1 + r * d2))
+                if v < value:
+                    value, e = v, r
         return value, e
 
     return profile
 
 
 ORACLE_GRID = 64
+# the oracle's theta grid over [0, pi), with its cos 2theta and sin 2theta as Python floats
+_GRID_STEP = math.pi / ORACLE_GRID
+_GRID_THETAS = _GRID_STEP * np.arange(ORACLE_GRID)
+_GRID_COS2, _GRID_SIN2 = np.cos(2 * _GRID_THETAS).tolist(), np.sin(2 * _GRID_THETAS).tolist()
 
 
 def _oracle_infimum(alpha, beta, delta):
@@ -314,24 +308,23 @@ def _oracle_infimum(alpha, beta, delta):
 
     e is minimized exactly at each theta (:func:`_e_profile`); theta is
     searched on an ORACLE_GRID-point grid over [0, pi), one profile call per
-    point, and the best cell is refined by one bounded Brent search on the
-    same profile.
+    point on (cos 2theta, sin 2theta) computed once at import, and the best
+    cell is refined by one bounded Brent search on the same profile.
     """
     profile = _e_profile(alpha, beta, delta)
-    step = math.pi / ORACLE_GRID
-    thetas = step * np.arange(ORACLE_GRID)
-    grid = list(map(profile, np.cos(2 * thetas).tolist(), np.sin(2 * thetas).tolist()))
+    grid = list(map(profile, _GRID_COS2, _GRID_SIN2))
     i = min(range(ORACLE_GRID), key=lambda j: grid[j][0])
     # Brent's tolerance is sqrt(eps) |theta| + xatol / 3; xatol keeps it near
     # 1e-8 at theta = 0, where symmetric states put their optimum.  At a
     # smooth minimum that moves the value by about 1e-16 relative.
+    theta = float(_GRID_THETAS[i])
     x, fun, _ = bounded_brent(lambda th: profile(math.cos(2 * th), math.sin(2 * th))[0],
-                              thetas[i] - step, thetas[i] + step, xatol=3e-8)
+                              theta - _GRID_STEP, theta + _GRID_STEP, xatol=3e-8)
     det, e = grid[i]
     if fun < det:
         det, e = profile(math.cos(2 * x), math.sin(2 * x))
         return det, x % math.pi, e
-    return det, float(thetas[i]), e
+    return det, theta, e
 
 
 def discord_oracle(cm, measured_mode: int = 1) -> float:

@@ -2,8 +2,9 @@
 
 No CLI command, script or benchmark workload reaches these functions; the
 tests use them as references (the paper's split-state closed forms, the
-ideal recovery value, a minimal purification, the per-point channel maps)
-or as seeded inputs.  Every test module takes them from here.
+ideal recovery value, a minimal purification, the per-point channel maps,
+the discord oracle's seed chart) or as seeded inputs.  Every test module
+takes them from here.
 """
 
 import importlib
@@ -114,6 +115,27 @@ def minimal_purification(cm) -> CovMatrix:
     of the checked input, after one physicality check.
     """
     return CovMatrix(_purify(*_williamson_frame(_physical(_checked(cm)))))
+
+
+# ---------------------------------------------------------------------------
+# the discord oracle's seed chart
+
+def seed_chart(coefficients):
+    """det eps as a function of (cos 2theta, sin 2theta, e) on the oracle's seed chart.
+
+    coefficients are those of ``correlations._chart_coefficients``.  The
+    expression is the one the oracle's e-profile scores each candidate e
+    with.  The returned function is plain arithmetic: it takes Python floats
+    and broadcast arrays alike.
+    """
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
+
+    def det_eps(cos2, sin2, e):
+        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
+        return (((mt - mh) + e * (m1 + e * (mt + mh)))
+                / ((bt - bh) + e * (b1 + e * (bt + bh))))
+
+    return det_eps
 
 
 # ---------------------------------------------------------------------------

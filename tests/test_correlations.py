@@ -15,14 +15,14 @@ from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partia
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, ORACLE_GRID, _chart_coefficients,
                                     _e_profile, _oracle_infimum, _oriented_invariants,
-                                    _seed_chart, discord, discord_oracle, entropy_f, geof,
-                                    kw_audit, von_neumann_entropy)
+                                    discord, discord_oracle, entropy_f, geof, kw_audit,
+                                    von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError, NumericalError
 from gausscorr.reference import MEASURED_CM_STD_ERRORS, MEASURED_SPLIT_SQUEEZED_CM
 from gausscorr.sampling import cm_resampling_pipeline, error_monte_carlo, matched_sample_size
 
 from helpers import (cm_call_args, cm_entry_points, random_physical_cm, random_symplectic,
-                     split_block_form)
+                     seed_chart, split_block_form)
 
 
 def test_entropy_f_values():
@@ -182,7 +182,7 @@ def test_seed_chart_matches_conditional_update(mode):
     for _ in range(5):
         g = random_physical_cm(rng, 2).entries
         alpha, beta, delta = _blocks(g, mode)
-        det_eps = _seed_chart(_chart_coefficients(alpha, beta, delta))
+        det_eps = seed_chart(_chart_coefficients(alpha, beta, delta))
         for theta in np.linspace(0.0, np.pi, 7):
             c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
             # e = 0: homodyne of the quadrature v perpendicular to u = (cos, sin)
@@ -230,24 +230,34 @@ def test_discord_oracle_near_pure_measured_mode(seed, log_leak, mode):
     assert abs(rep.discord - discord_oracle(g, measured_mode=mode)) <= 1e-10
 
 
-def _profile_cms():
-    # 20 random CMs, then the product state (every root undefined, e = 0), a
-    # decoupled mode and the split coherent CM (a2 vanishes at theta = pi/4)
+def _profile_cases():
+    # (CM, measured mode): 20 random CMs, then the product state (every root
+    # undefined, e = 0), a decoupled mode and the split coherent CM (a2
+    # vanishes at theta = pi/4), each on alternating modes; then hot CMs,
+    # near-pure measured modes and branch ties, each on both modes
     rng = np.random.default_rng(31)
     cms = [random_physical_cm(rng, 2).entries for _ in range(20)]
     squeezed_vacuum = apply_symplectic(np.eye(2), random_symplectic(rng, 1, 1.0))
-    return cms + [np.diag([2.0, 2.0, 3.0, 3.0]),
-                  tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,
-                  split_block_form(7.1, 1.0)]
+    cms += [np.diag([2.0, 2.0, 3.0, 3.0]),
+            tensor(squeezed_vacuum, random_physical_cm(rng, 1)).entries,
+            split_block_form(7.1, 1.0)]
+    cases = [(g, i % 2) for i, g in enumerate(cms)]
+    for mode in (0, 1):
+        cases += [(random_physical_cm(rng, 2, max_thermal=200.0, squeeze_scale=2.5).entries, mode)
+                  for _ in range(4)]
+        cases += [(_near_pure_cm(rng, log_leak, mode), mode) for log_leak in (-10.0, -3.0)]
+        cases += [(_branch_tie(m, log_s_end, mode)[0], mode)
+                  for m, log_s_end in ((1.5, 3.0), (3.0, -3.0))]
+    return cases
 
 
 def test_e_profile_is_the_minimum_over_e():
     # the exact e step against a dense e grid of the chart, no closed form involved
     es = np.linspace(0.0, 1.0, 2001)
     thetas = np.append(np.linspace(0.0, np.pi, 7, endpoint=False), np.pi / 4)
-    for i, g in enumerate(_profile_cms()):
-        blocks = _blocks(g, i % 2)
-        det_eps, profile = _seed_chart(_chart_coefficients(*blocks)), _e_profile(*blocks)
+    for g, mode in _profile_cases():
+        blocks = _blocks(g, mode)
+        det_eps, profile = seed_chart(_chart_coefficients(*blocks)), _e_profile(*blocks)
         for theta in thetas:
             c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
             value, e = profile(c2, s2)
@@ -259,9 +269,11 @@ def test_e_profile_is_the_minimum_over_e():
 
 def _broadcast_profile(coefficients):
     """The e-profile in numpy over broadcast (cos 2theta, sin 2theta): a reference for
-    the oracle's float profile, with the same candidates, roots and tie rule."""
+    the oracle's float profile, with the same roots and tie rule.  It scores every
+    root, clipped to [0, 1] (an undefined one to 0), where the oracle scores only
+    those inside (0, 1); it also returns where a finite root was clipped."""
     (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
-    det_eps = _seed_chart(coefficients)
+    det_eps = seed_chart(coefficients)
 
     def profile(cos2, sin2):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
@@ -270,30 +282,36 @@ def _broadcast_profile(coefficients):
         q = -(a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - a2 * a0, 0.0)), a1))
         with np.errstate(divide="ignore", invalid="ignore"):
             roots = np.stack((q / a2, a0 / q))
+        clipped = (np.isfinite(roots) & ((roots < 0.0) | (roots > 1.0))).any(axis=0)
         roots = np.where(np.isfinite(roots), np.clip(roots, 0.0, 1.0), 0.0)
         es = np.concatenate([np.zeros_like(roots[:1]), np.ones_like(roots[:1]), roots])
         values = det_eps(cos2, sin2, es)
         i = np.argmin(values, axis=0)[None]
         return (np.take_along_axis(values, i, axis=0)[0],
-                np.take_along_axis(es, i, axis=0)[0])
+                np.take_along_axis(es, i, axis=0)[0], clipped)
 
     return profile
 
 
 def test_e_profile_matches_broadcast_reference():
-    # at every grid theta of the oracle and at pi/4, bit for bit, in Python floats
+    # at every grid theta of the oracle and at pi/4, bit for bit, in Python floats;
+    # the reference also scores the clipped roots the oracle skips
     thetas = np.append(np.pi / ORACLE_GRID * np.arange(ORACLE_GRID), np.pi / 4)
     cos2s, sin2s = np.cos(2 * thetas), np.sin(2 * thetas)
-    for i, g in enumerate(_profile_cms()):
-        blocks = _blocks(g, i % 2)
+    n_clipped = n_points = 0
+    for g, mode in _profile_cases():
+        blocks = _blocks(g, mode)
         coefficients = _chart_coefficients(*blocks)
-        det_eps, profile = _seed_chart(coefficients), _e_profile(*blocks)
-        ref_values, ref_es = _broadcast_profile(coefficients)(cos2s, sin2s)
+        det_eps, profile = seed_chart(coefficients), _e_profile(*blocks)
+        ref_values, ref_es, clipped = _broadcast_profile(coefficients)(cos2s, sin2s)
+        n_clipped, n_points = n_clipped + int(clipped.sum()), n_points + clipped.size
         for c2, s2, ref_value, ref_e in zip(cos2s.tolist(), sin2s.tolist(), ref_values, ref_es):
             value, e = profile(c2, s2)
             assert type(value) is float and type(e) is float
             assert (value, e) == (ref_value, ref_e)
             assert value == det_eps(c2, s2, e)
+    # the skip is exercised: most points have a root outside [0, 1]
+    assert 2 * n_clipped > n_points
 
 
 def _branch_tie(m, log_s_end, mode):
@@ -529,12 +547,16 @@ def test_functionals_raise_numerical_error_beyond_float_range(mode):
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         geof(HUGE_CM, mode)
     # from 1e77 det gamma overflows: both raised NonPhysicalStateError on this
-    # physical state, and before that the oracle raised InvalidInputError
-    for scale in (1e7, 1e30, 1e80):
+    # physical state, and before that the oracle raised InvalidInputError.  On
+    # the physical diag(s, s, 1, 1) the squared Seralian overflows from about
+    # s = 1e77 with every invariant finite: nu_minus read 0, and discord raised
+    # NonPhysicalStateError while the oracle raised NumericalError
+    cms = [scale * HUGE_CM for scale in (1e7, 1e30, 1e80)]
+    cms += [np.diag([s, s, 1.0, 1.0]) for s in (1e100, 1e150)]
+    for g in cms:
         with np.errstate(all="ignore"):
-            outcomes = (_outcome(discord, scale * HUGE_CM, mode),
-                        _outcome(discord_oracle, scale * HUGE_CM, mode))
-        assert outcomes == (NumericalError,) * 2, scale
+            outcomes = _outcome(discord, g, mode), _outcome(discord_oracle, g, mode)
+        assert outcomes == (NumericalError,) * 2, g[0, 0]
 
 
 def test_standard_form_and_geof_raise_numerical_error_beyond_float_range():
