@@ -216,9 +216,28 @@ def symplectic_spectrum(cm) -> np.ndarray:
 
 
 def two_mode_symplectic_values(cm) -> tuple[float, float]:
-    """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping."""
-    a, b, c, d = _oriented_invariants(_two_mode(cm), 1)
-    return _symplectic_pair(a + b + 2 * c, d)
+    """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping.
+
+    A CM beyond float range raises NumericalError (:func:`_finite_symplectic_pair`).
+    """
+    return _finite_symplectic_pair(*_oriented_invariants(_two_mode(cm), 1))
+
+
+def _finite_symplectic_pair(a, b, c, d) -> tuple[float, float]:
+    """:func:`_symplectic_pair` of the invariants A, B, C, D, within float range or NumericalError.
+
+    An invariant that overflowed a float (det gamma first, from CM entries
+    near 1e77) raises, and so does a Seralian A + B + 2C whose square
+    overflows (from about 1e154, as on diag(1e100, 1e100, 1, 1)), which
+    would give nu_plus = inf and nu_minus = 0.  Nonphysical input keeps the
+    unclamped values of :func:`_symplectic_pair`.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise NumericalError("a local invariant overflows a float: CM entries too large")
+    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    if nu_plus == math.inf:
+        raise NumericalError("the squared Seralian overflows a float: CM entries too large")
+    return nu_minus, nu_plus
 
 
 def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
@@ -243,55 +262,70 @@ def seralian(cm) -> float:
     return a + b + 2 * c
 
 
-def _proper_svd(m: np.ndarray):
-    """m = u diag(d) vt with u, vt proper rotations; d[1] may be negative."""
-    u, sv, vt = np.linalg.svd(m)
-    d = sv.copy()
-    if np.linalg.det(u) < 0:
-        u = u @ np.diag([1.0, -1.0])
-        d[1] = -d[1]
-    if np.linalg.det(vt) < 0:
-        vt = np.diag([1.0, -1.0]) @ vt
-        d[1] = -d[1]
-    return u, d, vt
-
-
-def _sqrt_2x2(m: np.ndarray) -> np.ndarray:
-    """(M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)): the square root of a 2x2 M > 0."""
-    s = math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return (m + s * np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0 * s)
-
-
 def standard_form(cm) -> StandardForm:
     """Reduce a physical two-mode CM to standard form by local symplectics.
 
-    Each local block is Williamson-diagonalized to a multiple of the
-    identity, the cross block is then diagonalized with local rotations, and
-    the signs/order are fixed to the canonical convention c_plus >= |c_minus|.
-    A local block whose determinant overflows a float raises NumericalError.
+    The plain-float kernel :func:`_standard_form` gives the values and the
+    local ops, which are returned as checked SymplecticTransforms.  A local
+    block whose determinant overflows a float raises NumericalError.
     """
-    return _standard_form(_physical(_two_mode(cm)))
+    a, b, c_plus, c_minus, s_a, s_b = _standard_form(_physical(_two_mode(cm)))
+    return StandardForm(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
+                        local_ops=(SymplecticTransform(s_a), SymplecticTransform(s_b)))
 
 
-def _standard_form(g: np.ndarray) -> StandardForm:
-    """:func:`standard_form` of the checked entries g of a physical two-mode CM."""
-    alpha, beta, delta = g[:2, :2], g[2:, 2:], g[:2, 2:]
-    det_a, det_b = float(np.linalg.det(alpha)), float(np.linalg.det(beta))
-    if not (0.0 < det_a < math.inf and 0.0 < det_b < math.inf):
+def _inverse_root(p: float, q: float, r: float):
+    """(sqrt(det), S) of a 2x2 block [[p, q], [q, r]] > 0, S symmetric with S block S = sqrt(det) I.
+
+    S has det 1.  With M = block / sqrt(det), det M = 1 and sqrt(M) = (M + I) / sqrt(tr M + 2),
+    so S = sqrt(M)^-1 = adj(sqrt(M)) = [[r + a, -q], [-q, p + a]] / sqrt(a (p + r + 2a))
+    for a = sqrt(det).  A det or norm beyond float range raises NumericalError.
+    """
+    det = p * r - q * q
+    if not 0.0 < det < math.inf:
         raise NumericalError("standard form: a local determinant is beyond float range")
-    a, b = math.sqrt(det_a), math.sqrt(det_b)
-    # symmetric det-1 congruence bringing each block to a multiple of identity
-    sa = np.linalg.inv(_sqrt_2x2(alpha / a))
-    sb = np.linalg.inv(_sqrt_2x2(beta / b))
+    a = math.sqrt(det)
+    norm = math.sqrt(a * (p + r + 2.0 * a))
+    if norm == math.inf:
+        raise NumericalError("standard form: a local block is beyond float range")
+    return a, (((r + a) / norm, -q / norm), (-q / norm, (p + a) / norm))
 
-    # rotations with u^T (sa delta sb^T) vt^T = diag(d); the singular values come
-    # sorted and non-negative, and only d[1] changes sign, so d[0] >= |d[1]| is
-    # already the canonical order
-    u, d, vt = _proper_svd(sa @ delta @ sb.T)
-    s_a = SymplecticTransform(u.T @ sa)
-    s_b = SymplecticTransform(vt @ sb)
-    return StandardForm(a=a, b=b, c_plus=float(d[0]), c_minus=float(d[1]),
-                        local_ops=(s_a, s_b))
+
+def _standard_form(g: np.ndarray):
+    """(a, b, c_plus, c_minus, S_A, S_B) of the checked entries g of a physical two-mode CM.
+
+    The plain-float kernel behind :func:`standard_form` and the x-p GEoF.
+    Each local block is brought to a multiple of the identity by its
+    symmetric det-1 inverse square root (:func:`_inverse_root`).  The cross
+    block K = S_a delta S_b is then split as R(phi) diag(c_plus, c_minus)
+    R(theta), R a rotation, by the closed-form 2x2 proper SVD: with
+    E, F = (k00 +- k11) / 2 and G, H = (k10 +- k01) / 2, c_plus =
+    hypot(E, H) + hypot(F, G) is the largest singular value and
+    2 phi, 2 theta = atan2(H, E) +- atan2(G, F).  c_minus = det delta / c_plus
+    takes its sign and digits from det delta rather than from the difference
+    hypot(E, H) - hypot(F, G), and c_plus >= |c_minus| is the canonical
+    order.  The local ops S_A = R(phi)^T S_a and S_B = R(theta) S_b are
+    2x2 tuples of floats.
+    """
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = g.tolist()
+    a, sa = _inverse_root(g00, g01, g11)
+    b, sb = _inverse_root(g22, g23, g33)
+    # K = (S_a delta) S_b, S_b symmetric
+    t = [(sa[i][0] * g02 + sa[i][1] * g12, sa[i][0] * g03 + sa[i][1] * g13) for i in (0, 1)]
+    (k00, k01), (k10, k11) = ((r0 * sb[0][0] + r1 * sb[1][0], r0 * sb[0][1] + r1 * sb[1][1])
+                              for r0, r1 in t)
+    e, f, gg, h = (k00 + k11) / 2, (k00 - k11) / 2, (k10 + k01) / 2, (k10 - k01) / 2
+    c_plus = math.hypot(e, h) + math.hypot(f, gg)
+    # clipped to [-c_plus, c_plus]: |det| / c_plus may round one ulp above c_plus
+    c_minus = max(-c_plus, min((g02 * g13 - g03 * g12) / c_plus, c_plus)) if c_plus > 0.0 else 0.0
+    turn, flip = math.atan2(h, e), math.atan2(gg, f)
+    cp, sp = math.cos((turn + flip) / 2), math.sin((turn + flip) / 2)
+    ct, st = math.cos((turn - flip) / 2), math.sin((turn - flip) / 2)
+    s_a = ((cp * sa[0][0] + sp * sa[1][0], cp * sa[0][1] + sp * sa[1][1]),
+           (cp * sa[1][0] - sp * sa[0][0], cp * sa[1][1] - sp * sa[0][1]))
+    s_b = ((ct * sb[0][0] - st * sb[1][0], ct * sb[0][1] - st * sb[1][1]),
+           (st * sb[0][0] + ct * sb[1][0], st * sb[0][1] + ct * sb[1][1]))
+    return a, b, c_plus, c_minus, s_a, s_b
 
 
 def partial_transpose(cm, mode: int) -> CovMatrix:

@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
-from .core import (CovMatrix, symplectic_spectrum, _blocks, _checked, _oriented_invariants,
-                   _physical, _quadrature_indices, _standard_form, _symplectic_pair, _two_mode,
-                   _williamson_frame)
+from .core import (CovMatrix, symplectic_spectrum, _blocks, _checked, _finite_symplectic_pair,
+                   _oriented_invariants, _physical, _quadrature_indices, _standard_form,
+                   _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 F_CLAMP_TOL = 1e-6
 BRANCH_TIE_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 def entropy_f(x: float) -> float:
@@ -128,20 +130,14 @@ def _inf_det_eps(a, b, c, d):
 def _symplectic_values(a, b, c, d) -> tuple[float, float]:
     """(nu_minus, nu_plus) from the oriented invariants; undefined ones raise.
 
-    An invariant that overflowed a float (det gamma first, from CM entries
-    near 1e77) raises NumericalError, and so does a Seralian whose square
-    overflows (from about 1e154, as on diag(1e100, 1e100, 1, 1)), which
-    would give nu_plus = inf and nu_minus = 0.  Finite A <= 0, B <= 0 or
-    nu_plus^2 < 0 leaves a symplectic value undefined: NonPhysicalStateError,
-    in :func:`discord` and :func:`discord_oracle` alike.
+    Beyond float range is NumericalError (:func:`_finite_symplectic_pair`).
+    Finite A <= 0, B <= 0 or nu_plus^2 < 0 leaves a symplectic value
+    undefined: NonPhysicalStateError, in :func:`discord`,
+    :func:`discord_oracle` and :func:`geof` alike.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-        raise NumericalError("a local invariant overflows a float: CM entries too large")
-    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
+    nu_minus, nu_plus = _finite_symplectic_pair(a, b, c, d)
     if not (a > 0 and b > 0) or math.isnan(nu_plus):
         raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
-    if nu_plus == math.inf:
-        raise NumericalError("the squared Seralian overflows a float: CM entries too large")
     return nu_minus, nu_plus
 
 
@@ -443,18 +439,27 @@ def _geof_objective(gs_a, gr, gsr_a, k):
     return objective
 
 
-def _xp_pure_cm(sf, x):
+def _congruence(t, u, d1, d2):
+    """Rows of T diag(d1, d2) U^T for 2x2 float tuples T and U."""
+    return [[d1 * t[i][0] * u[j][0] + d2 * t[i][1] * u[j][1] for j in (0, 1)] for i in (0, 1)]
+
+
+def _xp_pure_cm(s_a, s_b, x11, x22, x12):
     """Pure CM X (+) X^-1 of a standard form's x-p picture, mapped back to gamma's frame.
 
-    X is the covariance of (x_A, x_B) and X^-1 that of (p_A, p_B); the inverse
-    local symplectics of sf then undo the reduction to standard form.
+    X = [[x11, x12], [x12, x22]] is the covariance of (x_A, x_B) and X^-1
+    that of (p_A, p_B); the inverses of the local ops S_A and S_B of
+    :func:`~gausscorr.core._standard_form`, their adjugates since det S = 1,
+    then undo the reduction to standard form.
     """
-    pure = np.zeros((4, 4))
-    pure[0::2, 0::2], pure[1::2, 1::2] = x, _adj(x) / _det2(x)
-    # a 2x2 symplectic has det 1, so its inverse is its adjugate
-    s_inv = np.zeros((4, 4))
-    s_inv[:2, :2], s_inv[2:, 2:] = (_adj(op.entries) for op in sf.local_ops)
-    pure = s_inv @ pure @ s_inv.T
+    det_x = x11 * x22 - x12 * x12
+    ia, ib = (((s11, -s01), (-s10, s00)) for (s00, s01), (s10, s11) in (s_a, s_b))
+    # per mode, X gives the x entry and X^-1 the p entry
+    aa = _congruence(ia, ia, x11, x22 / det_x)
+    bb = _congruence(ib, ib, x22, x11 / det_x)
+    ab = _congruence(ia, ib, x12, -x12 / det_x)
+    pure = np.array([aa[0] + ab[0], aa[1] + ab[1],
+                     [ab[0][0], ab[1][0]] + bb[0], [ab[0][1], ab[1][1]] + bb[1]])
     return (pure + pure.T) / 2
 
 
@@ -514,15 +519,22 @@ def _xp_geof(g):
     there.  With t = tan phi, (1 + t^2) X is quadratic in t, so the marginal
     det is a ratio of two quartics: its minimum over [0, pi) lies at one of
     their stationary points (:func:`_stationary_points`) or at phi = pi/2.
-    Each candidate is scored in phi.  Returns the marginal det, the
+    Each candidate is scored in phi; one whose det X is at or below the
+    rounding bound 4 eps (X11 X22 + X12^2) of X11 X22 - X12^2 has no digit
+    left and raises NumericalError.  The standard form is the plain-float
+    kernel :func:`~gausscorr.core._standard_form`, its local ops checked as
+    symplectic by |det S - 1| <= 1e-10.  Returns the marginal det, the
     certifying pure CM in gamma's frame and the number of scored candidates.
     """
-    sf = _standard_form(g)
-    a, b, cm = sf.a, sf.b, sf.c_minus
-    dp = a * b - cm * cm                   # det Gp
-    p11, p22, p12 = b / dp, a / dp, -cm / dp
+    a, b, c_plus, c_minus, s_a, s_b = _standard_form(g)
+    for (s00, s01), (s10, s11) in (s_a, s_b):
+        # a 2x2 S has S Omega S^T = det(S) Omega: symplectic within 1e-10 is this
+        if not abs(s00 * s11 - s01 * s10 - 1.0) <= 1e-10:
+            raise NumericalError("standard form: a local op is not symplectic within 1e-10")
+    dp = a * b - c_minus * c_minus         # det Gp
+    p11, p22, p12 = b / dp, a / dp, -c_minus / dp
     # M = Gx - Gp^-1 = L L^T, factored in floats
-    m11, m21 = a - p11, sf.c_plus - p12
+    m11, m21 = a - p11, c_plus - p12
     m22 = b - p22 - m21 * m21 / m11 if m11 > 0.0 else math.nan
     if not 0.0 < m22 < math.inf:
         raise NumericalError("x-p GEoF search lost Gx - Gp^-1 > 0 to rounding")
@@ -543,13 +555,12 @@ def _xp_geof(g):
     for phi in phis:
         x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
         det_x = x11 * x22 - x12 * x12
-        if not 0.0 < det_x < math.inf:
-            # det X >= 1 / det Gp > 0 was lost to rounding against x11 x22
+        if not 4.0 * _EPS * (x11 * x22 + x12 * x12) < det_x < math.inf:
+            # det X >= 1 / det Gp > 0 is at or below the rounding of x11 x22 - x12^2
             raise NumericalError("x-p GEoF search lost det X to rounding: CM entries too large")
         scored.append((x11 * x22 / det_x, phi))
     det, phi = min(scored)
-    x11, x22, x12 = tight(math.cos(phi), math.sin(phi))
-    return det, _xp_pure_cm(sf, np.array([[x11, x12], [x12, x22]])), len(phis)
+    return det, _xp_pure_cm(s_a, s_b, *tight(math.cos(phi), math.sin(phi))), len(phis)
 
 
 def _k1_geof(g, s, nus, a_mode: int = 0):
@@ -558,27 +569,31 @@ def _k1_geof(g, s, nus, a_mode: int = 0):
     g is a physical 2n x 2n array with Williamson frame (s, nus); only its
     largest nu may exceed 1 + PURE_TOL.  The minimal purification adds one
     mode P with gamma_P = nu I, coupled through that mode's two frame columns
-    times sqrt(nu^2 - 1) diag(1, -1) (for a pure g, nu = 1 and P is
+    F times sqrt(nu^2 - 1) diag(1, -1) (for a pure g, nu = 1 and P is
     decoupled).  E_F is f(sqrt(d*)) for the measurement infimum d* on (A, P);
     the certificate is the conditional state of the chart's argmin seed
-    P_u / e + e P_v, for which (nu I + sigma)^-1 = e / (nu e + 1) P_u +
-    1 / (nu + e) P_v stays finite at e = 0.  No CovMatrix is built.
+    P_u / e + e P_v.  With R the pure modes' frame columns, the Schur
+    complement of (A, P) on gamma_P and the certificate are formed as sums
+    of positive terms, R_A R_A^T + F_A F_A^T / nu and R R^T + F W F^T with
+    W = (nu + e) / (nu e + 1) P_u' + (nu e + 1) / (nu + e) P_v' for u, v
+    reflected by diag(1, -1), so that nothing cancels on hot states such as
+    thermal x vacuum.  No CovMatrix is built.
     """
     ai = slice(2 * a_mode, 2 * a_mode + 2)
     nu = float(nus[-1]) if nus[-1] > 1.0 + PURE_TOL else 1.0
-    frame = s[:, -2:]
-    # S (oplus nu_i I) S^T with every pure mode's nu set to exactly 1
-    gs = s @ s.T + (nu - 1.0) * (frame @ frame.T)
-    gsr = frame * (math.sqrt(nu * nu - 1.0) * np.array([1.0, -1.0]))
-    gs_a, gsr_a = gs[ai, ai], gsr[ai]
-    # det of the (A, P) block by its Schur complement on gamma_P = nu I
-    schur = gs_a - (gsr_a @ gsr_a.T) / nu
+    frame, rest = s[:, -2:], s[:, :-2]
+    pure_part = rest @ rest.T       # every pure mode's nu set to exactly 1
+    frame_a = frame[ai]
+    ff_a = frame_a @ frame_a.T
+    gs_a = pure_part[ai, ai] + nu * ff_a
+    gsr_a = frame_a * (math.sqrt(nu * nu - 1.0) * np.array([1.0, -1.0]))
+    schur = pure_part[ai, ai] + ff_a / nu
     d_star = _inf_det_eps(_det2(gs_a), nu * nu, _det2(gsr_a), nu * nu * _det2(schur))[0]
     theta, e = _chart_argmin(gs_a, nu * np.eye(2), gsr_a, d_star)
-    u = np.array([math.cos(theta), math.sin(theta)])
+    u = np.array([math.cos(theta), -math.sin(theta)])
     v = np.array([-u[1], u[0]])
-    inv = (e / (nu * e + 1.0)) * np.outer(u, u) + np.outer(v, v) / (nu + e)
-    gamma_p = gs - gsr @ inv @ gsr.T
+    w = (nu + e) / (nu * e + 1.0) * np.outer(u, u) + (nu * e + 1.0) / (nu + e) * np.outer(v, v)
+    gamma_p = pure_part + frame @ w @ frame.T
     gamma_p = (gamma_p + gamma_p.T) / 2
     return (entropy_f(max(math.sqrt(max(d_star, 0.0)), 1.0)), gamma_p,
             float(np.linalg.eigvalsh(g - gamma_p).min()))
@@ -593,16 +608,18 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
 
     min over pure gamma_p <= gamma of f(sqrt(det gamma_p restricted to the
     single a_mode)); the rest side must have 1 or 2 modes.  The route follows
-    k, the number of symplectic eigenvalues above 1, read from one Williamson
-    frame: k <= 1 (pure inputs included) is the closed form :func:`_k1_geof`,
-    a two-mode input with k = 2 is an exact 1-D minimization in the standard
-    form's x-p picture (:func:`_xp_geof`), and a 1x2 input with k >= 2 takes
-    the best Nelder-Mead optimum over the vacuum start and GEOF_RESTARTS seeded ones;
-    there converged asks that two starts end within 1e-9 of the value.  A PPT
-    input gets GEoF = 0 from whichever route its k selects.  Returns the
-    value with the certifying pure CM, the number of objective evaluations
-    (0 for the closed form, the scored candidates for the x-p search) and the
-    method that produced it.
+    k, the number of symplectic eigenvalues above 1 + PURE_TOL.  A two-mode
+    input reads k from its closed-form symplectic values (the ones
+    :func:`discord` uses), and with k = 2 takes the exact 1-D minimization in
+    the standard form's x-p picture (:func:`_xp_geof`) without a Williamson
+    frame.  Every other input reads k from its Williamson frame: k <= 1 (pure
+    inputs included) is the closed form :func:`_k1_geof`, and a 1x2 input
+    with k >= 2 takes the best Nelder-Mead optimum over the vacuum start and
+    GEOF_RESTARTS seeded ones; there converged asks that two starts end
+    within 1e-9 of the value.  A PPT input gets GEoF = 0 from whichever
+    route its k selects.  Returns the value with the certifying pure CM, the
+    number of objective evaluations (0 for the closed form, the scored
+    candidates for the x-p search) and the method that produced it.
     """
     g = _checked(cm)
     n = g.shape[0] // 2
@@ -611,20 +628,22 @@ def geof(cm, a_mode: int = 0) -> GEoFResult:
         raise InvalidInputError("rest side must have 1 or 2 modes")
     _physical(g)
 
-    s, nus = _williamson_frame(g)
-    k = int(np.count_nonzero(nus > 1.0 + PURE_TOL))
-    if k <= 1:
-        value, gamma_p, gap = _k1_geof(g, s, nus, a_mode)
-        return GEoFResult(value=value, optimal_pure_cm=CovMatrix(gamma_p),
-                          feasibility_gap=gap, converged=True, method="k1-closed-form")
-
-    if n == 2:
-        # k = 2; both marginals of a pure two-mode CM have the same det: a_mode drops out
+    # two modes: nu_minus > 1 + PURE_TOL is k = 2, read from the closed-form values
+    if n == 2 and _symplectic_values(*_oriented_invariants(g, 1))[0] > 1.0 + PURE_TOL:
+        # both marginals of a pure two-mode CM have the same det: a_mode drops out
         det_a, gamma_p, nfev = _xp_geof(g)
         return GEoFResult(value=entropy_f(max(math.sqrt(det_a), 1.0)),
                           optimal_pure_cm=CovMatrix(gamma_p),
                           feasibility_gap=float(np.linalg.eigvalsh(g - gamma_p).min()),
                           converged=True, nfev=nfev, method="xp-search")
+
+    s, nus = _williamson_frame(g)
+    k = int(np.count_nonzero(nus > 1.0 + PURE_TOL))
+    if k <= 1 or n == 2:
+        # a two-mode input here has k <= 1 by its closed-form values
+        value, gamma_p, gap = _k1_geof(g, s, nus, a_mode)
+        return GEoFResult(value=value, optimal_pure_cm=CovMatrix(gamma_p),
+                          feasibility_gap=gap, converged=True, method="k1-closed-form")
 
     from scipy.optimize import minimize  # the only scipy import: 1x2 inputs with k >= 2
 

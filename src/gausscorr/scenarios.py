@@ -14,7 +14,6 @@ purification serves, because E_F(A:E) does not change under a unitary on E.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,11 +23,10 @@ from .channels import InputSpec, attenuate, beamsplitter, _purify
 from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig,
                    _oriented_invariants, _physical, _quadrature_indices, _symplectic, _two_mode,
                    _williamson_frame)
-from .correlations import (entropy_f, kw_audit, _discord_report, _k1_geof, _polymul,
+from .correlations import (entropy_f, kw_audit, _EPS, _discord_report, _k1_geof, _polymul,
                            _stationary_points)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
-_EPS = sys.float_info.epsilon
 MODULATION_SOURCE = "modulation_x"
 PHASE_NOISE_SOURCE = "phase_noise_p"
 

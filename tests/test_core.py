@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             standard_form, symplectic_form, symplectic_spectrum,
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
-from gausscorr.channels import tmsv_cm
+from gausscorr.channels import attenuate, tmsv_cm
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
 from helpers import (cm_call_args, cm_entry_points, make_coherent_mixture_cm,
@@ -255,19 +257,49 @@ def test_standard_form_already_standard():
         assert np.allclose(op.entries, np.eye(2), atol=1e-9)
 
 
-def test_standard_form_canonical_ordering_and_reconstruction():
+def _standard_form_cases():
+    """Two-mode CMs of each kind the standard form meets, as (family, entries)."""
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        cm = random_physical_cm(rng, 2)
-        sf = standard_form(cm)
-        assert sf.a >= 1 - 1e-9 and sf.b >= 1 - 1e-9
-        assert sf.c_plus >= abs(sf.c_minus) - 1e-12
+    cases = [("random", random_physical_cm(rng, 2).entries) for _ in range(25)]
+    for _ in range(10):
+        local = np.zeros((4, 4))
+        local[:2, :2] = random_symplectic(rng, 1).entries
+        local[2:, 2:] = random_symplectic(rng, 1).entries
+        a, b = rng.uniform(1.0, 5.0, 2)
+        c_plus = rng.uniform(0.0, 1.0) * math.sqrt((a - 1) * (b - 1))
+        c_minus = -rng.uniform(0.0, 1.0) * c_plus
+        cases.append(("product", local @ np.diag([a, a, b, b]) @ local.T))
+        std = np.diag([a, a, b, b])
+        std[0, 2] = std[2, 0] = c_plus    # std - I >= 0: physical
+        std[1, 3] = std[3, 1] = c_minus
+        cases.append(("c_minus < 0", local @ std @ local.T))
+        cases.append(("symmetric", local @ attenuate(
+            attenuate(tmsv_cm(a), 0, rng.uniform(0.3, 1.0)), 1, rng.uniform(0.3, 1.0)).entries
+            @ local.T))
+        s = random_symplectic(rng, 2).entries
+        nus = np.repeat(1.0 + 10.0 ** rng.uniform(-12, -6, 2), 2)
+        cases.append(("near-pure", (s * nus) @ s.T))
+        cases.append(("hot", random_physical_cm(rng, 2, max_thermal=200.0,
+                                                squeeze_scale=2.5).entries))
+    return cases
+
+
+def test_standard_form_canonical_ordering_and_reconstruction():
+    for family, g in _standard_form_cases():
+        g = (g + g.T) / 2
+        sf = standard_form(g)
+        assert sf.a >= 1 - 1e-9 and sf.b >= 1 - 1e-9, family
+        assert sf.c_plus >= abs(sf.c_minus), family
+        c = g[0, 2] * g[1, 3] - g[0, 3] * g[1, 2]
+        assert abs(sf.c_plus * sf.c_minus - c) <= 1e-12 * abs(c), family
         s_a, s_b = sf.local_ops
+        for op in (s_a, s_b):
+            assert abs(np.linalg.det(op.entries) - 1.0) <= 1e-12, family
         full = np.zeros((4, 4))
         full[:2, :2] = s_a.entries
         full[2:, 2:] = s_b.entries
-        recon = full @ cm.entries @ full.T
-        assert np.abs(recon - sf.matrix()).max() <= 1e-9
+        recon = full @ g @ full.T
+        assert np.abs(recon - sf.matrix()).max() <= 1e-12 * np.abs(g).max(), family
 
 
 def test_standard_form_preserves_local_invariants(measured_cm):

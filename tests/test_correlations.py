@@ -10,8 +10,8 @@ import scipy.optimize
 
 from gausscorr.channels import attenuate, beamsplitter, squeezer, tmsv_cm
 from gausscorr.core import (PHYSICALITY_TOL, CovMatrix, apply_symplectic, partial_transpose,
-                            ppt_min_eig, reduce, standard_form, tensor, validate_physical,
-                            _symplectic_pair)
+                            ppt_min_eig, reduce, standard_form, tensor,
+                            two_mode_symplectic_values, validate_physical, _symplectic_pair)
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, F_CLAMP_TOL, ORACLE_GRID, _chart_coefficients,
                                     _e_profile, _oracle_infimum, _oriented_invariants,
@@ -551,12 +551,14 @@ def test_functionals_raise_numerical_error_beyond_float_range(mode):
     # the physical diag(s, s, 1, 1) the squared Seralian overflows from about
     # s = 1e77 with every invariant finite: nu_minus read 0, and discord raised
     # NonPhysicalStateError while the oracle raised NumericalError
+    # two_mode_symplectic_values returned (0.0, inf) on diag(1e100, 1e100, 1, 1)
     cms = [scale * HUGE_CM for scale in (1e7, 1e30, 1e80)]
     cms += [np.diag([s, s, 1.0, 1.0]) for s in (1e100, 1e150)]
     for g in cms:
         with np.errstate(all="ignore"):
-            outcomes = _outcome(discord, g, mode), _outcome(discord_oracle, g, mode)
-        assert outcomes == (NumericalError,) * 2, g[0, 0]
+            outcomes = (_outcome(discord, g, mode), _outcome(discord_oracle, g, mode),
+                        _outcome(two_mode_symplectic_values, g))
+        assert outcomes == (NumericalError,) * 3, g[0, 0]
 
 
 def test_standard_form_and_geof_raise_numerical_error_beyond_float_range():

@@ -11,6 +11,7 @@ from gausscorr.channels import attenuate, beamsplitter, tmsv_cm
 from gausscorr.core import (apply_symplectic, partial_transpose, ppt_min_eig, reduce,
                             symplectic_form, symplectic_spectrum, tensor,
                             two_mode_symplectic_values, validate_physical)
+import gausscorr.correlations as corr
 from gausscorr.correlations import (_geof_objective, _seed_frame, _seed_inverse, discord,
                                     entropy_f, geof, von_neumann_entropy)
 from gausscorr.errors import InvalidInputError, NumericalError
@@ -389,20 +390,84 @@ def test_geof_two_mode_k2_matches_search(monkeypatch):
 
 def test_geof_of_a_scaled_separable_state_is_zero():
     # s g0 is PPT, hence separable; the 64-point grid missed its valley, about
-    # 1/s wide, from s = 1e2 on (2.0e-8 at 1e4, 1.1e-4 at 1e6, unconverged)
+    # 1/s wide, from s = 1e2 on (2.0e-8 at 1e4, 1.1e-4 at 1e6, unconverged).
+    # Beyond 1e7 det X sits at its rounding bound: at 15 quarter decades from
+    # 1e12.5 to 1e75.25 the search returned 5e-7 to 18.6 nats (9.58 at 1e20),
+    # converged.  Each quarter decade up to 1e76 is 0 or a package error,
+    # without a numpy warning on the way
     g0 = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
                    [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
     assert ppt_min_eig(g0) >= -1e-15
-    for k in range(8):
-        g = 10.0 ** k * g0
-        res = geof(g)
-        assert res.value <= 1e-12 and res.converged and res.method == "xp-search", k
-        assert res.feasibility_gap >= -1e-15 * np.abs(g).max(), k
-    # det X is lost to rounding at 1e8: a package error, and no numpy warning on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError):
-            geof(1e8 * g0)
+    for q in range(4 * 76 + 1):
+        g = 10.0 ** (q / 4) * g0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = geof(g)
+            except NumericalError:
+                assert q > 4 * 7, q
+                continue
+        assert res.value <= 1e-12 and res.converged and res.method == "xp-search", q
+        assert res.feasibility_gap >= -1e-15 * np.abs(g).max(), q
+    with pytest.raises(NumericalError):
+        geof(1e8 * g0)
+
+
+def test_geof_of_a_hot_product_state_is_zero():
+    # thermal x vacuum takes the k = 1 closed form; the Schur complement
+    # x - (x^2 - 1) / x cancelled there: InvalidInputError ("non-positive
+    # diagonal entries") at 22 of these decades, and 1.5e-7 nats at 1e7,
+    # 9.8e-5 at 1e11 and 32.9 at 1e30
+    for k in range(39):
+        x = 10.0 ** k
+        for g in (np.diag([x, x, 1.0, 1.0]), np.diag([1.0, 1.0, x, x])):
+            for mode in (0, 1):
+                try:
+                    res = geof(g, mode)
+                except NumericalError:
+                    assert k > 4, k
+                    continue
+                assert res.value <= 1e-12 and res.method == "k1-closed-form", (k, mode)
+                assert res.feasibility_gap >= -1e-15 * x, (k, mode)
+    # the same with local squeezers and rotations, at x off the decades
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        x = 10.0 ** rng.uniform(0.0, 12.0)
+        local = np.zeros((4, 4))
+        local[:2, :2] = random_symplectic(rng, 1, squeeze_scale=1.5).entries
+        local[2:, 2:] = random_symplectic(rng, 1, squeeze_scale=1.5).entries
+        g = local @ np.diag([x, x, 1.0, 1.0]) @ local.T
+        for mode in (0, 1):
+            try:
+                assert geof((g + g.T) / 2, mode).value <= 1e-12, (x, mode)
+            except NumericalError:
+                pass
+
+
+def test_two_mode_xp_geof_builds_no_williamson_frame(monkeypatch):
+    # k = 2 comes from the closed-form symplectic values, and the standard form
+    # is plain float arithmetic
+    symmetric = attenuate(attenuate(tmsv_cm(3.0), 0, 0.8), 1, 0.8)
+    separable = make_separable_cm(np.random.default_rng(3))
+    expect = [geof(g) for g in (symmetric, separable)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(corr, "_williamson_frame",
+                        counted("williamson", corr._williamson_frame))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    got = [geof(g) for g in (symmetric, separable)]
+    assert calls == []
+    assert [r.method for r in got] == ["xp-search"] * 2
+    assert [r.value for r in got] == [r.value for r in expect]
+    # the k = 1 route still takes its frame
+    geof(attenuate(tmsv_cm(3.0), 1, 0.6))
+    assert calls == ["williamson"]
 
 
 def test_geof_three_mixed_modes_feasible_and_pure():
