@@ -102,29 +102,35 @@ def rotation(theta: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransfo
     return SymplecticTransform(m)
 
 
-def attenuate(cm, mode: int, t: float, keep_environment: bool = False) -> CovMatrix:
-    """Attenuation with power transmittance t via a vacuum ancilla.
+def attenuate(cm, mode: int, t: float) -> CovMatrix:
+    """Attenuation of one mode with power transmittance t via a traced vacuum ancilla.
 
-    With keep_environment the ancilla is appended as a new last mode and the
-    beamsplitter applied (global purity preserved); without, the ancilla is
-    traced out: the mode's rows and columns scale by sqrt(t) and its block
-    gains (1-t) I.
+    The one loss map :func:`_loss_stack` at a single t.  Keeping the ancilla
+    as a new last mode is ``apply_symplectic(tensor(cm, np.eye(2)),
+    beamsplitter(t, n + 1, (mode, n)))``.
     """
     g = _checked(cm)
-    n = g.shape[0] // 2
-    q = _quadrature_indices(n, [mode])
+    _quadrature_indices(g.shape[0] // 2, [mode])  # raises for a mode the CM lacks
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
-    if keep_environment:
-        extended = np.eye(2 * n + 2)
-        extended[:2 * n, :2 * n] = g
-        bs = beamsplitter(t, n + 1, (mode, n)).entries
-        return CovMatrix(bs @ extended @ bs.T)
-    scale = np.ones(2 * n)
-    scale[q] = np.sqrt(t)
-    out = g * scale[:, None] * scale
-    out[np.ix_(q, q)] += (1.0 - t) * np.eye(2)
-    return CovMatrix(out)
+    return CovMatrix(_loss_stack(g, [t], mode)[0])
+
+
+def _loss_stack(g: np.ndarray, t_grid, mode: int) -> np.ndarray:
+    """Stack of g with one mode sent through loss, one CM per transmittance t.
+
+    A beamsplitter with a vacuum port scales the mode's rows and columns by
+    sqrt(t) and turns its block beta into t beta + (1 - t) I; the other
+    blocks stay.  The package's only loss channel: :func:`attenuate`, the
+    attenuation sweep and the correlation flow all call it.
+    """
+    t = np.array(t_grid, dtype=float)[:, None, None]
+    q = slice(2 * mode, 2 * mode + 2)
+    out = np.repeat(g[None], len(t), axis=0)
+    out[:, :, q] = np.sqrt(t) * g[:, q]
+    out[:, q, :] = np.swapaxes(out[:, :, q], 1, 2)
+    out[:, q, q] = t * g[q, q] + (1.0 - t) * np.eye(2)
+    return out
 
 
 def _purify(s, nus) -> np.ndarray:

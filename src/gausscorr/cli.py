@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -38,18 +39,9 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_config(path) -> ScenarioConfig:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"config is not valid JSON: {exc}") from None
-    return ScenarioConfig.from_dict(obj)
-
-
 def _check_out_path(path):
+    if os.path.isdir(path):
+        raise InvalidInputError(f"output path is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise InvalidInputError(f"output directory does not exist: {parent}")
@@ -61,15 +53,21 @@ def _emit(obj, out_path=None):
     except ValueError as exc:  # NaN or Infinity, which JSON has no literal for
         raise NumericalError(f"output is not finite: {exc}") from None
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text + "\n")
     else:
         print(text)
 
 
+def _write(path, text):
+    """Write text to path as it is; an OSError is invalid input naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_discord(args) -> int:
-    if not os.path.exists(args.cm):
-        raise InvalidInputError(f"CM file not found: {args.cm}")
     cm = read_cm_file(args.cm, allow_nonphysical=args.allow_measured)
     measured = {"A": 0, "B": 1}[args.measured_mode]
     rep = discord(cm, measured_mode=measured, allow_measured=args.allow_measured)
@@ -91,7 +89,7 @@ def cmd_discord(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ScenarioConfig.from_file(args.config)
     _check_out_path(args.out)
     if cfg.kw_columns and cfg.cmr_a != 0.0:
         # E_F rests on the pure global model: J on the noisy CM against it
@@ -104,23 +102,24 @@ def cmd_sweep(args) -> int:
         header += ["E_F_AE", "S_A", "residual"]
     else:
         rows = attenuation_sweep(state, cfg.attenuation_grid, cmr_a=cfg.cmr_a)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
-                   f"{row.classical_corr:.10g}"]
-            if cfg.kw_columns:
-                # rounding noise near 1e-15 must not rewrite the file: an absolute
-                # 1e-12 grid, far below the audit's 1e-10 gate, with -0.0 made 0
-                resid = round(row.residual, 12) + 0.0
-                rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
-            writer.writerow(rec)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        rec = [f"{row.t:.10g}", f"{row.discord:.10g}", f"{row.mutual_info:.10g}",
+               f"{row.classical_corr:.10g}"]
+        if cfg.kw_columns:
+            # rounding noise near 1e-15 must not rewrite the file: an absolute
+            # 1e-12 grid, far below the audit's 1e-10 gate, with -0.0 made 0
+            resid = round(row.residual, 12) + 0.0
+            rec += [f"{row.e_f_ae:.10g}", f"{row.s_a:.10g}", f"{resid:.10g}"]
+        writer.writerow(rec)
+    _write(args.out, text.getvalue())
     return EXIT_OK
 
 
 def cmd_recover(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ScenarioConfig.from_file(args.config)
     state = build_split_state(cfg.input_spec, cfg.bs_t)
     final, rep = run_recovery(state, args.mode)
     out = {
@@ -143,7 +142,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ScenarioConfig.from_file(args.config)
     _check_out_path(args.out)
     estimate_out = args.estimate_out or args.out + ".estimate.json"
     _check_out_path(estimate_out)
@@ -151,13 +150,17 @@ def cmd_simulate(args) -> int:
     batch = sample(state, args.n, args.seed)
     est = estimate_cm(batch)  # before the CSV, so that a rejected batch writes no file
     write_batch_csv(batch, args.out)
-    _emit({
-        "n": batch.n,
-        "seed": batch.seed,
-        "quadratures": list(batch.quadrature_labels),
-        "gamma": est.cm.entries.tolist(),
-        "std_errors": est.std_errors.tolist(),
-    }, estimate_out)
+    try:
+        _emit({
+            "n": batch.n,
+            "seed": batch.seed,
+            "quadratures": list(batch.quadrature_labels),
+            "gamma": est.cm.entries.tolist(),
+            "std_errors": est.std_errors.tolist(),
+        }, estimate_out)
+    except GausscorrError:
+        os.remove(args.out)  # a rejected run leaves no file behind
+        raise
     return EXIT_OK
 
 

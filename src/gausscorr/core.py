@@ -21,7 +21,7 @@ from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
-SPECTRUM_CLAMP_TOL = 1e-6
+SPECTRUM_CLAMP_TOL = 1e-6   # symplectic values this far below 1 read as 1; lower is nonphysical
 
 
 def _checked(cm) -> np.ndarray:
@@ -446,17 +446,30 @@ def cm_from_dict(obj: dict, allow_nonphysical: bool = False) -> CovMatrix:
     return cm
 
 
-def read_cm_file(path, allow_nonphysical: bool = False) -> CovMatrix:
-    with open(path) as fh:
+def _open(path, mode: str = "r", **kwargs):
+    """open(path, mode, **kwargs); an OSError (a missing file, a directory, no
+    permission) becomes an InvalidInputError naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
+def _read_json(path):
+    """The JSON value in the file at path; undecodable bytes are not valid JSON either."""
+    with _open(path) as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"not valid JSON: {exc}") from None
-    return cm_from_dict(obj, allow_nonphysical=allow_nonphysical)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_cm_file(path, allow_nonphysical: bool = False) -> CovMatrix:
+    return cm_from_dict(_read_json(path), allow_nonphysical=allow_nonphysical)
 
 
 def write_cm_file(path, cm):
     obj = cm_to_dict(cm)  # before open, so that a rejected CM leaves no file behind
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")

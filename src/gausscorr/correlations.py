@@ -24,12 +24,11 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
-from .core import (CovMatrix, symplectic_spectrum, _blocks, _checked, _finite_symplectic_pair,
-                   _oriented_invariants, _physical, _quadrature_indices, _standard_form,
-                   _two_mode, _williamson_frame)
+from .core import (SPECTRUM_CLAMP_TOL, CovMatrix, symplectic_spectrum, _blocks, _checked,
+                   _finite_symplectic_pair, _oriented_invariants, _physical,
+                   _quadrature_indices, _standard_form, _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
-F_CLAMP_TOL = 1e-6
 BRANCH_TIE_TOL = 1e-12
 _EPS = sys.float_info.epsilon
 
@@ -40,7 +39,7 @@ def entropy_f(x: float) -> float:
     f(x) = ((x+1)/2) ln((x+1)/2) - ((x-1)/2) ln((x-1)/2); f(1) = 0.
     Arguments within 1e-6 below 1 are clamped to 1; NaN raises.
     """
-    if not x >= 1.0 - F_CLAMP_TOL:
+    if not x >= 1.0 - SPECTRUM_CLAMP_TOL:
         raise InvalidInputError(f"entropy argument {x} below 1 - 1e-6")
     return float(_f(max(x, 1.0)))
 
@@ -156,7 +155,7 @@ def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
 
     args = (math.sqrt(a), math.sqrt(b), nu_minus, nu_plus, math.sqrt(max(inf_det, 0.0)))
     # args[0] is a number, and min skips a NaN that comes after one
-    clamped = min(args) < 1.0 - F_CLAMP_TOL
+    clamped = min(args) < 1.0 - SPECTRUM_CLAMP_TOL
     if clamped and not allow_measured:
         raise NonPhysicalStateError("entropy arguments below 1; state not physical")
     # each argument is >= 0, +inf or NaN, so the sum is NaN only for a NaN argument

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import CovMatrix, _checked, _physical
+from .core import CovMatrix, _checked, _open, _physical
 from .errors import InvalidInputError
 from .scenarios import MODULATION_SOURCE, ScenarioState
 
@@ -104,8 +105,8 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     """
     if n < 1:
         raise InvalidInputError("sample size must be positive")
+    rng = _rng(seed)
     _physical(state.effective_cm().entries, "; cannot sample")
-    rng = np.random.default_rng(seed)
     raw_cov = state.quantum_cm.entries / 2.0
     chol = np.linalg.cholesky(raw_cov + 1e-15 * np.eye(raw_cov.shape[0]))
     shots = np.empty((raw_cov.shape[0], n))
@@ -123,6 +124,13 @@ def sample(state: ScenarioState, n: int, seed: int) -> SampleBatch:
     labels = tuple(f"{q}_{m}" for m in state.mode_names for q in ("x", "p"))
     return SampleBatch(quadratures=tuple(shots), quadrature_labels=labels,
                        displacement_record=record, seed=seed)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of a seed, which must be a nonnegative int (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def estimate_cm(batch: SampleBatch) -> CMEstimate:
@@ -178,7 +186,7 @@ def error_monte_carlo(pipeline, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise InvalidInputError("trials must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rows = [pipeline(rng) for _ in range(trials)]
     names = list(rows[0])
     out = {}
@@ -261,7 +269,7 @@ def write_batch_csv(batch: SampleBatch, path):
     header = list(batch.quadrature_labels) + [f"xbar_{s}" for s in sources]
     columns = batch.quadratures + tuple(batch.displacement_record[s] for s in sources)
     row_fmt = ",".join(["%.10g"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, batch.n, _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)

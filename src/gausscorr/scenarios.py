@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._brent import bounded_brent
-from .channels import InputSpec, attenuate, beamsplitter, _purify
+from .channels import InputSpec, beamsplitter, _loss_stack, _purify
 from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig,
-                   _oriented_invariants, _physical, _quadrature_indices, _symplectic, _two_mode,
-                   _williamson_frame)
+                   _oriented_invariants, _physical, _quadrature_indices, _read_json, _symplectic,
+                   _two_mode, _williamson_frame)
 from .correlations import (entropy_f, kw_audit, _EPS, _discord_report, _k1_geof, _polymul,
                            _stationary_points)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
@@ -149,20 +149,6 @@ class ScenarioState:
                        quantum_cm=tensor(self.quantum_cm, np.eye(2)),
                        loadings=tuple(new_loadings))
 
-    def attenuate_mode(self, name: str, t: float,
-                       keep_environment: bool = True) -> "ScenarioState":
-        """Attenuate one mode; with keep_environment the loss port becomes mode "V"."""
-        mode = self.mode_index(name)
-        if keep_environment:
-            st = self.with_vacuum_mode("V")
-            bs = beamsplitter(t, st.n_modes, (mode, st.n_modes - 1))
-            return st.apply_symplectic(bs)
-        scale = np.ones(2 * self.n_modes)
-        scale[2 * mode:2 * mode + 2] = np.sqrt(t)
-        new_loadings = tuple(replace(ld, vector=scale * ld.vector) for ld in self.loadings)
-        return replace(self, quantum_cm=attenuate(self.quantum_cm, mode, t),
-                       loadings=new_loadings)
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -200,9 +186,10 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
 
     At power transmittance t the effective (A, B') CM is affine in t: alpha
     stays, beta becomes t beta + (1 - t) I and delta becomes sqrt(t) delta
-    (:func:`_loss_stack`), plus the common-mode-rejection noise
-    diag(a, a, t a, t a).  The (A, B) blocks are therefore taken once, at
-    t = 1, and the whole grid is built as one (N, 4, 4) stack.  One stacked
+    (:func:`~gausscorr.channels._loss_stack` on mode B), plus the
+    common-mode-rejection noise diag(a, a, t a, t a).  The (A, B) blocks are
+    therefore taken once, at t = 1, and the whole grid is built as one
+    (N, 4, 4) stack.  One stacked
     eigvalsh(gamma + i Omega) checks every point's physicality
     (NonPhysicalStateError names the first bad t), one stacked det pass gives
     the invariants A, B, C, D, and each row is the scalar discord closed form
@@ -220,7 +207,7 @@ def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
     t_grid = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_grid):
         raise InvalidInputError("attenuation grid must lie in [0, 1]")
-    g = _loss_stack(g1, t_grid)
+    g = _loss_stack(g1, t_grid, 1)
     g[:, :2, :2] += cmr_a * np.eye(2)
     g[:, 2:, 2:] += (np.array(t_grid)[:, None, None] * cmr_a) * np.eye(2)
     _check_stack(g, t_grid)
@@ -231,21 +218,6 @@ def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
                              classical_corr=rep.classical_corr,
                              s_a=entropy_f(max(math.sqrt(inv[0]), 1.0))))
     return rows
-
-
-def _loss_stack(g: np.ndarray, t_grid: list) -> np.ndarray:
-    """Stack of g with its last mode sent through loss, one CM per transmittance t.
-
-    A beamsplitter with a vacuum port turns the last mode's block beta into
-    t beta + (1 - t) I and scales its cross blocks by sqrt(t); the other
-    blocks stay.
-    """
-    t = np.array(t_grid, dtype=float)[:, None, None]
-    out = np.repeat(g[None], len(t_grid), axis=0)
-    out[:, -2:, -2:] = t * g[-2:, -2:] + (1.0 - t) * np.eye(2)
-    out[:, :-2, -2:] = np.sqrt(t) * g[:-2, -2:]
-    out[:, -2:, :-2] = np.swapaxes(out[:, :-2, -2:], 1, 2)
-    return out
 
 
 def _check_stack(g: np.ndarray, t_grid: list):
@@ -264,7 +236,7 @@ def correlation_flow(state: ScenarioState, t_grid) -> list:
     purifier P of the effective (A, B) CM plus the loss ancilla V.  The
     (A, B) CM is purified once (one purifying mode per symplectic eigenvalue
     above 1), and every (A, P, V') CM is that pure CM with B sent through
-    loss at transmittance 1 - t (:func:`_loss_stack`), since V' =
+    loss at transmittance 1 - t (:func:`~gausscorr.channels._loss_stack`), since V' =
     sqrt(1 - t) B - sqrt(t) V.  The complement of (A, E) is the one mode B',
     so each point is the closed form
     :func:`~gausscorr.correlations._k1_geof` on its own Williamson frame: the
@@ -279,9 +251,10 @@ def correlation_flow(state: ScenarioState, t_grid) -> list:
     if pure.shape[0] > 6:
         raise InvalidInputError("E_F takes at most two environment modes: the (A, B) CM "
                                 "has more than one symplectic eigenvalue above 1")
-    order = np.r_[0:2, 4:pure.shape[0], 2:4]  # (A, P..., B)
+    n = pure.shape[0] // 2
+    order = np.r_[0:2, 4:2 * n, 2:4]  # (A, P..., B): B is the last mode
     t_grid = [r.t for r in rows]
-    env = _loss_stack(pure[np.ix_(order, order)], [1.0 - t for t in t_grid])
+    env = _loss_stack(pure[np.ix_(order, order)], [1.0 - t for t in t_grid], n - 1)
     _check_stack(env, t_grid)
     points = []
     for r, g in zip(rows, env):
@@ -331,8 +304,8 @@ def duan_value(cm, g: float, signs: tuple = (1, -1)) -> DuanReport:
     Quadrature variances are gamma-entries / 2; the normalization is
     (g^2 + 1)^2 / 4, so values below 1 certify entanglement.
     """
-    if g <= 0:
-        raise InvalidInputError("gain must be positive")
+    if not 0 < g < math.inf:
+        raise InvalidInputError(f"gain must be positive and finite, got {g!r}")
     sx, sp = signs
     if sx not in (1, -1) or sp != -sx:
         raise InvalidInputError("signs must be (+1, -1) or (-1, +1)")
@@ -378,8 +351,8 @@ def recover_demodulate(state: ScenarioState, g: float) -> ScenarioState:
     which reduces to (g T + R) for the plain split state; the residual loading
     on x_B is then -g T.
     """
-    if g <= 0:
-        raise InvalidInputError("gain must be positive")
+    if not 0 < g < math.inf:
+        raise InvalidInputError(f"gain must be positive and finite, got {g!r}")
     ld = state.loading(MODULATION_SOURCE)
     ia, ib = state.mode_index("A"), state.mode_index("B")
     prefactor = g * ld.vector[2 * ia] + ld.vector[2 * ib]
@@ -423,14 +396,12 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
 
     st = state.with_vacuum_mode("Et", {MODULATION_SOURCE: -1.0})
     if bs_t_be is None:
-        # the beamsplitter maps x_B to sqrt(t2) x_B + sqrt(1 - t2) x_Et (p alike),
-        # so the mixed (A, B) CM is one congruence of the effective (A, B, Et) CM
+        # the mixed (A, B) CM is one congruence of the effective (A, B, Et) CM:
+        # the (A, B) rows of the B-Et beamsplitter
         g = st.effective_cm(["A", "B", "Et"]).entries
-        rows = np.eye(4, 6)
 
         def duan_at(t2):
-            rows[2, 2] = rows[3, 3] = math.sqrt(t2)
-            rows[2, 4] = rows[3, 5] = math.sqrt(1.0 - t2)
+            rows = beamsplitter(t2, 3, (1, 2)).entries[:4]
             e = (rows @ g @ rows.T).tolist()
             return _duan(e, *_duan_search(e, (1, -1)))
 
@@ -481,6 +452,11 @@ class ScenarioConfig:
     attenuation_grid: tuple
     cmr_a: float = 0.0
     kw_columns: bool = False
+
+    @staticmethod
+    def from_file(path) -> "ScenarioConfig":
+        """The config in a JSON file; a file that cannot be read is invalid input."""
+        return ScenarioConfig.from_dict(_read_json(path))
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioConfig":

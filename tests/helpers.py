@@ -3,14 +3,15 @@
 No CLI command, script or benchmark workload reaches these functions; the
 tests use them as references (the paper's split-state closed forms, the
 ideal recovery value, a minimal purification, the per-point channel maps,
-the discord oracle's seed chart) or as seeded inputs.  Every test module
-takes them from here.
+the beamsplitter-with-vacuum loss route, the discord oracle's seed chart)
+or as seeded inputs.  Every test module takes them from here.
 """
 
 import importlib
 import inspect
 import pkgutil
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ import gausscorr
 from gausscorr.channels import _purify, beamsplitter, rotation, squeezer
 from gausscorr.core import (CovMatrix, SymplecticTransform, _checked, _physical,
                             _quadrature_indices, _two_mode, _williamson_frame,
-                            apply_symplectic)
+                            apply_symplectic, tensor)
 from gausscorr.errors import InvalidInputError
 from gausscorr.optimality import DecompositionParams, _check_ordering
 
@@ -106,6 +107,35 @@ def cmr_noise(cm, a: float, t: float) -> CovMatrix:
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError("transmittance must be in [0, 1]")
     return CovMatrix(_two_mode(cm) + np.diag([a, a, t * a, t * a]))
+
+
+def loss_with_port(cm, mode: int, t: float) -> CovMatrix:
+    """The CM with one mode sent through loss t, its vacuum loss port kept as a new last mode.
+
+    The beamsplitter route, independent of the package's loss map
+    ``channels._loss_stack``: tracing the port out gives ``attenuate``.
+    """
+    n = _checked(cm).shape[0] // 2
+    return apply_symplectic(tensor(cm, np.eye(2)), beamsplitter(t, n + 1, (mode, n)))
+
+
+def attenuate_mode(state, name: str, t: float):
+    """The ScenarioState with the named mode sent through loss t; the loss port is mode "V".
+
+    A vacuum mode from ``with_vacuum_mode`` mixed in on ``beamsplitter``:
+    the sweep and the flow are checked against this route, not their own map.
+    """
+    st = state.with_vacuum_mode("V")
+    return st.apply_symplectic(beamsplitter(t, st.n_modes, (st.mode_index(name), st.n_modes - 1)))
+
+
+def drop_mode(state, name: str):
+    """The ScenarioState with the named mode traced out: its CM rows and loading entries go."""
+    keep = tuple(m for m in state.mode_names if m != name)
+    idx = _quadrature_indices(state.n_modes, [state.mode_index(m) for m in keep])
+    return replace(state, mode_names=keep,
+                   quantum_cm=CovMatrix(state.quantum_cm.entries[np.ix_(idx, idx)]),
+                   loadings=tuple(replace(ld, vector=ld.vector[idx]) for ld in state.loadings))
 
 
 def minimal_purification(cm) -> CovMatrix:

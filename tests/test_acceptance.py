@@ -25,8 +25,9 @@ from gausscorr.scenarios import (attenuation_sweep, build_split_state,
                                  correlation_flow, duan_value, optimal_demodulation,
                                  recover_demodulate, run_recovery)
 
-from helpers import (cmr_noise, make_separable_cm, random_physical_cm, random_symplectic,
-                     reconstructed_standard_form, recovery_closed_form, split_standard_form)
+from helpers import (attenuate_mode, cmr_noise, make_separable_cm, random_physical_cm,
+                     random_symplectic, reconstructed_standard_form, recovery_closed_form,
+                     split_standard_form)
 
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
 COHERENT = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.0)
@@ -126,7 +127,7 @@ def test_criterion_5c_curve_heights_match_oracle():
     rows = attenuation_sweep(state, NINE_POINT_GRID, cmr_a=3.9e-3)
     worst = 0.0
     for row in rows:
-        eff = state.attenuate_mode("B", row.t, keep_environment=False).effective_cm(["A", "B"])
+        eff = attenuate_mode(state, "B", row.t).effective_cm(["A", "B"])
         noisy = cmr_noise(eff, 3.9e-3, row.t)
         worst = max(worst, abs(row.discord - discord_oracle(noisy)))
     _report("criterion 5c (curve heights vs internal oracle)", worst <= 1e-4,

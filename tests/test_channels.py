@@ -8,7 +8,7 @@ from gausscorr.channels import (InputSpec, attenuate, beamsplitter, db_to_varian
 from gausscorr.core import apply_symplectic, reduce, symplectic_spectrum, validate_physical
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
-from helpers import cmr_noise, minimal_purification, modulate, random_physical_cm
+from helpers import cmr_noise, loss_with_port, minimal_purification, modulate, random_physical_cm
 
 
 def test_db_conversion():
@@ -80,26 +80,43 @@ def test_attenuate_thermal_formula():
     assert np.allclose(out.entries, np.diag([t * v + 1 - t] * 2))
 
 
-def test_attenuate_keep_environment_consistent(measured_cm):
+def test_attenuate_is_the_traced_loss_port(measured_cm):
     t = 0.35
-    kept = attenuate(measured_cm, 1, t, keep_environment=True)
+    kept = loss_with_port(measured_cm, 1, t)
     assert kept.n_modes == 3
     traced = reduce(kept, [0, 1])
     direct = attenuate(measured_cm, 1, t)
     assert np.abs(traced.entries - direct.entries).max() <= 1e-12
 
 
-@pytest.mark.parametrize("keep_environment", [False, True])
+@pytest.mark.parametrize("keep_port", [False, True])
 @pytest.mark.parametrize("t", [-0.1, 1.2])
-def test_attenuate_rejects_transmittance_outside_unit_interval(measured_cm, t, keep_environment):
+def test_attenuate_rejects_transmittance_outside_unit_interval(measured_cm, t, keep_port):
+    # traced (attenuate) or kept (the beamsplitter onto a vacuum port)
     with pytest.raises(InvalidInputError):
-        attenuate(measured_cm, 1, t, keep_environment=keep_environment)
+        (loss_with_port if keep_port else attenuate)(measured_cm, 1, t)
 
 
-def test_attenuate_keep_environment_preserves_purity():
+def test_loss_with_port_preserves_purity():
     g = tmsv_cm(2.0)
-    out = attenuate(g, 1, 0.6, keep_environment=True)
+    out = loss_with_port(g, 1, 0.6)
     assert np.allclose(symplectic_spectrum(out), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("family", [{}, {"max_thermal": 200.0, "squeeze_scale": 2.5}],
+                         ids=["default", "hot"])
+def test_attenuate_matches_the_beamsplitter_with_a_vacuum_port(family):
+    # the one loss map against the independent route: a vacuum mode, the
+    # package's beamsplitter, and the port traced out, on every mode
+    rng = np.random.default_rng(30)
+    for k in range(300):
+        n = 1 + k % 3
+        cm = random_physical_cm(rng, n, **family)
+        t = float(k % 10) if k % 10 < 2 else rng.uniform(0.0, 1.0)   # both ends too
+        for mode in range(n):
+            ref = reduce(loss_with_port(cm, mode, t), list(range(n))).entries
+            got = attenuate(cm, mode, t).entries
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(cm.entries).max(), (k, mode, t)
 
 
 def test_modulate_examples():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -507,3 +508,86 @@ def test_simulate_command_deterministic(fig3_config, tmp_path):
         main(["simulate", "--config", str(fig3_config), "--n", "500",
               "--seed", "11", "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# file errors, for every path option the parser defines
+
+def _path_options():
+    """(command, option, is_output) for each path option: a string option without
+    choices, an output when its dest is out or ends in _out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for a in p._actions:
+            if a.option_strings and a.nargs is None and a.type is None and a.choices is None:
+                yield command, a.option_strings[-1], a.dest == "out" or a.dest.endswith("_out")
+
+
+_PATH_CASES = [(command, option, bad) for command, option, is_output in _path_options()
+               for bad in (("directory",) if is_output else ("directory", "non-utf8"))]
+
+
+def _valid_args(tmp_path):
+    """A valid value for every required option of the commands."""
+    cm = tmp_path / "cm.json"
+    cm.write_text(json.dumps({"n_modes": 2, "gamma": tmsv_cm(2.0).entries.tolist()}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "input": {"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4},
+        "bs_t": 0.5, "attenuation_grid": [1.0, 0.5]}))
+    return {"--cm": cm, "--config": config, "--out": tmp_path / "out.txt",
+            "--mode": "demodulate", "--vx": "9.84", "--vp": "38.4", "--n": "50"}
+
+
+def test_every_path_option_is_in_the_file_error_matrix():
+    assert {(c, o) for c, o, _ in _PATH_CASES} >= {
+        ("discord", "--cm"), ("discord", "--out"), ("sweep", "--config"), ("sweep", "--out"),
+        ("recover", "--config"), ("recover", "--out"), ("certify", "--out"),
+        ("simulate", "--config"), ("simulate", "--out"), ("simulate", "--estimate-out")}
+
+
+@pytest.mark.parametrize("command, option, bad", _PATH_CASES)
+def test_file_errors_exit_2_and_leave_no_file(tmp_path, capsys, command, option, bad):
+    # a directory, or an input file that is not UTF-8, is invalid input: one
+    # JSON line on stderr, nothing on stdout, and no file written
+    valid = _valid_args(tmp_path)
+    bad_path = tmp_path / "a_directory"
+    if bad == "directory":
+        bad_path.mkdir()
+    else:
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_bytes(b"\xff\xfe\x00")
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    argv = [command, option, str(bad_path)]
+    for a in sub._actions:
+        if a.required and a.option_strings[-1] != option:
+            argv += [a.option_strings[-1], str(valid[a.option_strings[-1]])]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+    assert str(bad_path) in json.loads(err)["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_simulate_command_unwritable_estimate_leaves_no_csv(fig3_config, tmp_path, capsys):
+    # the estimate path passes the up-front checks but cannot be opened (its
+    # name is too long): the CSV written before it is removed
+    out = tmp_path / "batch.csv"
+    assert main(["simulate", "--config", str(fig3_config), "--n", "50", "--out", str(out),
+                 "--estimate-out", str(tmp_path / ("x" * 300))]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert list(tmp_path.iterdir()) == [fig3_config]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_simulate_command_rejects_a_negative_seed(fig3_config, tmp_path, capsys, seed):
+    out = tmp_path / "batch.csv"
+    assert main(["simulate", "--config", str(fig3_config), "--n", "50", "--seed", seed,
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert list(tmp_path.iterdir()) == [fig3_config]

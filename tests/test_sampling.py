@@ -17,6 +17,8 @@ from gausscorr.sampling import (_SHOT_CHUNK_ROWS, cm_resampling_pipeline,
 from gausscorr.scenarios import (MODULATION_SOURCE, ScenarioState, build_split_state,
                                  duan_value, recover_demodulate)
 
+from helpers import attenuate_mode, drop_mode
+
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
 
 
@@ -56,7 +58,7 @@ def test_sample_equals_outer_product_formula():
     # quantum part are the one (n, d) draw
     coherent = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.4)
     states = [build_split_state(SQUEEZED, 0.5),
-              build_split_state(coherent, 0.3).attenuate_mode("B", 0.6, keep_environment=True)]
+              attenuate_mode(build_split_state(coherent, 0.3), "B", 0.6)]
     for st in states:
         for n in (3000, 2 * _SHOT_CHUNK_ROWS + 7):
             batch = sample(st, n, seed=21)
@@ -78,7 +80,7 @@ def test_estimate_cm_matches_sample_covariance(n):
 
 
 def test_sample_matches_analytic_effective_cm():
-    st = build_split_state(SQUEEZED, 0.5).attenuate_mode("B", 0.6, keep_environment=False)
+    st = drop_mode(attenuate_mode(build_split_state(SQUEEZED, 0.5), "B", 0.6), "V")
     batch = sample(st, 150000, seed=5)
     est = estimate_cm(batch)
     dev = np.abs(est.cm.entries - st.effective_cm().entries) / est.std_errors
@@ -427,6 +429,21 @@ def test_batch_csv_export(tmp_path):
 def test_sample_rejects_bad_sizes():
     with pytest.raises(InvalidInputError):
         sample(vacuum_state(), 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None, np.int64(-3)])
+def test_sample_and_error_monte_carlo_reject_bad_seeds(seed):
+    # a seed is a nonnegative int: numpy's own ValueError or TypeError, or
+    # fresh OS entropy for None, would escape the package's error contract
+    with pytest.raises(InvalidInputError):
+        sample(vacuum_state(), 10, seed)
+    with pytest.raises(InvalidInputError):
+        error_monte_carlo(lambda rng: {"x": rng.standard_normal()}, 3, seed)
+
+
+def test_sample_accepts_numpy_integer_seeds():
+    st = vacuum_state()
+    assert np.array_equal(sample(st, 10, np.int64(5)).columns, sample(st, 10, 5).columns)
 
 
 def test_batch_csv_matches_csv_writer(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 
-from gausscorr.channels import InputSpec, attenuate, db_to_variance, tmsv_cm
+from gausscorr import channels
+from gausscorr.channels import InputSpec, db_to_variance, tmsv_cm
 from gausscorr.core import (CovMatrix, ppt_min_eig, reduce, symplectic_spectrum,
                             validate_physical)
 from gausscorr import correlations, scenarios
@@ -20,8 +21,9 @@ from gausscorr.scenarios import (MODULATION_SOURCE, KWFlowPoint, ScenarioConfig,
                                  duan_value, optimal_demodulation,
                                  recover_demodulate, recover_interfere, run_recovery)
 
-from helpers import (cmr_noise, minimal_purification, random_physical_cm, random_symplectic,
-                     recovery_closed_form, split_block_form)
+from helpers import (attenuate_mode, cmr_noise, loss_with_port, minimal_purification,
+                     random_physical_cm, random_symplectic, recovery_closed_form,
+                     split_block_form)
 
 SQUEEZED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=9.84, v_p=38.4)
 COHERENT = InputSpec(kind="coherent", squeezing_db=0.0, v_x=7.1, v_p=1.0)
@@ -81,7 +83,7 @@ def test_sweep_matches_oracle_on_grid():
     grid = [1.0, 0.7, 0.4]
     rows = attenuation_sweep(st, grid, cmr_a=0.047)
     for row, t in zip(rows, grid):
-        eff = st.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+        eff = attenuate_mode(st, "B", t).effective_cm(["A", "B"])
         noisy = cmr_noise(eff, 0.047, t)
         assert abs(row.discord - discord_oracle(noisy)) <= 1e-4
 
@@ -112,7 +114,7 @@ def test_sweep_rejects_negative_cmr_on_every_grid():
 
 def _reference_row(state, t, cmr_a):
     """One sweep point the per-point way: attenuate, add CMR noise, scalar discord."""
-    eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+    eff = attenuate_mode(state, "B", t).effective_cm(["A", "B"])
     g = cmr_noise(eff, cmr_a, t)
     rep = discord(g, measured_mode=1)
     s_a = entropy_f(max(np.sqrt(np.linalg.det(g.entries[:2, :2])), 1.0))
@@ -152,7 +154,7 @@ def test_stacked_sweep_at_the_branch_tie():
     state = build_split_state(SQUEEZED, 0.5)
 
     def gap(t):
-        eff = state.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+        eff = attenuate_mode(state, "B", t).effective_cm(["A", "B"])
         a, b, c, d = _oriented_invariants(cmr_noise(eff, 0.047, t).entries, 1)
         lhs, rhs = (d - a * b) ** 2, (1 + b) * c * c * (a + d)
         return (lhs - rhs) / max(lhs, rhs)
@@ -165,7 +167,7 @@ def test_stacked_sweep_at_the_branch_tie():
     assert abs(gap(lo)) <= 1e-12
     grid = [lo, hi, np.nextafter(lo, 0.0), lo - 1e-13, hi + 1e-13, lo - 1e-9, hi + 1e-9]
     rows = attenuation_sweep(state, grid, cmr_a=0.047)
-    assert {discord(cmr_noise(state.attenuate_mode("B", t, keep_environment=False)
+    assert {discord(cmr_noise(attenuate_mode(state, "B", t)
                               .effective_cm(["A", "B"]), 0.047, t)).branch
             for t in (lo - 1e-9, hi + 1e-9)} == {"heterodyne-case", "homodyne-case"}
     assert len(rows) == len(grid)
@@ -181,10 +183,46 @@ def test_stacked_sweep_takes_no_per_point_path(monkeypatch):
     expect = [_reference_row(state, t, 0.047) for t in grid]
     for module in (correlations, scenarios):
         monkeypatch.setattr(module, "discord", forbidden, raising=False)
-    monkeypatch.setattr(ScenarioState, "attenuate_mode", forbidden)
+    monkeypatch.setattr(channels, "attenuate", forbidden)
+    for name in ("apply_symplectic", "with_vacuum_mode"):
+        monkeypatch.setattr(ScenarioState, name, forbidden)
     rows = attenuation_sweep(state, grid, cmr_a=0.047)
     got = [(r.discord, r.mutual_info, r.classical_corr, r.s_a) for r in rows]
     assert np.abs(np.subtract(got, expect)).max() <= 1e-13
+
+
+def test_one_loss_map_and_one_beamsplitter(monkeypatch):
+    # attenuate, the sweep and the flow all reach channels._loss_stack, and every
+    # evaluation of the interference search takes its rows from beamsplitter
+    assert scenarios._loss_stack is channels._loss_stack
+    state = build_split_state(SQUEEZED, 0.5)
+    loss_stack, beamsplitter, brent = (channels._loss_stack, scenarios.beamsplitter,
+                                       scenarios.bounded_brent)
+    stacks, splitters, evaluations = [], [], []
+
+    def counting_stack(*args):
+        stacks.append(args)
+        return loss_stack(*args)
+
+    def counting_splitter(*args):
+        splitters.append(args[0])
+        return beamsplitter(*args)
+
+    def counting_brent(f, *args, **kwargs):
+        return brent(lambda t2: evaluations.append(t2) or f(t2), *args, **kwargs)
+    for module in (channels, scenarios):
+        monkeypatch.setattr(module, "_loss_stack", counting_stack)
+    monkeypatch.setattr(scenarios, "beamsplitter", counting_splitter)
+    monkeypatch.setattr(scenarios, "bounded_brent", counting_brent)
+    for run, calls in ((lambda: channels.attenuate(tmsv_cm(2.0), 0, 0.5), 1),
+                       (lambda: attenuation_sweep(state, [1.0, 0.5]), 1),
+                       (lambda: correlation_flow(state, [1.0, 0.5]), 2)):
+        stacks.clear()
+        run()
+        assert len(stacks) == calls
+    out = recover_interfere(state)
+    assert len(evaluations) > 10
+    assert splitters == evaluations + [out.meta["bs_t_be"]]
 
 
 def test_sweep_s_a_constant():
@@ -197,7 +235,7 @@ def test_sweep_s_a_constant():
 def test_discord_measured_on_a_decreases_with_loss():
     st = build_split_state(SQUEEZED, 0.5)
     eff_full = st.effective_cm(["A", "B"])
-    eff_half = st.attenuate_mode("B", 0.5, keep_environment=False).effective_cm(["A", "B"])
+    eff_half = attenuate_mode(st, "B", 0.5).effective_cm(["A", "B"])
     d_full = discord(eff_full, measured_mode=0).discord
     d_half = discord(eff_half, measured_mode=0).discord
     assert d_half < d_full
@@ -239,7 +277,7 @@ def _reference_flow_geof(state, t):
     """E_F of one flow point the per-point way: purify (A, B), attenuate B keeping V, GEoF."""
     pure = minimal_purification(state.effective_cm(["A", "B"]))
     a_env = [0, *range(2, pure.n_modes + 1)]  # A, the purifiers of (A, B) and the loss port V
-    return geof(reduce(attenuate(pure, 1, t, keep_environment=True), a_env), a_mode=0)
+    return geof(reduce(loss_with_port(pure, 1, t), a_env), a_mode=0)
 
 
 UNMODULATED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=db_to_variance(-3.0),
@@ -249,7 +287,7 @@ UNMODULATED = InputSpec(kind="squeezed", squeezing_db=-3.0, v_x=db_to_variance(-
 @pytest.mark.parametrize("state", [
     build_split_state(SQUEEZED, 0.5), build_split_state(COHERENT, 0.5),
     build_split_state(UNMODULATED, 0.5),
-    build_split_state(SQUEEZED, 0.5).attenuate_mode("B", 0.6, keep_environment=False)],
+    attenuate_mode(build_split_state(SQUEEZED, 0.5), "B", 0.6)],
     ids=["squeezed", "coherent", "unmodulated", "attenuated"])
 def test_flow_matches_per_point_reference(state):
     # the flow builds every (A, P, V') CM from one purification's blocks
@@ -307,7 +345,7 @@ def test_flow_rows_describe_the_state_they_are_given():
     # are the plain sweep's, also for a state transformed after the split
     grid = list(np.linspace(1.0, 0.2, 9))
     split = build_split_state(SQUEEZED, 0.5)
-    for st in (split, split.attenuate_mode("B", 0.6, keep_environment=False)):
+    for st in (split, attenuate_mode(split, "B", 0.6)):
         plain = attenuation_sweep(st, grid)
         flow = correlation_flow(st, grid)
         assert len(flow) == len(grid)
@@ -364,6 +402,16 @@ def test_duan_sign_validation():
         duan_value(np.eye(4), 1.0, signs=(1, 1))
     with pytest.raises(InvalidInputError):
         duan_value(np.eye(4), -1.0)
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_gain_must_be_positive_and_finite(g):
+    # NaN passed the old g <= 0 check: demodulation recorded demod_gain nan, and
+    # the Duan value of a NaN or infinite gain raised NumericalError
+    with pytest.raises(InvalidInputError):
+        duan_value(np.eye(4), g)
+    with pytest.raises(InvalidInputError):
+        recover_demodulate(build_split_state(SQUEEZED, 0.5), g)
 
 
 def test_duan_value_beyond_float_range_raises():
@@ -431,7 +479,7 @@ def test_optimal_demodulation_finds_the_global_minimum():
                              v_x=rng.uniform(1.0, 30.0), v_p=rng.uniform(1.0, 3.0))
         st = build_split_state(spec, rng.uniform(0.05, 0.95))
         if k % 4 >= 2:
-            st = st.attenuate_mode("B", rng.uniform(0.05, 1.0), keep_environment=False)
+            st = attenuate_mode(st, "B", rng.uniform(0.05, 1.0))
         ld = st.loading(MODULATION_SOURCE)
         ia, ib = 2 * st.mode_index("A"), 2 * st.mode_index("B")
         l = ld.vector[[ia, ia + 1, ib, ib + 1]]
@@ -487,7 +535,7 @@ def test_interfere_finds_the_best_mix():
                              v_x=rng.uniform(1.0, 30.0), v_p=rng.uniform(1.0, 3.0))
         st = build_split_state(spec, rng.uniform(0.05, 0.95))
         if k % 2:
-            st = st.attenuate_mode("B", rng.uniform(0.05, 1.0), keep_environment=False)
+            st = attenuate_mode(st, "B", rng.uniform(0.05, 1.0))
         _, rep = run_recovery(st, "interfere")
         dense = min(duan_optimize(recover_interfere(st, t2).effective_cm(["A", "B"])).value
                     for t2 in grid)
@@ -539,12 +587,12 @@ def test_scenario_config_rejects_unknown_keys():
 def test_effective_cm_physical_always():
     st = build_split_state(SQUEEZED, 0.5)
     for t in (1.0, 0.6, 0.2):
-        eff = st.attenuate_mode("B", t).effective_cm()
+        eff = attenuate_mode(st, "B", t).effective_cm()
         assert validate_physical(eff) >= -1e-9
 
 
 def test_coherent_ensemble_separable_at_all_attenuations():
     st = build_split_state(COHERENT, 0.5)
     for t in np.linspace(1.0, 0.05, 12):
-        eff = st.attenuate_mode("B", t, keep_environment=False).effective_cm(["A", "B"])
+        eff = attenuate_mode(st, "B", t).effective_cm(["A", "B"])
         assert ppt_min_eig(eff) >= -1e-9
