@@ -12,6 +12,7 @@ the second port never interacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def beamsplitter(t: float, n_modes: int = 2, modes: tuple = (0, 1)) -> Symplecti
 
 def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local squeezer diag(sqrt(s), 1/sqrt(s)) on one mode."""
-    if s <= 0:
-        raise InvalidInputError("squeezing parameter must be positive")
+    if not (math.isfinite(s) and s > 0):
+        raise InvalidInputError(f"squeezing parameter must be positive and finite, got {s!r}")
     m = np.eye(2 * n_modes)
     m[2 * mode, 2 * mode] = np.sqrt(s)
     m[2 * mode + 1, 2 * mode + 1] = 1.0 / np.sqrt(s)
@@ -96,6 +97,8 @@ def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
 
 def rotation(theta: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local phase rotation on one mode."""
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"rotation angle must be finite, got {theta!r}")
     c, sn = np.cos(theta), np.sin(theta)
     m = np.eye(2 * n_modes)
     m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, -sn], [sn, c]]

@@ -194,11 +194,11 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
     (NonPhysicalStateError names the first bad t), one stacked det pass gives
     the invariants A, B, C, D, and each row is the scalar discord closed form
     on its invariants, the same one :func:`~gausscorr.correlations.discord`
-    uses.  cmr_a must be nonnegative and every t in [0, 1], checked before
-    any point is computed.
+    uses.  cmr_a must be finite and nonnegative and every t in [0, 1],
+    checked before any point is computed.
     """
-    if cmr_a < 0:
-        raise InvalidInputError("CMR variance must be nonnegative")
+    if not (math.isfinite(cmr_a) and cmr_a >= 0):
+        raise InvalidInputError(f"CMR variance must be finite and nonnegative, got {cmr_a!r}")
     return _sweep(state.effective_cm(["A", "B"]).entries, t_grid, cmr_a)
 
 

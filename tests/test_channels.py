@@ -142,6 +142,14 @@ def test_modulate_rejects_negative():
         modulate(np.eye(2), 0, -0.1, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_squeezer_and_rotation_reject_non_finite_parameters(value):
+    with pytest.raises(InvalidInputError):
+        squeezer(value)
+    with pytest.raises(InvalidInputError):
+        rotation(value)
+
+
 def test_squeezer_examples():
     assert np.array_equal(squeezer(1.0).entries, np.eye(2))
     s = squeezer(0.25).entries

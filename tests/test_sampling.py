@@ -1,8 +1,12 @@
 import csv
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
 from gausscorr import sampling
@@ -431,6 +435,24 @@ def test_sample_rejects_bad_sizes():
         sample(vacuum_state(), 0, seed=1)
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, "10", np.float64(3), None, np.int64(0)])
+def test_sample_and_error_monte_carlo_reject_bad_counts(count):
+    # a shot or trial count follows the seed's rule: an int or numpy
+    # integer, not a bool, here at least 1; no bare TypeError escapes
+    with pytest.raises(InvalidInputError):
+        sample(vacuum_state(), count, 0)
+    with pytest.raises(InvalidInputError):
+        error_monte_carlo(lambda rng: {"x": rng.standard_normal()}, count, 0)
+
+
+def test_sample_and_error_monte_carlo_accept_numpy_integer_counts():
+    state = vacuum_state()
+    assert np.array_equal(sample(state, np.int64(10), 5).columns, sample(state, 10, 5).columns)
+    pipeline = lambda rng: {"x": rng.standard_normal()}
+    assert np.array_equal(error_monte_carlo(pipeline, np.int32(3), 5)["x"].values,
+                          error_monte_carlo(pipeline, 3, 5)["x"].values)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None, np.int64(-3)])
 def test_sample_and_error_monte_carlo_reject_bad_seeds(seed):
     # a seed is a nonnegative int: numpy's own ValueError or TypeError, or
@@ -448,7 +470,7 @@ def test_sample_accepts_numpy_integer_seeds():
 
 def test_batch_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(9)
-    n = 4096 + 5  # crosses the writer's chunk boundary
+    n = sampling._CSV_CHUNK_ROWS + 5  # crosses the writer's chunk boundary
     cols = rng.normal(0.0, 3.0, (n, 4))
     cols[:4] = [[-0.0, 1e-300, -1e-300, 1.2345678901234e300],
                 [-1e300, 0.0, -2.5, 123456789012.5],
@@ -468,3 +490,58 @@ def test_batch_csv_matches_csv_writer(tmp_path):
     path = tmp_path / "batch.csv"
     write_batch_csv(batch, path)
     assert path.read_bytes() == ref.read_bytes()
+
+
+def _assert_csv_matches_csv_writer(path, values, n_cols=3):
+    """write_batch_csv of values (cycled to whole rows of n_cols) against
+    csv.writer with f"{v:.10g}", byte for byte."""
+    values = np.asarray(values, dtype=float).ravel()
+    cols = np.resize(values, (-(-values.size // n_cols), n_cols))
+    labels = tuple(f"q{j}" for j in range(n_cols))
+    batch = SampleBatch(quadratures=tuple(cols.T), quadrature_labels=labels,
+                        displacement_record={}, seed=0)
+    write_batch_csv(batch, path)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(labels)
+    writer.writerows([f"{v:.10g}" for v in row] for row in cols)
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 5)),
+              elements=st.one_of(st.floats(), st.floats(-1e5, 1e5))))
+def test_batch_csv_matches_csv_writer_on_any_floats(tmp_path, cols):
+    # subnormals, +-0, +-inf and NaN included; the second strategy keeps
+    # most values in the range the vectorised digits cover
+    _assert_csv_matches_csv_writer(tmp_path / "batch.csv", cols, cols.shape[1])
+
+
+_CSV_RNG = np.random.default_rng(31)
+_TEN_DIGITS = _CSV_RNG.integers(10 ** 9, 10 ** 10, 300)
+_POWERS = np.array([10.0 ** j for j in range(-10, 16)])
+
+
+@pytest.mark.parametrize("values", [
+    # (k + 1/2) / 10^j for ten-digit k: a tie of the 10th digit, exact at
+    # j = 0 and the double nearest one for j > 0
+    np.concatenate([(_TEN_DIGITS + 0.5) / 10.0 ** j for j in range(0, 15)]),
+    # the decade edges: 10^j and its float neighbours
+    np.concatenate([_POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, np.inf)]),
+    # at most five significant digits, so the digits end in zeros
+    np.concatenate([_CSV_RNG.integers(-99999, 99999, 400) / 10.0 ** j for j in range(-6, 12)]),
+], ids=["ten-digit-ties", "powers-of-ten", "five-digits"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_batch_csv_matches_csv_writer_on_hard_cases(tmp_path, values, sign):
+    _assert_csv_matches_csv_writer(tmp_path / "batch.csv", sign * values)
+
+
+def test_batch_csv_matches_csv_writer_past_two_chunks(tmp_path):
+    rng = np.random.default_rng(12)
+    n = 2 * sampling._CSV_CHUNK_ROWS + 7
+    values = rng.normal(0.0, 3.0, 4 * n)
+    values[::97] = 0.0
+    values[1::89] = rng.normal(0.0, 1e-6, values[1::89].size)  # below the digits' range
+    values[2::101] = np.round(values[2::101])                 # integers
+    _assert_csv_matches_csv_writer(tmp_path / "batch.csv", values, 4)

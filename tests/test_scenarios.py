@@ -112,6 +112,15 @@ def test_sweep_rejects_negative_cmr_on_every_grid():
             attenuation_sweep(st, grid, cmr_a=-1.0)
 
 
+@pytest.mark.parametrize("cmr_a", [np.nan, np.inf, -np.inf])
+def test_sweep_rejects_non_finite_cmr_on_every_grid(cmr_a):
+    # checked before the stack is built: no numpy warning or LinAlgError
+    st = build_split_state(COHERENT, 0.5)
+    for grid in ([], [1.0, 0.5]):
+        with pytest.raises(InvalidInputError):
+            attenuation_sweep(st, grid, cmr_a=cmr_a)
+
+
 def _reference_row(state, t, cmr_a):
     """One sweep point the per-point way: attenuate, add CMR noise, scalar discord."""
     eff = attenuate_mode(state, "B", t).effective_cm(["A", "B"])
