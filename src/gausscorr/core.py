@@ -196,64 +196,55 @@ def _min_eig(g: np.ndarray):
 
 
 def symplectic_spectrum(cm) -> np.ndarray:
-    """Symplectic eigenvalues as |eig(i Omega gamma)|, paired and sorted ascending.
+    """Symplectic eigenvalues, ascending, read from the Williamson frame (:func:`_williamson_frame`).
 
+    A CM that is not positive definite raises NonPhysicalStateError there.
     Values in [1 - SPECTRUM_CLAMP_TOL, 1) are clamped to 1 (pure states sit
     exactly on the boundary); anything lower raises NonPhysicalStateError.
     The returned array is read-only.
     """
-    g = _checked(cm)
-    n = g.shape[0] // 2
-    ev = np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ g))
-    ev.sort()
-    values = 0.5 * (ev[0::2] + ev[1::2])  # average degenerate pairs
-    if values.min() < 1.0 - SPECTRUM_CLAMP_TOL:
+    values = _williamson_frame(_checked(cm))[1]
+    if values[0] < 1.0 - SPECTRUM_CLAMP_TOL:
         raise NonPhysicalStateError(
-            f"minimum symplectic value {values.min():.6g} < 1 - {SPECTRUM_CLAMP_TOL:g}")
+            f"minimum symplectic value {values[0]:.6g} < 1 - {SPECTRUM_CLAMP_TOL:g}")
     values = np.maximum(values, 1.0)
     values.flags.writeable = False
     return values
 
 
 def two_mode_symplectic_values(cm) -> tuple[float, float]:
-    """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping.
-
-    A CM beyond float range raises NumericalError (:func:`_finite_symplectic_pair`).
-    """
-    return _finite_symplectic_pair(*_oriented_invariants(_two_mode(cm), 1))
+    """Closed-form (nu_minus, nu_plus) for a two-mode CM, no clamping (:func:`_symplectic_values`)."""
+    return _symplectic_values(*_oriented_invariants(_two_mode(cm), 1))
 
 
-def _finite_symplectic_pair(a, b, c, d) -> tuple[float, float]:
-    """:func:`_symplectic_pair` of the invariants A, B, C, D, within float range or NumericalError.
+def _symplectic_values(a, b, c, d) -> tuple[float, float]:
+    """(nu_minus, nu_plus) from the oriented invariants A, B, C, D, no clamping.
 
-    An invariant that overflowed a float (det gamma first, from CM entries
-    near 1e77) raises, and so does a Seralian A + B + 2C whose square
-    overflows (from about 1e154, as on diag(1e100, 1e100, 1, 1)), which
-    would give nu_plus = inf and nu_minus = 0.  Nonphysical input keeps the
-    unclamped values of :func:`_symplectic_pair`.
+    The one two-mode symplectic-value routine.  With the Seralian
+    delta = A + B + 2C, nu_plus^2 = (delta + sqrt(delta^2 - 4D)) / 2 and
+    nu_minus^2 = D / nu_plus^2, which avoids the cancellation in
+    (delta - sqrt(...)) / 2: that difference loses about eps * delta, which
+    near a pure mode (nu_minus -> 1, where f is steep) moves f(nu_minus) by
+    a few 1e-13.  A negative discriminant (nonphysical input) gives
+    nu_minus = nu_plus.  An invariant that overflowed a float (det gamma
+    first, from CM entries near 1e77) raises NumericalError, and so does a
+    delta whose square overflows (from about 1e154, as on
+    diag(1e100, 1e100, 1, 1)), which would give nu_plus = inf and
+    nu_minus = 0.  Finite A <= 0, B <= 0 or nu_plus^2 < 0 leaves a value
+    undefined and raises NonPhysicalStateError; other nonphysical input
+    keeps its unclamped values.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise NumericalError("a local invariant overflows a float: CM entries too large")
-    nu_minus, nu_plus = _symplectic_pair(a + b + 2 * c, d)
-    if nu_plus == math.inf:
-        raise NumericalError("the squared Seralian overflows a float: CM entries too large")
-    return nu_minus, nu_plus
-
-
-def _symplectic_pair(delta: float, det_g: float) -> tuple[float, float]:
-    """(nu_minus, nu_plus) from the Seralian delta and det gamma, no clamping.
-
-    nu_plus^2 = (delta + sqrt(delta^2 - 4 det)) / 2 and nu_minus^2 =
-    det / nu_plus^2, which avoids the cancellation in (delta - sqrt(...)) / 2:
-    that difference loses about eps * delta, which near a pure mode
-    (nu_minus -> 1, where f is steep) moves f(nu_minus) by a few 1e-13.
-    A negative discriminant (nonphysical input) gives nu_minus = nu_plus,
-    and a negative nu_plus^2 gives nu_plus = NaN.
-    """
-    root = math.sqrt(max(delta * delta - 4 * det_g, 0.0))
+    delta = a + b + 2 * c
+    root = math.sqrt(max(delta * delta - 4 * d, 0.0))
     plus_sq = (delta + root) / 2
-    minus_sq = min(det_g / plus_sq, plus_sq) if plus_sq > 0 else 0.0
-    return math.sqrt(max(minus_sq, 0.0)), math.sqrt(plus_sq) if plus_sq >= 0 else math.nan
+    if plus_sq == math.inf:
+        raise NumericalError("the squared Seralian overflows a float: CM entries too large")
+    if not (a > 0 and b > 0 and plus_sq >= 0):
+        raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
+    minus_sq = min(d / plus_sq, plus_sq) if plus_sq > 0 else 0.0
+    return math.sqrt(max(minus_sq, 0.0)), math.sqrt(plus_sq)
 
 
 def seralian(cm) -> float:
@@ -394,7 +385,8 @@ def williamson(cm):
 
     Returns (S, nus) with S a checked SymplecticTransform and nus the
     symplectic eigenvalues, ascending, in the order of the diagonal
-    (:func:`_williamson_frame`).
+    (:func:`_williamson_frame`).  A CM that is not positive definite raises
+    NonPhysicalStateError.
     """
     s, nus = _williamson_frame(_checked(cm))
     return SymplecticTransform(s), nus
@@ -403,7 +395,9 @@ def williamson(cm):
 def _williamson_frame(g: np.ndarray):
     """(S, nus) of the Williamson decomposition of the raw 2n x 2n array g.
 
-    S is a plain array and nus are ascending.  With R = gamma^(1/2) (from eigh),
+    S is a plain array and nus are ascending.  A g that is not positive
+    definite has no such decomposition and raises NonPhysicalStateError,
+    before its square root is taken.  With R = gamma^(1/2) (from eigh),
     the Hermitian i R Omega R has eigenvalues +-nu; for a unit eigenvector
     a + i b of +nu, R Omega R maps a to nu b and b to -nu a, and
     sqrt(2) (b, a) is an orthonormal real pair.  These pairs are the real Schur
@@ -415,6 +409,8 @@ def _williamson_frame(g: np.ndarray):
     """
     n = g.shape[0] // 2
     w, v = np.linalg.eigh(g)
+    if not w[0] > 0:
+        raise NonPhysicalStateError(f"CM is not positive definite: min eigenvalue {w[0]:.6g}")
     root = (v * np.sqrt(w)) @ v.T
     nus, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
     nus, u = nus[n:], math.sqrt(2.0) * u[:, n:]

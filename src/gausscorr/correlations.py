@@ -25,8 +25,8 @@ import numpy as np
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
 from .core import (SPECTRUM_CLAMP_TOL, CovMatrix, symplectic_spectrum, _blocks, _checked,
-                   _finite_symplectic_pair, _oriented_invariants, _physical,
-                   _quadrature_indices, _standard_form, _two_mode, _williamson_frame)
+                   _oriented_invariants, _physical, _quadrature_indices, _standard_form,
+                   _symplectic_values, _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 BRANCH_TIE_TOL = 1e-12
@@ -126,25 +126,11 @@ def _inf_det_eps(a, b, c, d):
                              "CM entries too large") from None
 
 
-def _symplectic_values(a, b, c, d) -> tuple[float, float]:
-    """(nu_minus, nu_plus) from the oriented invariants; undefined ones raise.
-
-    Beyond float range is NumericalError (:func:`_finite_symplectic_pair`).
-    Finite A <= 0, B <= 0 or nu_plus^2 < 0 leaves a symplectic value
-    undefined: NonPhysicalStateError, in :func:`discord`,
-    :func:`discord_oracle` and :func:`geof` alike.
-    """
-    nu_minus, nu_plus = _finite_symplectic_pair(a, b, c, d)
-    if not (a > 0 and b > 0) or math.isnan(nu_plus):
-        raise NonPhysicalStateError("a symplectic value is undefined; state not physical")
-    return nu_minus, nu_plus
-
-
 def _discord_report(a, b, c, d, allow_measured: bool) -> DiscordReport:
     """Discord decomposition from the oriented invariants A, B, C, D (Python floats).
 
-    The symplectic values follow from the Seralian A + B + 2C and D, the
-    measurement term from :func:`_inf_det_eps`.  Entropy arguments below
+    The symplectic values come from :func:`~gausscorr.core._symplectic_values`,
+    the measurement term from :func:`_inf_det_eps`.  Entropy arguments below
     1 - 1e-6 raise unless allow_measured, which clamps them to 1 and flags
     the report; an undefined symplectic value (A <= 0, B <= 0 or nu_plus^2 < 0)
     always raises.  This is the one scalar closed form behind :func:`discord`

@@ -64,12 +64,6 @@ class SampleBatch:
         """The shots in one block of rows as a new (k, d) array."""
         return np.column_stack([q[block] for q in self.quadratures])
 
-    def column(self, label: str) -> np.ndarray:
-        try:
-            return self.quadratures[self.quadrature_labels.index(label)]
-        except ValueError:
-            raise InvalidInputError(f"no quadrature {label!r}") from None
-
 
 def _read_only(a) -> np.ndarray:
     """A read-only float view of a (no copy when a is already a float array)."""
@@ -237,6 +231,7 @@ def cm_resampling_pipeline(cm, n: int, scalars: dict):
     scale.
     """
     g = _checked(cm)
+    _integer(n, 1, "sample size")
     d = g.shape[0]
     df = n - 1
     if df < d:

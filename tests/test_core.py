@@ -11,6 +11,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
 from gausscorr.channels import attenuate, tmsv_cm
+from gausscorr.correlations import von_neumann_entropy
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
 
 from helpers import (cm_call_args, cm_entry_points, make_coherent_mixture_cm,
@@ -214,6 +215,20 @@ def test_spectrum_closed_form_agreement(measured_cm):
 def test_spectrum_rejects_nonphysical():
     with pytest.raises(NonPhysicalStateError):
         symplectic_spectrum(np.diag([0.5, 0.5, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_spectral_functions_reject_indefinite_cm(n_modes):
+    # [[1, 2], [2, 1]] passes every CovMatrix check but has eigenvalue -1: the
+    # spectrum read [1, 1.732], the entropy 0.794 nats and williamson raised LinAlgError
+    g = np.eye(2 * n_modes)
+    g[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    calls = [symplectic_spectrum, von_neumann_entropy, williamson]
+    if n_modes == 2:
+        calls.append(two_mode_symplectic_values)   # read (0.0, 1.0)
+    for fn in calls:
+        with pytest.raises(NonPhysicalStateError):
+            fn(g)
 
 
 def test_spectrum_product_matches_det(measured_cm):

@@ -11,7 +11,7 @@ import scipy.optimize
 from gausscorr.channels import attenuate, beamsplitter, squeezer, tmsv_cm
 from gausscorr.core import (PHYSICALITY_TOL, SPECTRUM_CLAMP_TOL, CovMatrix, apply_symplectic,
                             partial_transpose, ppt_min_eig, reduce, standard_form, tensor,
-                            two_mode_symplectic_values, validate_physical, _symplectic_pair)
+                            two_mode_symplectic_values, validate_physical, _symplectic_values)
 import gausscorr.correlations as corr
 from gausscorr.correlations import (BRANCH_TIE_TOL, ORACLE_GRID, _chart_coefficients,
                                     _e_profile, _oracle_infimum, _oriented_invariants,
@@ -78,7 +78,8 @@ def test_discord_raises_on_undefined_symplectic_value():
     g = np.eye(4)
     g[0, 2] = g[2, 0] = 5.0
     g[1, 3] = g[3, 1] = -5.0
-    assert math.isnan(_symplectic_pair(1.0 + 1.0 + 2 * -25.0, np.linalg.det(g))[1])
+    with pytest.raises(NonPhysicalStateError):   # nu_plus^2 < 0
+        _symplectic_values(1.0, 1.0, -25.0, np.linalg.det(g))
     singular = np.eye(4)
     singular[2:, 2:] = 2.0   # det beta = 0
     flipped = np.eye(4)
@@ -742,7 +743,7 @@ def test_clamped_measured_reports(seed, log_excess, n, squeeze_scale, mode):
                                           rep.discord, rep.inf_det_eps))
     a, b, c, d = _oriented_invariants(est, mode)
     args = [math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)),
-            *_symplectic_pair(a + b + 2 * c, d), math.sqrt(max(rep.inf_det_eps, 0.0))]
+            *_symplectic_values(a, b, c, d), math.sqrt(max(rep.inf_det_eps, 0.0))]
     assert rep.clamped == (min(args) < 1.0 - SPECTRUM_CLAMP_TOL)
     assert rep.discord == rep.mutual_info - rep.classical_corr
     assert discord(CovMatrix(est), mode, allow_measured=True) == rep

@@ -137,8 +137,8 @@ def test_electronic_demodulation_shares_unchanged_quadratures():
     before = batch.columns
     demod = electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5))
     assert np.array_equal(batch.columns, before)
-    for label, q in zip(batch.quadrature_labels, demod.quadratures):
-        assert np.shares_memory(q, batch.column(label)) == (label != "x_B"), label
+    for label, q, kept in zip(batch.quadrature_labels, demod.quadratures, batch.quadratures):
+        assert np.shares_memory(q, kept) == (label != "x_B"), label
 
 
 def test_batch_stores_read_only_views_of_the_callers_arrays():
@@ -152,7 +152,7 @@ def test_batch_stores_read_only_views_of_the_callers_arrays():
         assert mine.flags.writeable and not kept.flags.writeable
         assert np.shares_memory(mine, kept)
     quads[0][0] = 7.0
-    assert batch.column("x_A")[0] == 7.0
+    assert batch.quadratures[batch.quadrature_labels.index("x_A")][0] == 7.0
 
 
 def test_batch_displacement_record_is_read_only():
@@ -211,7 +211,8 @@ def test_electronic_demodulation_prefactor():
     batch = sample(st, 100, seed=3)
     demod = electronic_demodulation(batch, 1.0, np.sqrt(0.5), np.sqrt(0.5))
     xbar = batch.displacement_record[MODULATION_SOURCE]
-    shift = batch.column("x_B") - demod.column("x_B")
+    x_b = batch.quadrature_labels.index("x_B")
+    shift = batch.quadratures[x_b] - demod.quadratures[x_b]
     assert np.allclose(shift, np.sqrt(2.0) * xbar)
 
 
@@ -376,6 +377,13 @@ def test_resampling_pipeline_pins_the_wishart_draw(measured_cm, d):
 @pytest.mark.parametrize("n", [1, 4])
 def test_resampling_pipeline_rejects_small_samples(measured_cm, n):
     with pytest.raises(InvalidInputError):
+        cm_resampling_pipeline(measured_cm, n, {})
+
+
+@pytest.mark.parametrize("n", [33426.0, "100", True])
+def test_resampling_pipeline_rejects_non_integer_sizes(measured_cm, n):
+    # a float or a string raised a bare TypeError, and True read as too small
+    with pytest.raises(InvalidInputError, match="sample size must be a positive integer"):
         cm_resampling_pipeline(measured_cm, n, {})
 
 
