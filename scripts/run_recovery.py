@@ -7,7 +7,6 @@ then cross-checks the demodulation route against a million-shot Monte-Carlo
 with shot-by-shot electronic demodulation.
 """
 
-import json
 import os
 
 import numpy as np
@@ -22,8 +21,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def main():
-    with open(os.path.join(HERE, "configs", "recovery.json")) as fh:
-        cfg = ScenarioConfig.from_dict(json.load(fh))
+    cfg = ScenarioConfig.from_file(os.path.join(HERE, "configs", "recovery.json"))
     state = build_split_state(cfg.input_spec, cfg.bs_t)
 
     note = measurement_optimality_note(cfg.input_spec)

@@ -67,12 +67,10 @@ class InputSpec:
 
 
 def beamsplitter(t: float, n_modes: int = 2, modes: tuple = (0, 1)) -> SymplecticTransform:
-    """Beamsplitter with power transmittance t on the given mode pair."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
+    """Beamsplitter with power transmittance t on the given pair of distinct modes."""
+    _transmittances([t])
+    _quadrature_indices(n_modes, modes)
     i, j = modes
-    if i == j or not (0 <= i < n_modes and 0 <= j < n_modes):
-        raise InvalidInputError(f"bad mode pair {modes} for {n_modes} modes")
     s = np.eye(2 * n_modes)
     if t == 1.0:
         return SymplecticTransform(s)
@@ -89,9 +87,9 @@ def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local squeezer diag(sqrt(s), 1/sqrt(s)) on one mode."""
     if not (math.isfinite(s) and s > 0):
         raise InvalidInputError(f"squeezing parameter must be positive and finite, got {s!r}")
+    idx = _quadrature_indices(n_modes, [mode])
     m = np.eye(2 * n_modes)
-    m[2 * mode, 2 * mode] = np.sqrt(s)
-    m[2 * mode + 1, 2 * mode + 1] = 1.0 / np.sqrt(s)
+    m[idx, idx] = np.sqrt(s), 1.0 / np.sqrt(s)
     return SymplecticTransform(m)
 
 
@@ -99,9 +97,10 @@ def rotation(theta: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransfo
     """Local phase rotation on one mode."""
     if not math.isfinite(theta):
         raise InvalidInputError(f"rotation angle must be finite, got {theta!r}")
+    idx = _quadrature_indices(n_modes, [mode])
     c, sn = np.cos(theta), np.sin(theta)
     m = np.eye(2 * n_modes)
-    m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, -sn], [sn, c]]
+    m[np.ix_(idx, idx)] = [[c, -sn], [sn, c]]
     return SymplecticTransform(m)
 
 
@@ -114,9 +113,15 @@ def attenuate(cm, mode: int, t: float) -> CovMatrix:
     """
     g = _checked(cm)
     _quadrature_indices(g.shape[0] // 2, [mode])  # raises for a mode the CM lacks
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"transmittance must be in [0, 1], got {t}")
     return CovMatrix(_loss_stack(g, [t], mode)[0])
+
+
+def _transmittances(t_grid):
+    """t_grid, after the one transmittance rule: every t is in [0, 1] (NaN is not)."""
+    bad = [t for t in t_grid if not 0.0 <= t <= 1.0]
+    if bad:
+        raise InvalidInputError(f"transmittance must be in [0, 1], got {bad[0]}")
+    return t_grid
 
 
 def _loss_stack(g: np.ndarray, t_grid, mode: int) -> np.ndarray:
@@ -127,7 +132,7 @@ def _loss_stack(g: np.ndarray, t_grid, mode: int) -> np.ndarray:
     blocks stay.  The package's only loss channel: :func:`attenuate`, the
     attenuation sweep and the correlation flow all call it.
     """
-    t = np.array(t_grid, dtype=float)[:, None, None]
+    t = np.array(_transmittances(t_grid), dtype=float)[:, None, None]
     q = slice(2 * mode, 2 * mode + 2)
     out = np.repeat(g[None], len(t), axis=0)
     out[:, :, q] = np.sqrt(t) * g[:, q]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 SPECTRUM_CLAMP_TOL = 1e-6   # symplectic values this far below 1 read as 1; lower is nonphysical
+_EPS = sys.float_info.epsilon
 
 
 def _checked(cm) -> np.ndarray:
@@ -63,12 +66,26 @@ def _oriented_invariants(g: np.ndarray, measured_mode: int):
 
 
 def _physical(g: np.ndarray, hint: str = "") -> np.ndarray:
-    """The checked entries g, after the bona-fide test gamma + i Omega >= -PHYSICALITY_TOL."""
-    low = _min_eig(g)
-    if low < -PHYSICALITY_TOL:
+    """The checked entries g of one CM, after the bona-fide test :func:`_bona_fide`."""
+    low, failed = _bona_fide(g)
+    if failed:
         raise NonPhysicalStateError(
             f"CM is not physical: min eig of gamma + i Omega is {low:.6g}{hint}")
     return g
+
+
+def _bona_fide(g: np.ndarray):
+    """(min eig of g + i Omega, failed) per matrix of a checked CM or stack g.
+
+    The one bona-fide test: a matrix fails below -max(PHYSICALITY_TOL, 8 eps s), s its largest
+    diagonal entry.  Rounding moves the min eig by a few eps max|g_ij|, which s bounds for a
+    positive g.
+    """
+    low = _min_eig(g)
+    failed = low < -PHYSICALITY_TOL
+    if any(failed.flat):  # the scaled bound is formed only where the fixed one fails
+        failed &= low < -8.0 * _EPS * np.diagonal(g, axis1=-2, axis2=-1).max(axis=-1)
+    return low, failed
 
 
 @dataclass(frozen=True)
@@ -175,7 +192,7 @@ class StandardForm:
 
 
 def validate_physical(cm) -> float:
-    """Minimum eigenvalue of the Hermitian gamma + i Omega; >= -PHYSICALITY_TOL is physical."""
+    """Minimum eigenvalue of the Hermitian gamma + i Omega; :func:`_bona_fide` judges it."""
     return float(_min_eig(_checked(cm)))
 
 
@@ -344,11 +361,21 @@ def ppt_min_eig(cm) -> float:
 
 
 def _quadrature_indices(n: int, modes) -> np.ndarray:
-    """x, p row indices of the listed modes of an n-mode CM (in the listed order)."""
-    modes = list(modes)
-    if not modes or any(not 0 <= m < n for m in modes) or len(set(modes)) != len(modes):
+    """x, p row indices of the listed modes (distinct, in [0, n)) of an n-mode CM, in order."""
+    modes = [_integer(m, 0, "mode", n) for m in modes]
+    if not modes or len(set(modes)) != len(modes):
         raise InvalidInputError(f"invalid mode selection {modes} for {n} modes")
     return np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
+
+
+def _integer(value, least: int, what: str, below=math.inf):
+    """value, an int or numpy integer (not a bool) in [least, below); least is 0 or 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not least <= value < below):
+        kind = "positive" if least else "nonnegative"
+        limit = "" if below == math.inf else f" below {below}"
+        raise InvalidInputError(f"{what} must be a {kind} integer{limit}, got {value!r}")
+    return value
 
 
 def reduce(cm, modes) -> CovMatrix:

@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
-from .core import (SPECTRUM_CLAMP_TOL, CovMatrix, symplectic_spectrum, _blocks, _checked,
-                   _oriented_invariants, _physical, _quadrature_indices, _standard_form,
-                   _symplectic_values, _two_mode, _williamson_frame)
+from .core import (SPECTRUM_CLAMP_TOL, CovMatrix, symplectic_spectrum, _EPS, _blocks, _checked,
+                   _integer, _oriented_invariants, _physical, _quadrature_indices,
+                   _standard_form, _symplectic_values, _two_mode, _williamson_frame)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
 BRANCH_TIE_TOL = 1e-12
-_EPS = sys.float_info.epsilon
 
 
 def entropy_f(x: float) -> float:
@@ -165,17 +163,11 @@ def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> Discord
     slightly nonphysical reconstructed matrices; symplectic values below 1
     are then clamped and flagged in the report.
     """
-    g = _oriented(cm, measured_mode)
+    _integer(measured_mode, 0, "measured_mode", 2)
+    g = _two_mode(cm)
     if not allow_measured:
         _physical(g, "; use allow_measured for reconstructed data")
     return _discord_report(*_oriented_invariants(g, measured_mode), allow_measured)
-
-
-def _oriented(cm, measured_mode: int) -> np.ndarray:
-    """Checked two-mode entries of cm, for a measurement on mode 0 or 1."""
-    if measured_mode not in (0, 1):
-        raise InvalidInputError("measured_mode must be 0 or 1")
-    return _two_mode(cm)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,8 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     without allow_measured: a nonphysical CM raises NonPhysicalStateError,
     and one beyond float range NumericalError.
     """
-    g = _physical(_oriented(cm, measured_mode))
+    _integer(measured_mode, 0, "measured_mode", 2)
+    g = _physical(_two_mode(cm))
     a, b, c, d = _oriented_invariants(g, measured_mode)
     nu_minus, nu_plus = _symplectic_values(a, b, c, d)
     best = _oracle_infimum(*_blocks(g, measured_mode))[0]

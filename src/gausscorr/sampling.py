@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import CovMatrix, _checked, _open, _physical
+from .core import CovMatrix, _checked, _integer, _open, _physical
 from .errors import InvalidInputError
 from .scenarios import MODULATION_SOURCE, ScenarioState
 
@@ -123,13 +122,6 @@ def _rng(seed) -> np.random.Generator:
     """The generator of a seed, which must be a nonnegative integer."""
     _integer(seed, 0, "seed")
     return np.random.default_rng(seed)
-
-
-def _integer(value, least: int, what: str):
-    """Check that value is an int or numpy integer (not a bool) of at least least (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise InvalidInputError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def estimate_cm(batch: SampleBatch) -> CMEstimate:

@@ -20,10 +20,10 @@ import numpy as np
 
 from ._brent import bounded_brent
 from .channels import InputSpec, beamsplitter, _loss_stack, _purify
-from .core import (CovMatrix, apply_symplectic, tensor, PHYSICALITY_TOL, _min_eig,
-                   _oriented_invariants, _physical, _quadrature_indices, _read_json, _symplectic,
-                   _two_mode, _williamson_frame)
-from .correlations import (entropy_f, kw_audit, _EPS, _discord_report, _k1_geof, _polymul,
+from .core import (CovMatrix, apply_symplectic, tensor, _EPS, _bona_fide, _oriented_invariants,
+                   _physical, _quadrature_indices, _read_json, _symplectic, _two_mode,
+                   _williamson_frame)
+from .correlations import (entropy_f, kw_audit, _discord_report, _k1_geof, _polymul,
                            _stationary_points)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
@@ -162,8 +162,6 @@ def build_split_state(spec: InputSpec, bs_t: float) -> ScenarioState:
     the effective (A, B) covariance equals the block form (gamma_in + 1)/2,
     (gamma_in - 1)/2 for a balanced split.
     """
-    if not 0.0 <= bs_t <= 1.0:
-        raise InvalidInputError("bs_t must be in [0, 1]")
     sx, sp = spec.quantum_variances()
     w_x, w_p = spec.modulation_variances()
 
@@ -205,12 +203,12 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
 def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
     """:func:`attenuation_sweep` rows of the effective (A, B) array g1."""
     t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 <= t <= 1.0 for t in t_grid):
-        raise InvalidInputError("attenuation grid must lie in [0, 1]")
     g = _loss_stack(g1, t_grid, 1)
     g[:, :2, :2] += cmr_a * np.eye(2)
     g[:, 2:, 2:] += (np.array(t_grid)[:, None, None] * cmr_a) * np.eye(2)
-    _check_stack(g, t_grid)
+    bad = np.flatnonzero(_bona_fide(g)[1])
+    if bad.size:
+        raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
     rows = []
     for t, *inv in zip(t_grid, *_oriented_invariants(g, 1)):
         rep = _discord_report(*inv, allow_measured=False)
@@ -218,13 +216,6 @@ def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
                              classical_corr=rep.classical_corr,
                              s_a=entropy_f(max(math.sqrt(inv[0]), 1.0))))
     return rows
-
-
-def _check_stack(g: np.ndarray, t_grid: list):
-    """One stacked physicality test; NonPhysicalStateError names the first bad t."""
-    bad = np.flatnonzero(_min_eig(g) < -PHYSICALITY_TOL)
-    if bad.size:
-        raise NonPhysicalStateError(f"CM at t = {t_grid[bad[0]]} is not physical")
 
 
 def correlation_flow(state: ScenarioState, t_grid) -> list:
@@ -255,7 +246,6 @@ def correlation_flow(state: ScenarioState, t_grid) -> list:
     order = np.r_[0:2, 4:2 * n, 2:4]  # (A, P..., B): B is the last mode
     t_grid = [r.t for r in rows]
     env = _loss_stack(pure[np.ix_(order, order)], [1.0 - t for t in t_grid], n - 1)
-    _check_stack(env, t_grid)
     points = []
     for r, g in zip(rows, env):
         e_f, _, gap = _k1_geof(g, *_williamson_frame(g))
@@ -390,10 +380,7 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
     cancels the displacement noise.  When bs_t_be is not given it is chosen
     by 1-D minimization of the optimized Duan value of (A, B).
     """
-    state.loading(MODULATION_SOURCE)  # raises if the xbar source is missing
-    if "Et" in state.mode_names:
-        raise InvalidInputError("state already contains the interference ancilla")
-
+    # raises if the xbar source is missing or the ancilla is already there
     st = state.with_vacuum_mode("Et", {MODULATION_SOURCE: -1.0})
     if bs_t_be is None:
         # the mixed (A, B) CM is one congruence of the effective (A, B, Et) CM:
@@ -406,8 +393,6 @@ def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> Sce
             return _duan(e, *_duan_search(e, (1, -1)))
 
         bs_t_be = bounded_brent(duan_at, 1e-6, 1.0 - 1e-9, xatol=1e-9)[0]
-    elif not 0.0 <= bs_t_be <= 1.0:
-        raise InvalidInputError("bs_t_be must be in [0, 1]")
     out = st.apply_symplectic(
         beamsplitter(bs_t_be, st.n_modes, (st.mode_index("B"), st.mode_index("Et"))))
     return replace(out, meta=dict(out.meta, bs_t_be=float(bs_t_be)))

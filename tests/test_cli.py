@@ -244,21 +244,27 @@ def test_sweep_command_residual_on_fixed_grid(tmp_path):
     assert [line.split(",")[-1] for line in lines[1:]] == ["0"] * 5
 
 
-def test_sweep_command_joins_the_sweep_and_the_flow(tmp_path):
+@pytest.mark.parametrize("spec, bs_t, grid", [
+    ({"kind": "coherent", "squeezing_db": 0.0, "v_x": 7.1, "v_p": 1.0}, 0.3,
+     [0.95, 0.65, 0.35, 0.05, 0.0]),
+    # physical, but rounding puts the min eig of gamma + i Omega at -1.8e-9 at
+    # t = 0.6, which a tolerance that does not scale with the CM rejects
+    ({"kind": "squeezed", "squeezing_db": -3.0, "v_x": 3e6, "v_p": 3e7}, 0.5,
+     [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]),
+], ids=["coherent", "squeezed-3e6"])
+def test_sweep_command_joins_the_sweep_and_the_flow(tmp_path, spec, bs_t, grid):
     # kw_columns appends the flow's columns to the discord sweep's, row by row
-    spec = {"kind": "coherent", "squeezing_db": 0.0, "v_x": 7.1, "v_p": 1.0}
-    grid = [0.95, 0.65, 0.35, 0.05, 0.0]
     csvs = []
     for kw in (False, True):
         cfg = tmp_path / f"kw_{kw}.json"
-        cfg.write_text(json.dumps({"input": spec, "bs_t": 0.3, "attenuation_grid": grid,
+        cfg.write_text(json.dumps({"input": spec, "bs_t": bs_t, "attenuation_grid": grid,
                                    "kw_columns": kw}))
         out = tmp_path / f"kw_{kw}.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         csvs.append([line.split(",") for line in out.read_text().splitlines()])
     plain, joined = csvs
     assert [row[:4] for row in joined] == plain
-    flow = correlation_flow(build_split_state(InputSpec(**spec), 0.3), grid)
+    flow = correlation_flow(build_split_state(InputSpec(**spec), bs_t), grid)
     assert [row[4:6] for row in joined[1:]] == [[f"{p.e_f_ae:.10g}", f"{p.s_a:.10g}"]
                                                 for p in flow]
 

@@ -10,9 +10,10 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             standard_form, symplectic_form, symplectic_spectrum,
                             tensor, two_mode_symplectic_values, validate_physical,
                             williamson, write_cm_file)
-from gausscorr.channels import attenuate, tmsv_cm
-from gausscorr.correlations import von_neumann_entropy
+from gausscorr.channels import InputSpec, attenuate, beamsplitter, rotation, squeezer, tmsv_cm
+from gausscorr.correlations import discord, discord_oracle, geof, von_neumann_entropy
 from gausscorr.errors import InvalidInputError, NonPhysicalStateError
+from gausscorr.scenarios import build_split_state
 
 from helpers import (cm_call_args, cm_entry_points, make_coherent_mixture_cm,
                      minimal_purification, random_physical_cm, random_symplectic,
@@ -180,6 +181,35 @@ def test_every_cm_parameter_rejects_malformed_raw_arrays(tmp_path, kind):
             with pytest.raises(InvalidInputError):
                 fn(**args, **extra.get(name, {}))
     assert not (tmp_path / "cm.json").exists()  # a rejected CM writes no file
+
+
+def _mode_arguments():
+    """{name: (number of modes, call with one mode argument)} for every function taking a mode."""
+    cm = tmsv_cm(2.0)
+    state = build_split_state(InputSpec("squeezed", -3.0, 9.84, 38.4), 0.5)
+    return {
+        "reduce": (2, lambda m: reduce(cm, [m])),
+        "partial_transpose": (2, lambda m: partial_transpose(cm, m)),
+        "attenuate": (2, lambda m: attenuate(cm, m, 0.3)),
+        "geof": (2, lambda m: geof(cm, a_mode=m)),
+        "discord": (2, lambda m: discord(cm, measured_mode=m)),
+        "discord_oracle": (2, lambda m: discord_oracle(cm, measured_mode=m)),
+        "beamsplitter": (3, lambda m: beamsplitter(0.5, 3, (0, m))),
+        "squeezer": (2, lambda m: squeezer(2.0, 2, m)),
+        "rotation": (2, lambda m: rotation(0.3, 2, m)),
+        "effective_cm": (3, lambda m: state.effective_cm([m])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mode_arguments()))
+def test_every_mode_argument_takes_one_rule(name):
+    # a mode is an integer in [0, n_modes): -1 used to pick the last mode,
+    # 0.5 a block straddling two modes, True mode 1
+    n_modes, call = _mode_arguments()[name]
+    for bad in (-1, n_modes, 0.5, True):
+        with pytest.raises(InvalidInputError):
+            call(bad)
+    call(np.int64(1))
 
 
 def test_validate_physical_vacuum_saturates():

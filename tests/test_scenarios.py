@@ -13,7 +13,7 @@ from gausscorr.core import (CovMatrix, ppt_min_eig, reduce, symplectic_spectrum,
 from gausscorr import correlations, scenarios
 from gausscorr.correlations import (_oriented_invariants, discord,
                                     discord_oracle, entropy_f, geof)
-from gausscorr.errors import InvalidInputError, NumericalError
+from gausscorr.errors import InvalidInputError, NonPhysicalStateError, NumericalError
 from gausscorr.scenarios import (MODULATION_SOURCE, KWFlowPoint, ScenarioConfig, ScenarioState,
                                  SweepRow,
                                  attenuation_sweep, build_split_state,
@@ -280,6 +280,32 @@ def test_correlation_flow_runs_no_search(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "minimize", no_search)
     pts = correlation_flow(build_split_state(SQUEEZED, 0.5), np.linspace(1.0, 0.2, 9))
     assert max(abs(p.residual) for p in pts) <= 1e-10
+
+
+_DENSE_GRID = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
+
+
+@pytest.mark.parametrize("v_x", [1e7, 1e8])
+def test_sweep_and_flow_take_strongly_modulated_states(v_x):
+    # physical by construction, but rounding puts the min eig of gamma + i Omega
+    # at -4.2e-9 for v_x = 1e7, below the fixed 1e-9 tolerance: the bona-fide
+    # tolerance grows with the CM's largest entry
+    st = build_split_state(InputSpec("squeezed", -3.0, v_x, 10 * v_x), 0.5)
+    assert len(attenuation_sweep(st, _DENSE_GRID)) == len(_DENSE_GRID)
+    pts = correlation_flow(st, _DENSE_GRID)
+    assert len(pts) == len(_DENSE_GRID)
+    assert max(abs(p.residual) for p in pts) <= 1e-7
+
+
+def test_bona_fide_tolerance_stays_fixed_at_normal_scale():
+    # on a CM of normal scale, min eig -2e-9 stays nonphysical, alone and in a stack
+    g = tmsv_cm(2.0).entries - 2e-9 * np.eye(4)
+    assert validate_physical(g) == pytest.approx(-2e-9, rel=1e-6)
+    with pytest.raises(NonPhysicalStateError):
+        discord(g)
+    state = ScenarioState(mode_names=("A", "B"), quantum_cm=CovMatrix(g))
+    with pytest.raises(NonPhysicalStateError, match="t = 1.0 "):
+        attenuation_sweep(state, [0.0, 1.0])
 
 
 def _reference_flow_geof(state, t):
@@ -558,6 +584,19 @@ def test_interfere_no_mixing_keeps_state_separable():
     assert rep.value >= 1.0 - 1e-9
     assert np.abs(out.effective_cm(["A", "B"]).entries
                   - st.effective_cm(["A", "B"]).entries).max() <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: build_split_state(SQUEEZED, 1.5),
+    lambda st: build_split_state(SQUEEZED, float("nan")),
+    lambda st: recover_interfere(st, -0.1),
+    lambda st: recover_interfere(recover_interfere(st, 0.5), 0.5),
+    lambda st: recover_interfere(dataclasses.replace(st, loadings=()), 0.5),
+], ids=["split-above-1", "split-nan", "mix-below-0", "second-ancilla", "no-modulation"])
+def test_split_and_interfere_reject_bad_arguments(call):
+    # the beamsplitter's transmittance rule and with_vacuum_mode's checks serve both
+    with pytest.raises(InvalidInputError):
+        call(build_split_state(SQUEEZED, 0.5))
 
 
 def test_demodulate_beats_interfere():
