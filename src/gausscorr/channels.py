@@ -13,11 +13,12 @@ the second port never interacts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovMatrix, SymplecticTransform, _checked, _quadrature_indices
+from .core import CovMatrix, SymplecticTransform, _checked, _integer, _quadrature_indices
 from .errors import InvalidInputError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
@@ -68,18 +69,16 @@ class InputSpec:
 
 def beamsplitter(t: float, n_modes: int = 2, modes: tuple = (0, 1)) -> SymplecticTransform:
     """Beamsplitter with power transmittance t on the given pair of distinct modes."""
-    _transmittances([t])
-    _quadrature_indices(n_modes, modes)
-    i, j = modes
+    (t,) = _transmittances([t])
+    idx = _quadrature_indices(_integer(n_modes, 1, "n_modes"), modes)
+    if len(idx) != 4:
+        raise InvalidInputError(f"a beamsplitter acts on a pair of modes, got {modes!r}")
     s = np.eye(2 * n_modes)
     if t == 1.0:
         return SymplecticTransform(s)
     tt, rr = np.sqrt(t), np.sqrt(1.0 - t)
-    for q in range(2):
-        s[2 * i + q, 2 * i + q] = tt
-        s[2 * i + q, 2 * j + q] = rr
-        s[2 * j + q, 2 * i + q] = rr
-        s[2 * j + q, 2 * j + q] = -tt
+    for i, j in (idx[::2], idx[1::2]):     # the x rows, then the p rows
+        s[i, i], s[i, j], s[j, i], s[j, j] = tt, rr, rr, -tt
     return SymplecticTransform(s)
 
 
@@ -87,7 +86,7 @@ def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local squeezer diag(sqrt(s), 1/sqrt(s)) on one mode."""
     if not (math.isfinite(s) and s > 0):
         raise InvalidInputError(f"squeezing parameter must be positive and finite, got {s!r}")
-    idx = _quadrature_indices(n_modes, [mode])
+    idx = _quadrature_indices(_integer(n_modes, 1, "n_modes"), [mode])
     m = np.eye(2 * n_modes)
     m[idx, idx] = np.sqrt(s), 1.0 / np.sqrt(s)
     return SymplecticTransform(m)
@@ -97,7 +96,7 @@ def rotation(theta: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransfo
     """Local phase rotation on one mode."""
     if not math.isfinite(theta):
         raise InvalidInputError(f"rotation angle must be finite, got {theta!r}")
-    idx = _quadrature_indices(n_modes, [mode])
+    idx = _quadrature_indices(_integer(n_modes, 1, "n_modes"), [mode])
     c, sn = np.cos(theta), np.sin(theta)
     m = np.eye(2 * n_modes)
     m[np.ix_(idx, idx)] = [[c, -sn], [sn, c]]
@@ -116,12 +115,17 @@ def attenuate(cm, mode: int, t: float) -> CovMatrix:
     return CovMatrix(_loss_stack(g, [t], mode)[0])
 
 
-def _transmittances(t_grid):
-    """t_grid, after the one transmittance rule: every t is in [0, 1] (NaN is not)."""
-    bad = [t for t in t_grid if not 0.0 <= t <= 1.0]
-    if bad:
-        raise InvalidInputError(f"transmittance must be in [0, 1], got {bad[0]}")
-    return t_grid
+def _transmittances(t_grid) -> list:
+    """t_grid as Python floats, after the one transmittance rule.
+
+    Every t is a real number, not a bool, in [0, 1] (NaN is not).
+    """
+    out = []
+    for t in t_grid:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0.0 <= t <= 1.0:
+            raise InvalidInputError(f"transmittance must be a real number in [0, 1], got {t!r}")
+        out.append(float(t))
+    return out
 
 
 def _loss_stack(g: np.ndarray, t_grid, mode: int) -> np.ndarray:
@@ -132,7 +136,7 @@ def _loss_stack(g: np.ndarray, t_grid, mode: int) -> np.ndarray:
     blocks stay.  The package's only loss channel: :func:`attenuate`, the
     attenuation sweep and the correlation flow all call it.
     """
-    t = np.array(_transmittances(t_grid), dtype=float)[:, None, None]
+    t = np.array(_transmittances(t_grid))[:, None, None]
     q = slice(2 * mode, 2 * mode + 2)
     out = np.repeat(g[None], len(t), axis=0)
     out[:, :, q] = np.sqrt(t) * g[:, q]

@@ -7,10 +7,11 @@ that minimizes the conditional entropy over pure Gaussian measurement seeds.
 The oracle charts the seeds as P_u / e + e P_v (u = (cos theta, sin theta),
 v perpendicular to u, e in [0, 1]), one chart that runs from heterodyne
 (e = 1) to the homodyne limit (e = 0), and evaluates det eps on it in plain
-float arithmetic.  det eps is a ratio of two quadratics in e, which the oracle
-minimizes exactly at each theta by scoring e = 0, e = 1 and the stationary
-points strictly inside (0, 1); only theta is searched, on a fixed grid
-refined by a bounded Brent search, both through one float e-profile.
+float arithmetic.  det eps = num / den with den > 0 on the chart, and at any
+level d the minimum of num - d den over all of (theta, e) is exact: 2theta
+along a known vector, e at a clipped parabola vertex.  Dinkelbach's
+iteration on d therefore reaches the global infimum in a few such steps,
+with no grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import bounded_brent
 from .channels import PURE_TOL, _purify
 from .core import (SPECTRUM_CLAMP_TOL, CovMatrix, symplectic_spectrum, _EPS, _blocks, _checked,
                    _integer, _oriented_invariants, _physical, _quadrature_indices,
@@ -189,9 +189,10 @@ def discord(cm, measured_mode: int = 1, allow_measured: bool = False) -> Discord
 # where Q = delta^T adj(alpha) delta and A, B, C are the determinants of
 # alpha, beta, delta.  The cancellation between A and the measurement term is
 # taken once, in M and m1, so rounding noise between evaluations stays at a
-# few ulps of det eps rather than of A.  At fixed theta both numerator and
-# denominator are quadratics in e, so the minimum over e is found exactly;
-# only theta is searched.  No closed-form branch enters.
+# few ulps of det eps rather than of A.  Written in cos 2theta and sin 2theta,
+# num - d den is minimized exactly over the whole chart at any level d
+# (:func:`_chart_argmin`), which is all the Dinkelbach iteration of
+# :func:`_oracle_infimum` needs.  No closed-form branch enters.
 
 def _adj(m):
     """Adjugate of a 2x2 matrix, adj(m) = tr(m) I - m."""
@@ -213,91 +214,61 @@ def _chart_coefficients(alpha, beta, delta):
             ((b00 + b11) / 2, (b00 - b11) / 2, b01, 1.0 + b))
 
 
-def _chart_argmin(alpha, beta, delta, d_star):
-    """(theta, e) on the seed chart where det eps attains its infimum d_star.
+def _chart_argmin(coefficients, d):
+    """(theta, e) on the seed chart minimizing num - d den, exactly.
 
-    With P = mt - d bt, Q = (mc - d bc, ms - d bs) and R = m1 - d (1 + B),
-    numerator - d denominator = P (1 + e^2) + R e - (1 - e^2) Q.(cos 2theta,
-    sin 2theta) >= 0 at d = d_star, with equality at the argmin: 2theta points
-    along Q, and e minimizes (P + |Q|) e^2 + R e + P - |Q| on [0, 1].
+    coefficients are those of :func:`_chart_coefficients`.  With P = mt - d bt,
+    Q = (mc - d bc, ms - d bs) and R = m1 - d (1 + B), num - d den =
+    P (1 + e^2) + R e - (1 - e^2) Q.(cos 2theta, sin 2theta).  Since
+    1 - e^2 >= 0, its minimum over theta puts 2theta along Q, and e then
+    minimizes (P + |Q|) e^2 + R e + P - |Q| on [0, 1]: at the vertex clipped
+    to [0, 1] if that parabola opens upward, else at the better end.  At the
+    infimum d = d* the minimum is 0 and the argmin attains d*.  The one
+    inner step of the oracle's iteration and of :func:`_k1_geof`.
     """
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
-    p, qc, qs, r = mt - d_star * bt, mc - d_star * bc, ms - d_star * bs, m1 - d_star * b1
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
+    p, qc, qs, r = mt - d * bt, mc - d * bc, ms - d * bs, m1 - d * b1
     lead = p + math.hypot(qc, qs)
     e = min(max(-r / (2.0 * lead), 0.0), 1.0) if lead > 0 else float(lead + r < 0)
     return 0.5 * math.atan2(qs, qc), e
 
 
-def _e_profile(alpha, beta, delta):
-    """Minimum over e in [0, 1] of det eps on the seed chart, and its argmin, at given 2 theta.
-
-    At fixed theta, det eps = (n0 + m1 e + n2 e^2) / (d0 + b1 e + d2 e^2)
-    with b1 = 1 + B and a positive denominator on [0, 1], in the terms of
-    :func:`_chart_coefficients`.  Its minimum there is at e = 0, e = 1 or a
-    root of N' D - N D'.  The cubic terms cancel, leaving a2 e^2 + 2 a1 e + a0
-    with a2 = n2 b1 - m1 d2, a1 = n2 d0 - n0 d2 and a0 = m1 d0 - n0 b1, whose
-    roots are taken in the cancellation-free form q / a2 and a0 / q; a
-    vanishing a2 leaves a0 / q as the linear root.  The candidates are e = 0,
-    e = 1 and the roots strictly inside (0, 1), each scored by the chart's own
-    expression, so a misplaced root can only raise the minimum, never report
-    a value the chart does not take.  A root outside (0, 1), or an undefined
-    one, would repeat the e = 0 or e = 1 value and is not scored.  The
-    coefficients are computed once; the returned function takes
-    (cos 2theta, sin 2theta) as Python floats and returns (det, e) in plain
-    float arithmetic.
-    """
-    (mt, mc, ms, m1), (bt, bc, bs, b1) = _chart_coefficients(alpha, beta, delta)
-
-    def profile(cos2, sin2):
-        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
-        n0, n2, d0, d2 = mt - mh, mt + mh, bt - bh, bt + bh
-        a2, a1, a0 = n2 * b1 - m1 * d2, n2 * d0 - n0 * d2, m1 * d0 - n0 * b1
-        q = -(a1 + math.copysign(math.sqrt(max(a1 * a1 - a2 * a0, 0.0)), a1))
-        # e = 0, e = 1, then each root in (0, 1); the first minimum wins, so ties
-        # keep the homodyne limit e = 0
-        value, e = n0 / d0, 0.0
-        v = (n0 + (m1 + n2)) / (d0 + (b1 + d2))
-        if v < value:
-            value, e = v, 1.0
-        for r in (q / a2 if a2 else 0.0, a0 / q if q else 0.0):
-            if 0.0 < r < 1.0:
-                v = (n0 + r * (m1 + r * n2)) / (d0 + r * (b1 + r * d2))
-                if v < value:
-                    value, e = v, r
-        return value, e
-
-    return profile
-
-
-ORACLE_GRID = 64
-# the oracle's theta grid over [0, pi), with its cos 2theta and sin 2theta as Python floats
-_GRID_STEP = math.pi / ORACLE_GRID
-_GRID_THETAS = _GRID_STEP * np.arange(ORACLE_GRID)
-_GRID_COS2, _GRID_SIN2 = np.cos(2 * _GRID_THETAS).tolist(), np.sin(2 * _GRID_THETAS).tolist()
+# Dinkelbach steps after which the oracle gives up; thousands of random and hot
+# CMs took at most 15
+_ORACLE_MAX_STEPS = 64
 
 
 def _oracle_infimum(alpha, beta, delta):
-    """(inf det eps, theta, e) over pure seeds P_u / e + e P_v, found numerically.
+    """(inf det eps, theta, e) over pure seeds P_u / e + e P_v, by Dinkelbach's iteration.
 
-    e is minimized exactly at each theta (:func:`_e_profile`); theta is
-    searched on an ORACLE_GRID-point grid over [0, pi), one profile call per
-    point on (cos 2theta, sin 2theta) computed once at import, and the best
-    cell is refined by one bounded Brent search on the same profile.
+    det eps = num / den on the chart with den > 0.  If d is a value the chart
+    takes, the exact minimum of num - d den over all of (theta, e)
+    (:func:`_chart_argmin`) is at most 0, and below 0 unless d is already
+    the global infimum, so the chart value at that argmin is below d
+    (Dinkelbach, Management Science 13, 492, 1967).  Starting from the
+    heterodyne seed (theta = 0, e = 1), each step moves to the argmin at
+    the current value; the values fall superlinearly (about 7 steps), and
+    the iteration stops at the first step that does not lower the value
+    strictly.  The value returned is the chart's own expression at the
+    returned (theta, e), theta in (-pi/2, pi/2], so it is attained.  More
+    than _ORACLE_MAX_STEPS steps raise NumericalError.
     """
-    profile = _e_profile(alpha, beta, delta)
-    grid = list(map(profile, _GRID_COS2, _GRID_SIN2))
-    i = min(range(ORACLE_GRID), key=lambda j: grid[j][0])
-    # Brent's tolerance is sqrt(eps) |theta| + xatol / 3; xatol keeps it near
-    # 1e-8 at theta = 0, where symmetric states put their optimum.  At a
-    # smooth minimum that moves the value by about 1e-16 relative.
-    theta = float(_GRID_THETAS[i])
-    x, fun, _ = bounded_brent(lambda th: profile(math.cos(2 * th), math.sin(2 * th))[0],
-                              theta - _GRID_STEP, theta + _GRID_STEP, xatol=3e-8)
-    det, e = grid[i]
-    if fun < det:
-        det, e = profile(math.cos(2 * x), math.sin(2 * x))
-        return det, x % math.pi, e
-    return det, theta, e
+    coefficients = _chart_coefficients(alpha, beta, delta)
+    (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
+
+    def chart(theta, e):
+        cos2, sin2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
+        return ((mt - mh) + e * (m1 + e * (mt + mh))) / ((bt - bh) + e * (b1 + e * (bt + bh)))
+
+    best = chart(0.0, 1.0), 0.0, 1.0
+    for _ in range(_ORACLE_MAX_STEPS):
+        theta, e = _chart_argmin(coefficients, best[0])
+        det = chart(theta, e)
+        if not det < best[0]:
+            return best
+        best = det, theta, e
+    raise NumericalError(f"discord oracle: no convergence in {_ORACLE_MAX_STEPS} Dinkelbach steps")
 
 
 def discord_oracle(cm, measured_mode: int = 1) -> float:
@@ -307,14 +278,15 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     u = (cos theta, sin theta), v perpendicular to u and e in [0, 1].  The
     chart contains the homodyne limit e = 0 (homodyne of the quadrature v)
     and the heterodyne seed e = 1; seeds squeezed the other way sit at
-    theta + pi/2.  det eps is a ratio of two quadratics in e, so e is
-    minimized exactly by calculus at each theta, and theta is searched on a
-    grid refined by Brent (:func:`_oracle_infimum`).  No closed-form branch,
-    branch condition or Nelder-Mead is used.  Entropy terms outside the
-    infimum reuse the exact symplectic values, so the comparison isolates
-    the measurement term.  The input rule is that of :func:`discord`
-    without allow_measured: a nonphysical CM raises NonPhysicalStateError,
-    and one beyond float range NumericalError.
+    theta + pi/2.  det eps is a ratio num / den on the chart, and
+    num - d den is minimized exactly over all of (theta, e) at any level d,
+    so Dinkelbach's iteration on d reaches the global infimum without a
+    grid (:func:`_oracle_infimum`).  No closed-form branch, branch condition
+    or Nelder-Mead is used.  Entropy terms outside the infimum reuse the
+    exact symplectic values, so the comparison isolates the measurement
+    term.  The input rule is that of :func:`discord` without
+    allow_measured: a nonphysical CM raises NonPhysicalStateError, and one
+    beyond float range NumericalError.
     """
     _integer(measured_mode, 0, "measured_mode", 2)
     g = _physical(_two_mode(cm))
@@ -322,7 +294,7 @@ def discord_oracle(cm, measured_mode: int = 1) -> float:
     nu_minus, nu_plus = _symplectic_values(a, b, c, d)
     best = _oracle_infimum(*_blocks(g, measured_mode))[0]
     return (entropy_f(max(math.sqrt(b), 1.0)) - entropy_f(max(nu_minus, 1.0))
-            - entropy_f(nu_plus) + entropy_f(max(np.sqrt(best), 1.0)))
+            - entropy_f(nu_plus) + entropy_f(max(math.sqrt(best), 1.0)))
 
 
 def kw_audit(s_a: float, j_ab: float, e_f_ae: float) -> float:
@@ -567,7 +539,7 @@ def _k1_geof(g, s, nus, a_mode: int = 0):
     gsr_a = frame_a * (math.sqrt(nu * nu - 1.0) * np.array([1.0, -1.0]))
     schur = pure_part[ai, ai] + ff_a / nu
     d_star = _inf_det_eps(_det2(gs_a), nu * nu, _det2(gsr_a), nu * nu * _det2(schur))[0]
-    theta, e = _chart_argmin(gs_a, nu * np.eye(2), gsr_a, d_star)
+    theta, e = _chart_argmin(_chart_coefficients(gs_a, nu * np.eye(2), gsr_a), d_star)
     u = np.array([math.cos(theta), -math.sin(theta)])
     v = np.array([-u[1], u[0]])
     w = (nu + e) / (nu * e + 1.0) * np.outer(u, u) + (nu * e + 1.0) / (nu + e) * np.outer(v, v)

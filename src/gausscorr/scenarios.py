@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._brent import bounded_brent
-from .channels import InputSpec, beamsplitter, _loss_stack, _purify
+from .channels import InputSpec, beamsplitter, _loss_stack, _purify, _transmittances
 from .core import (CovMatrix, apply_symplectic, tensor, _EPS, _bona_fide, _oriented_invariants,
                    _physical, _quadrature_indices, _read_json, _symplectic, _two_mode,
                    _williamson_frame)
@@ -202,7 +202,7 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
 
 def _sweep(g1: np.ndarray, t_grid, cmr_a: float) -> list:
     """:func:`attenuation_sweep` rows of the effective (A, B) array g1."""
-    t_grid = [float(t) for t in t_grid]
+    t_grid = _transmittances(t_grid)
     g = _loss_stack(g1, t_grid, 1)
     g[:, :2, :2] += cmr_a * np.eye(2)
     g[:, 2:, 2:] += (np.array(t_grid)[:, None, None] * cmr_a) * np.eye(2)

@@ -3,15 +3,18 @@
 No CLI command, script or benchmark workload reaches these functions; the
 tests use them as references (the paper's split-state closed forms, the
 ideal recovery value, a minimal purification, the per-point channel maps,
-the beamsplitter-with-vacuum loss route, the discord oracle's seed chart)
+the beamsplitter-with-vacuum loss route, the discord oracle's seed chart
+and its exact rational certificate)
 or as seeded inputs.  Every test module takes them from here.
 """
 
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -150,22 +153,67 @@ def minimal_purification(cm) -> CovMatrix:
 # ---------------------------------------------------------------------------
 # the discord oracle's seed chart
 
-def seed_chart(coefficients):
-    """det eps as a function of (cos 2theta, sin 2theta, e) on the oracle's seed chart.
+def seed_chart_terms(coefficients):
+    """(numerator, denominator) of det eps as a function of (cos 2theta, sin 2theta, e).
 
     coefficients are those of ``correlations._chart_coefficients``.  The
-    expression is the one the oracle's e-profile scores each candidate e
-    with.  The returned function is plain arithmetic: it takes Python floats
-    and broadcast arrays alike.
+    returned function is plain arithmetic: it takes Python floats and
+    broadcast arrays alike.
     """
     (mt, mc, ms, m1), (bt, bc, bs, b1) = coefficients
 
-    def det_eps(cos2, sin2, e):
+    def terms(cos2, sin2, e):
         mh, bh = mc * cos2 + ms * sin2, bc * cos2 + bs * sin2
-        return (((mt - mh) + e * (m1 + e * (mt + mh)))
-                / ((bt - bh) + e * (b1 + e * (bt + bh))))
+        return (mt - mh) + e * (m1 + e * (mt + mh)), (bt - bh) + e * (b1 + e * (bt + bh))
+
+    return terms
+
+
+def seed_chart(coefficients):
+    """det eps as a function of (cos 2theta, sin 2theta, e) on the oracle's seed chart.
+
+    The quotient of :func:`seed_chart_terms`, the expression the oracle
+    scores each of its iterates with.
+    """
+    terms = seed_chart_terms(coefficients)
+
+    def det_eps(cos2, sin2, e):
+        num, den = terms(cos2, sin2, e)
+        return num / den
 
     return det_eps
+
+
+def exact_det_eps(alpha, beta, delta, theta, e) -> Fraction:
+    """det eps, exactly, at the seed (theta, e) of the chart rounded to rationals.
+
+    The float blocks are exact rationals, and so are t = tan theta and e as
+    floats; with cos^2 theta = 1 / (1 + t^2), the seed P_u / e + e P_v
+    (u = (cos theta, sin theta), v perpendicular) is rational, and so is the
+    homodyne limit e = 0 of the quadrature v.  eps = alpha - delta
+    (beta + sigma)^-1 delta^T, or alpha - delta P_v delta^T / tr(beta P_v)
+    at e = 0, is then evaluated in fractions: no rounding after the seed's.
+    """
+    a, b, d = ([[Fraction(x) for x in row] for row in m.tolist()] for m in (alpha, beta, delta))
+    t, e = Fraction(math.tan(theta)), Fraction(e)
+    pu = [[1 / (1 + t * t), t / (1 + t * t)], [t / (1 + t * t), t * t / (1 + t * t)]]
+    pv = [[int(i == j) - pu[i][j] for j in (0, 1)] for i in (0, 1)]
+
+    def mul(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)] for i in (0, 1)]
+
+    d_t = [[d[j][i] for j in (0, 1)] for i in (0, 1)]
+    if e:
+        n = [[b[i][j] + pu[i][j] / e + e * pv[i][j] for j in (0, 1)] for i in (0, 1)]
+        det_n = n[0][0] * n[1][1] - n[0][1] * n[1][0]
+        inv = [[n[1][1] / det_n, -n[0][1] / det_n], [-n[1][0] / det_n, n[0][0] / det_n]]
+        k = mul(mul(d, inv), d_t)
+    else:
+        k = mul(mul(d, pv), d_t)
+        scale = sum(b[i][j] * pv[j][i] for i in (0, 1) for j in (0, 1))
+        k = [[x / scale for x in row] for row in k]
+    eps = [[a[i][j] - k[i][j] for j in (0, 1)] for i in (0, 1)]
+    return eps[0][0] * eps[1][1] - eps[0][1] * eps[1][0]
 
 
 # ---------------------------------------------------------------------------

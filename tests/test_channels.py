@@ -63,6 +63,36 @@ def test_beamsplitter_range_check():
         beamsplitter(1.2)
 
 
+# arguments of the wrong type meet the input rules, not a bare Python error
+def test_attenuate_rejects_a_string_transmittance(measured_cm):
+    # raised a bare TypeError from the [0, 1] comparison
+    with pytest.raises(InvalidInputError, match="real number"):
+        attenuate(measured_cm, 1, "0.5")
+
+
+def test_beamsplitter_rejects_a_string_transmittance():
+    with pytest.raises(InvalidInputError, match="real number"):
+        beamsplitter("0.5")
+
+
+def test_beamsplitter_rejects_more_than_a_pair_of_modes():
+    # raised ValueError from unpacking the pair
+    with pytest.raises(InvalidInputError, match="pair of modes"):
+        beamsplitter(0.5, 3, (0, 1, 2))
+
+
+def test_squeezer_rejects_a_fractional_mode_count():
+    # raised TypeError from np.eye
+    with pytest.raises(InvalidInputError, match="n_modes"):
+        squeezer(2.0, 1.5, 0)
+
+
+def test_beamsplitter_rejects_a_bool_mode_count():
+    # read True as 2: the mode check said "below True"
+    with pytest.raises(InvalidInputError, match="n_modes must be a positive integer, got True"):
+        beamsplitter(0.5, True, (0, 1))
+
+
 def test_attenuate_vacuum_fixed_point():
     for t in (0.0, 0.3, 1.0):
         out = attenuate(np.eye(2), 0, t)

@@ -105,6 +105,13 @@ def test_sweep_empty_grid():
     assert attenuation_sweep(st, []) == []
 
 
+def test_sweep_rejects_a_string_transmittance():
+    # float() turned "0.5" into 0.5 before the transmittance rule saw it
+    st = build_split_state(COHERENT, 0.5)
+    with pytest.raises(InvalidInputError, match="real number"):
+        attenuation_sweep(st, ["0.5"])
+
+
 def test_sweep_rejects_negative_cmr_on_every_grid():
     st = build_split_state(COHERENT, 0.5)
     for grid in ([], [1.0, 0.5]):
