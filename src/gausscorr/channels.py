@@ -13,12 +13,11 @@ the second port never interacts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovMatrix, SymplecticTransform, _checked, _integer, _quadrature_indices
+from .core import CovMatrix, SymplecticTransform, _checked, _integer, _quadrature_indices, _real
 from .errors import InvalidInputError
 
 DB_SQUEEZING_FACTOR = 10.0  # variance factor is 10**(dB/10)
@@ -84,8 +83,9 @@ def beamsplitter(t: float, n_modes: int = 2, modes: tuple = (0, 1)) -> Symplecti
 
 def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local squeezer diag(sqrt(s), 1/sqrt(s)) on one mode."""
-    if not (math.isfinite(s) and s > 0):
-        raise InvalidInputError(f"squeezing parameter must be positive and finite, got {s!r}")
+    if not (_real(s) and math.isfinite(s) and s > 0):
+        raise InvalidInputError(
+            f"squeezing parameter must be a positive finite real number, got {s!r}")
     idx = _quadrature_indices(_integer(n_modes, 1, "n_modes"), [mode])
     m = np.eye(2 * n_modes)
     m[idx, idx] = np.sqrt(s), 1.0 / np.sqrt(s)
@@ -94,8 +94,8 @@ def squeezer(s: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
 
 def rotation(theta: float, n_modes: int = 1, mode: int = 0) -> SymplecticTransform:
     """Local phase rotation on one mode."""
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"rotation angle must be finite, got {theta!r}")
+    if not (_real(theta) and math.isfinite(theta)):
+        raise InvalidInputError(f"rotation angle must be a finite real number, got {theta!r}")
     idx = _quadrature_indices(_integer(n_modes, 1, "n_modes"), [mode])
     c, sn = np.cos(theta), np.sin(theta)
     m = np.eye(2 * n_modes)
@@ -122,7 +122,7 @@ def _transmittances(t_grid) -> list:
     """
     out = []
     for t in t_grid:
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0.0 <= t <= 1.0:
+        if not (_real(t) and 0.0 <= t <= 1.0):
             raise InvalidInputError(f"transmittance must be a real number in [0, 1], got {t!r}")
         out.append(float(t))
     return out
@@ -172,8 +172,8 @@ def _purify(s, nus) -> np.ndarray:
 
 def tmsv_cm(m: float) -> CovMatrix:
     """Two-mode squeezed vacuum with diagonal blocks m*I and cross sqrt(m^2-1)*sigma_z."""
-    if m < 1.0 - 1e-12:
-        raise InvalidInputError("TMSV parameter must be >= 1")
+    if not (_real(m) and m >= 1.0 - 1e-12):
+        raise InvalidInputError(f"TMSV parameter must be a real number >= 1, got {m!r}")
     c = np.sqrt(max(m * m - 1.0, 0.0))
     sz = np.diag([1.0, -1.0])
     g = np.block([[m * np.eye(2), c * sz], [c * sz, m * np.eye(2)]])

@@ -50,19 +50,35 @@ def _blocks(g: np.ndarray, measured_mode: int):
     return g[..., k:k + 2, k:k + 2], g[..., m:m + 2, m:m + 2], g[..., k:k + 2, m:m + 2]
 
 
-# flat indices of the (alpha, beta, delta) blocks of a 4x4 CM, per measured mode
-_BLOCK_INDEX = tuple(np.stack(_blocks(np.arange(16).reshape(4, 4), m)) for m in (0, 1))
+def _embedding(measured_mode: int) -> np.ndarray:
+    """Indices into (g_00, ..., g_33, 0, 1) of alpha + I2, beta + I2, delta + I2 and g itself."""
+    out = np.full((4, 4, 4), 16)
+    out[:3, :2, :2] = _blocks(np.arange(16).reshape(4, 4), measured_mode)
+    out[:3, 2, 2] = out[:3, 3, 3] = 17
+    out[3] = np.arange(16).reshape(4, 4)
+    return out
+
+
+_EMBEDDING = (_embedding(0), _embedding(1))
 
 
 def _oriented_invariants(g: np.ndarray, measured_mode: int):
     """(A, B, C, D) with the measured mode in the beta slot, as Python floats.
 
     g is one 4x4 CM or an (N, 4, 4) stack; a stack gives each invariant as
-    a list of N.  One gather and one det call cover the three 2x2 blocks,
-    one det the whole matrix.
+    a list of N.  A, B and C are the dets of the 2x2 blocks alpha, beta and
+    delta, D = det g, and one det call takes all four: each block is embedded
+    as block + I2 (direct sum) beside g.  The bits are those of a det call
+    on the 2x2 blocks themselves: LU with partial pivoting does the block's
+    own arithmetic on block + I2 (the I2 rows hold zeros under the block,
+    so they never pivot, take zero multipliers and keep their exact ones),
+    and numpy's det, sign times exp of the sum of ln|u_ii|, adds ln 1 = 0
+    for them.
     """
-    blocks = g.reshape(g.shape[:-2] + (16,))[..., _BLOCK_INDEX[measured_mode]]
-    return (*np.linalg.det(blocks).T.tolist(), np.linalg.det(g).tolist())
+    ext = np.empty(g.shape[:-2] + (18,))
+    ext[..., :16] = g.reshape(g.shape[:-2] + (16,))
+    ext[..., 16:] = (0.0, 1.0)
+    return tuple(np.linalg.det(ext.take(_EMBEDDING[measured_mode], axis=-1)).T.tolist())
 
 
 def _physical(g: np.ndarray, hint: str = "") -> np.ndarray:
@@ -93,7 +109,9 @@ class CovMatrix:
     """Real symmetric 2n x 2n covariance matrix in gamma-units.
 
     Entries must be finite real numbers.  Symmetry is validated to relative
-    tolerance 1e-12 and the stored array is exactly symmetrized and read-only.
+    tolerance 1e-12 and the stored array is exactly symmetric, read-only and
+    shares no memory with the argument: an exactly symmetric argument is
+    copied, any other stored as its finite mean (:func:`_symmetrized`).
     Physicality is *not* enforced here (measured matrices may violate it
     slightly); use :func:`validate_physical`.
     """
@@ -101,13 +119,15 @@ class CovMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        try:
-            g = np.asarray(self.entries)
-            if g.dtype.kind not in "iuf":  # complex, string and object entries
-                raise TypeError(f"entries of dtype {g.dtype} are not real numbers")
-        except (TypeError, ValueError) as exc:  # ragged rows raise ValueError
-            raise InvalidInputError(f"bad covariance matrix entries: {exc}") from None
-        g = g.astype(float, copy=False)
+        g = self.entries
+        if type(g) is not np.ndarray or g.dtype != np.float64:
+            try:
+                g = np.asarray(g)
+                if g.dtype.kind not in "iuf":  # complex, string and object entries
+                    raise TypeError(f"entries of dtype {g.dtype} are not real numbers")
+            except (TypeError, ValueError) as exc:  # ragged rows raise ValueError
+                raise InvalidInputError(f"bad covariance matrix entries: {exc}") from None
+            g = g.astype(float, copy=False)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
             raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {g.shape}")
         # the decisions run on Python floats, which costs less than numpy's
@@ -116,21 +136,39 @@ class CovMatrix:
         flat = g.ravel().tolist()
         if not all(map(math.isfinite, flat)):
             raise InvalidInputError("covariance matrix has non-finite entries")
-        tol = SYMMETRY_RTOL * max(1.0, max(map(abs, flat)))
-        # |x - y| = |y - x| in IEEE arithmetic, so one triangle decides
-        for i in range(1, n):
-            for j in range(i):
-                if abs(flat[i * n + j] - flat[j * n + i]) > tol:
-                    raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
+        if g.tobytes() == g.T.tobytes():  # the mean's bits, without its overflow from 2^1023
+            g = g.copy()
+        else:
+            peak = max(map(abs, flat))
+            tol = SYMMETRY_RTOL * max(1.0, peak)
+            # |x - y| = |y - x| in IEEE arithmetic, so one triangle decides
+            for i in range(1, n):
+                for j in range(i):
+                    if abs(flat[i * n + j] - flat[j * n + i]) > tol:
+                        raise InvalidInputError("covariance matrix is not symmetric within 1e-12")
+            g = _symmetrized(g, peak)
         if min(flat[::n + 1]) <= 0:
             raise InvalidInputError("covariance matrix has non-positive diagonal entries")
-        g = (g + g.T) / 2
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
     @property
     def n_modes(self) -> int:
         return self.entries.shape[0] // 2
+
+
+def _symmetrized(g: np.ndarray, peak: float) -> np.ndarray:
+    """(g + g^T) / 2 of a finite g whose largest |entry| is peak, kept finite.
+
+    A pair sum overflows only if an entry reaches 2^1023.  An entry where
+    it does is g_ij / 2 + g_ji / 2 instead; every other entry is bit for
+    bit (g_ij + g_ji) / 2.
+    """
+    if peak < 2.0 ** 1023:
+        return (g + g.T) / 2
+    with np.errstate(over="ignore"):
+        mean = (g + g.T) / 2
+    return np.where(np.isfinite(mean), mean, g / 2 + g.T / 2)
 
 
 @functools.cache
@@ -376,6 +414,11 @@ def _integer(value, least: int, what: str, below=math.inf):
         limit = "" if below == math.inf else f" below {below}"
         raise InvalidInputError(f"{what} must be a {kind} integer{limit}, got {value!r}")
     return value
+
+
+def _real(value) -> bool:
+    """Whether value is a real number, not a bool (NaN and infinities are real numbers here)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def reduce(cm, modes) -> CovMatrix:

@@ -93,6 +93,16 @@ def test_beamsplitter_rejects_a_bool_mode_count():
         beamsplitter(0.5, True, (0, 1))
 
 
+@pytest.mark.parametrize("value", ["2.0", True, None, 2j], ids=repr)
+@pytest.mark.parametrize("constructor", [squeezer, rotation, tmsv_cm],
+                         ids=lambda f: f.__name__)
+def test_channel_parameters_take_the_real_number_rule(constructor, value):
+    # "2.0", None and 2j raised TypeError from math.isfinite or from tmsv_cm's
+    # comparison, and True read as 1
+    with pytest.raises(InvalidInputError, match="real number"):
+        constructor(value)
+
+
 def test_attenuate_vacuum_fixed_point():
     for t in (0.0, 0.3, 1.0):
         out = attenuate(np.eye(2), 0, t)

@@ -160,11 +160,16 @@ def test_discord_command_numerical_exit_code(measured_cm_file, capsys, monkeypat
 def test_discord_command_beyond_float_range_exit_code(tmp_path, capsys, flags):
     # a physical CM whose closed form overflows a float: exit 1 with a traceback before;
     # at 1e100 det gamma overflows, and that exited 2 ("state not physical"), as
-    # did diag(s, s, 1, 1) from s = 1e77, whose squared Seralian overflows
+    # did diag(s, s, 1, 1) from s = 1e77, whose squared Seralian overflows.  From
+    # s = 2^1023, (g + g^T) / 2 stored inf, and without --allow-measured the
+    # physicality test raised LinAlgError: exit 1 with a traceback, also for a pair
+    # asymmetric within the 1e-12 bound
     g0 = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
                    [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+    near = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+    near[0, 1] = 1e296
     for g in (1e70 * g0, 1e100 * g0, np.diag([1e100, 1e100, 1.0, 1.0]),
-              np.diag([1e150, 1e150, 1.0, 1.0])):
+              np.diag([1e150, 1e150, 1.0, 1.0]), np.diag([1.7e308, 1.7e308, 1.0, 1.0]), near):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
         with np.errstate(all="ignore"):
@@ -177,22 +182,27 @@ def test_discord_command_beyond_float_range_exit_code(tmp_path, capsys, flags):
 
 def test_discord_command_overflow_prints_one_json_line(tmp_path, capsys):
     # det gamma overflows inside numpy.linalg: numpy's RuntimeWarning and its
-    # source line were printed to stderr before the JSON error line
-    g = 1e100 * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
-                          [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
-    settings = np.geterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["discord", "--cm", str(path)]) == 3
-    assert caught == []
-    # the CLI leaves numpy's error settings as it found them
-    assert np.geterr() == settings
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    assert json.loads(captured.err)["error"] == "NumericalError"
+    # source line were printed to stderr before the JSON error line.  On entries
+    # from 2^1023, exactly symmetric or not, the CovMatrix check stores them finite
+    # and warns of no overflow either
+    near = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+    near[0, 1] = 1e296
+    for g in (1e100 * np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, -1.0],
+                                [1.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]]),
+              np.diag([1.7e308, 1.7e308, 1.0, 1.0]), near):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_modes": 2, "gamma": g.tolist()}))
+        settings = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["discord", "--cm", str(path)]) == 3
+        assert caught == []
+        # the CLI leaves numpy's error settings as it found them
+        assert np.geterr() == settings
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert json.loads(captured.err)["error"] == "NumericalError"
 
 
 def test_discord_command_missing_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gausscorr.core import (CovMatrix, apply_symplectic, cm_from_dict, cm_to_dic
                             williamson, write_cm_file)
 from gausscorr.channels import InputSpec, attenuate, beamsplitter, rotation, squeezer, tmsv_cm
 from gausscorr.correlations import discord, discord_oracle, geof, von_neumann_entropy
-from gausscorr.errors import InvalidInputError, NonPhysicalStateError
+from gausscorr.errors import InvalidInputError, NonPhysicalStateError, NumericalError
 from gausscorr.scenarios import build_split_state
 
 from helpers import (cm_call_args, cm_entry_points, make_coherent_mixture_cm,
@@ -155,6 +156,78 @@ def _malformed(kind):
 
 
 MALFORMED = ["nan", "inf", "asymmetric", "ragged", "complex", "string"]
+
+
+def _stored_inputs(kind, rng):
+    """(raw argument, its float array) of one storage case; random_physical_cm is exactly symmetric."""
+    g = np.array(random_physical_cm(rng, int(rng.integers(1, 4)), max_thermal=200.0,
+                                    squeeze_scale=2.5).entries)
+    n = g.shape[0]
+    i, j = sorted(rng.choice(n, size=2, replace=False))
+    if kind == "asymmetric":   # one pair apart by at most the 1e-12 bound
+        g[j, i] += rng.uniform(-1.0, 1.0) * 1e-12 * np.abs(g).max()
+    elif kind == "signed zeros":   # equal under ==, not bit for bit
+        g[i, j], g[j, i] = 0.0, -0.0
+    elif kind == "negative zeros":
+        g[i, j] = g[j, i] = -0.0
+    elif kind == "fortran order":
+        g = np.asfortranarray(g)
+    return (g.tolist() if kind == "list" else g), g
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "signed zeros", "negative zeros",
+                                  "fortran order", "list"])
+def test_covmatrix_stores_the_mean_as_a_read_only_copy(kind):
+    # exactly symmetric input is stored as a copy, other input as the mean: both are
+    # bit for bit (g + g^T) / 2, read-only, and never a view of the caller's array
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        raw, g = _stored_inputs(kind, rng)
+        stored = CovMatrix(raw).entries
+        assert stored.dtype == np.float64
+        assert stored.tobytes() == ((g + g.T) / 2).tobytes()
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, g)
+
+
+def _huge_inputs():
+    exact = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+    near = exact.copy()
+    near[0, 1] = 1e296            # asymmetric within 1e-12 of the peak
+    pair = exact.copy()
+    pair[0, 1], pair[1, 0] = 1.7e308, 1.7e308 * (1.0 - 1e-13)   # the pair's sum overflows
+    return {"exact": exact, "near": near, "pair": pair}
+
+
+@pytest.mark.parametrize("name", sorted(_huge_inputs()))
+def test_covmatrix_stores_entries_beyond_2_1023_finite(name):
+    # (g + g^T) / 2 overflowed to inf here; the stored entries are that mean wherever it is
+    # finite and finite everywhere, with no RuntimeWarning on the way
+    g = _huge_inputs()[name]
+    with np.errstate(over="ignore"):
+        mean = (g + g.T) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = CovMatrix(g).entries
+    assert np.isfinite(stored).all()
+    finite = np.isfinite(mean)
+    assert not finite.all()
+    assert stored[finite].tobytes() == mean[finite].tobytes()
+    assert np.array_equal(stored, stored.T)
+    assert np.array_equal(stored[~finite], (g / 2 + g.T / 2)[~finite])
+
+
+@pytest.mark.parametrize("name", ["exact", "near"])
+def test_functionals_on_entries_beyond_2_1023(name):
+    # the stored inf made discord, ppt_min_eig and validate_physical raise numpy's
+    # LinAlgError ("Eigenvalues did not converge"); the physical state's invariants
+    # overflow, a NumericalError, and its witnesses are finite
+    g = _huge_inputs()[name]
+    assert math.isfinite(validate_physical(g)) and math.isfinite(ppt_min_eig(g))
+    for mode in (0, 1):
+        for allow_measured in (False, True):
+            with np.errstate(over="ignore"), pytest.raises(NumericalError):
+                discord(g, mode, allow_measured=allow_measured)
 
 
 @pytest.mark.parametrize("kind", ["ragged", "complex", "string"])

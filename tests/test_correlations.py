@@ -719,6 +719,17 @@ def _measured_resampling(scalars):
     return cm_resampling_pipeline(cm, matched_sample_size(cm, MEASURED_CM_STD_ERRORS), scalars)
 
 
+def _asymmetric_within_bound(rng, cms):
+    """Raw copies of cms with one off-diagonal pair apart by up to the 1e-12 symmetry bound."""
+    out = []
+    for g in cms:
+        g = np.array(g)
+        i, j = sorted(rng.choice(4, size=2, replace=False))
+        g[j, i] += rng.uniform(-1.0, 1.0) * 1e-12 * np.abs(g).max()
+        out.append(g)
+    return out
+
+
 def test_two_mode_functionals_match_the_composed_checks_bit_for_bit():
     estimates = []
     pipeline = _measured_resampling({"m": lambda m: estimates.append(m) or 0.0})
@@ -727,7 +738,9 @@ def test_two_mode_functionals_match_the_composed_checks_bit_for_bit():
         pipeline(rng)
     rng = np.random.default_rng(6)
     physical = [random_physical_cm(rng, 2).entries for _ in range(100)]
-    for g in estimates + physical:
+    physical += [random_physical_cm(rng, 2, max_thermal=200.0, squeeze_scale=2.5).entries
+                 for _ in range(100)]
+    for g in estimates + physical + _asymmetric_within_bound(rng, physical):
         assert ppt_min_eig(g) == _reference_ppt(g)
         for mode in (0, 1):
             assert discord(g, mode, allow_measured=True) == _reference_discord(g, mode, True)
@@ -736,6 +749,22 @@ def test_two_mode_functionals_match_the_composed_checks_bit_for_bit():
         for mode in (0, 1):
             assert discord(g, mode) == discord(CovMatrix(g), mode) == _reference_discord(
                 g, mode, False)
+
+
+def test_oriented_invariants_of_a_stack_match_the_reference_per_matrix():
+    # the sweeps' (N, 4, 4) stacks take the single-CM route: each matrix's
+    # (A, B, C, D) are those of its own 2x2 and 4x4 det calls, bit for bit
+    rng = np.random.default_rng(9)
+    cms = [random_physical_cm(rng, 2, **family).entries for _ in range(100)
+           for family in ({}, {"max_thermal": 200.0, "squeeze_scale": 2.5})]
+    cms += _asymmetric_within_bound(rng, cms) + [rng.normal(size=(4, 4)) for _ in range(100)]
+    for mode in (0, 1):
+        got = _oriented_invariants(np.stack(cms), mode)
+        assert all(len(column) == len(cms) for column in got)
+        for k, g in enumerate(cms):
+            want = _reference_invariants(g, mode)
+            assert [column[k] for column in got] == list(want)
+            assert _oriented_invariants(g, mode) == tuple(want)
 
 
 def test_error_bars_match_the_composed_checks_bit_for_bit():
