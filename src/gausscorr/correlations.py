@@ -427,30 +427,36 @@ def _polymul(a, b) -> list:
     return out
 
 
-def _stationary_points(num, den) -> list:
-    """Real parts of the roots of num' den - num den': the stationary points of num / den.
+def _roots(p) -> list:
+    """Real parts of the roots of p (lowest degree first), less zero top coefficients.
 
-    Coefficients run from the lowest degree up.  The polynomial's terms
-    (i - j) num_i den_j t^(i + j - 1) vanish exactly for i = j, so equal
-    degrees drop the top one; its roots are the eigenvalues of its companion
-    matrix.  Callers score every candidate with their own evaluator, so a
-    misplaced root can only raise their minimum.  A coefficient beyond float
-    range raises NumericalError.
+    They are the companion matrix's eigenvalues; callers score each with their
+    own evaluator, so a misplaced root can only raise their minimum.  A
+    coefficient beyond float range raises NumericalError.
+    """
+    while p and p[-1] == 0.0:
+        p = p[:-1]
+    if len(p) < 2:
+        return []
+    column = [-c / p[-1] for c in p[:-1]]
+    if not all(map(math.isfinite, column + p[-1:])):
+        raise NumericalError("polynomial has a coefficient beyond float range")
+    companion = np.eye(len(column), k=-1)
+    companion[:, -1] = column
+    return np.linalg.eigvals(companion).real.tolist()
+
+
+def _stationary_points(num, den) -> list:
+    """:func:`_roots` of num' den - num den': the stationary points of num / den.
+
+    Coefficients run from the lowest degree up.  The terms (i - j) num_i den_j
+    t^(i + j - 1) vanish exactly for i = j, so equal degrees drop the top one.
     """
     p = [0.0] * (len(num) + len(den) - 2)
     for i, x in enumerate(num):
         for j, y in enumerate(den):
             p[i + j - 1] += (i - j) * x * y
-    while p and p[-1] == 0.0:
-        p.pop()
-    if len(p) < 2:
-        return []
-    column = [-c / p[-1] for c in p[:-1]]
-    if not all(map(math.isfinite, column + p[-1:])):
-        raise NumericalError("stationary-point polynomial has a coefficient beyond float range")
-    companion = np.eye(len(column), k=-1)
-    companion[:, -1] = column
-    return np.linalg.eigvals(companion).real.tolist()
+    return _roots(p)
 
 
 def _xp_geof(g):

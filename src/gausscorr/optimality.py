@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import _real
 from .errors import InvalidInputError, NumericalError
 
 CERTIFY_TOL = 1e-9
@@ -46,6 +47,8 @@ class OptimalityCertificate(DecompositionParams):
 
 
 def _check_ordering(v_x: float, v_p: float):
+    if not (_real(v_x) and _real(v_p)):
+        raise InvalidInputError(f"v_x and v_p must be real numbers, got v_x={v_x!r}, v_p={v_p!r}")
     if not (math.isfinite(v_p) and v_p > v_x > 1.0):
         raise InvalidInputError(f"need finite v_p > v_x > 1, got v_x={v_x}, v_p={v_p}")
 
@@ -53,8 +56,9 @@ def _check_ordering(v_x: float, v_p: float):
 def decomposition_params(v_x: float, v_p: float) -> DecompositionParams:
     """Channel decomposition (m, tau, eta, r, xi) of the split squeezed state.
 
-    v_p > v_x > 1 must hold with v_p finite (InvalidInputError); a parameter
-    that overflows a float raises NumericalError.
+    v_x and v_p must be real numbers (not bools) with v_p > v_x > 1 and v_p
+    finite (InvalidInputError); a parameter that overflows a float raises
+    NumericalError.
     """
     _check_ordering(v_x, v_p)
     denom = (v_x + 1) * (v_p + 1) - 4

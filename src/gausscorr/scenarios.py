@@ -18,12 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._brent import bounded_brent
 from .channels import InputSpec, beamsplitter, _loss_stack, _purify, _transmittances
 from .core import (CovMatrix, apply_symplectic, tensor, _EPS, _bona_fide, _oriented_invariants,
-                   _physical, _quadrature_indices, _read_json, _symplectic, _two_mode,
+                   _physical, _quadrature_indices, _read_json, _real, _symplectic, _two_mode,
                    _williamson_frame)
-from .correlations import (entropy_f, kw_audit, _discord_report, _k1_geof, _polymul,
+from .correlations import (entropy_f, kw_audit, _discord_report, _k1_geof, _polymul, _roots,
                            _stationary_points)
 from .errors import InvalidInputError, NonPhysicalStateError, NumericalError
 
@@ -192,11 +191,11 @@ def attenuation_sweep(state: ScenarioState, t_grid, cmr_a: float = 0.0) -> list:
     (NonPhysicalStateError names the first bad t), one stacked det pass gives
     the invariants A, B, C, D, and each row is the scalar discord closed form
     on its invariants, the same one :func:`~gausscorr.correlations.discord`
-    uses.  cmr_a must be finite and nonnegative and every t in [0, 1],
-    checked before any point is computed.
+    uses.  cmr_a must be a finite nonnegative real number (not a bool) and
+    every t in [0, 1], checked before any point is computed.
     """
-    if not (math.isfinite(cmr_a) and cmr_a >= 0):
-        raise InvalidInputError(f"CMR variance must be finite and nonnegative, got {cmr_a!r}")
+    if not (_real(cmr_a) and math.isfinite(cmr_a) and cmr_a >= 0):
+        raise InvalidInputError(f"CMR variance must be a finite real number >= 0, got {cmr_a!r}")
     return _sweep(state.effective_cm(["A", "B"]).entries, t_grid, cmr_a)
 
 
@@ -372,27 +371,87 @@ def optimal_demodulation(state: ScenarioState):
     return out, duan_value(out.effective_cm(["A", "B"]), g)
 
 
+def _det3(m) -> np.ndarray:
+    """Determinant of a symmetric 3x3 matrix of equal-length polynomials, lowest degree first."""
+    (a, b, c), (_, d, e), (_, _, f) = m
+    return sum(k * np.convolve(np.convolve(x, y), z) for k, x, y, z in
+               ((1, a, d, f), (2, b, e, c), (-1, a, e, e), (-1, d, c, c), (-1, f, b, b)))
+
+
+def _interfere_mix(g) -> float:
+    """The B-Et mix t in [0, 1] of the least Duan value over gain and mix, from the (A, B, Et) g.
+
+    The Duan value is (v^T X v)(v^T P v) / (v^T v)^2 for v = (+-g, sqrt(t),
+    sqrt(1 - t)), with X the x-x block of g and P its p-p block with the B
+    and Et rows and columns negated.  Inside the box g in [e^-6, e^6], t in
+    [0, 1], a stationary point has (X + rho P) v = nu v, nu = 2 rho v^T P v,
+    so c = det(X + rho P - nu I) = -nu^3 + a2 nu^2 - a1 nu + a0 and
+    h = nu c_nu + 2 rho c_rho - 3c = (p1 rho - p0) nu^2 + 2 (q0 - q2 rho^2) nu
+    + 3 r3 rho^3 + r2 rho^2 - r1 rho - 3 r0 vanish (p, q, r: the coefficients
+    of a2, a1, a0 in rho); their resultant det h(X + rho P) has degree <= 9.
+    Rounding moves clustered roots by up to about 5e-3, so each positive
+    real part takes one Newton step on nu - 2 rho nu' (nu' = v^T P v,
+    nu'' = 2 sum_j (v_j^T P v)^2 / (nu - nu_j)) along the eigenvalue with the
+    shortest step, and its eigenvector is a candidate.  So are the best
+    points of the edges t = 1 and 0 (:func:`_duan_search`) and the stationary
+    points along the gain bounds, ratios of octics in s = tan(theta / 2) for
+    v = (+-e^-6 or +-e^6, cos theta, sin theta).  The largest t (the least
+    mixing) within 1e-12 relative of the least value wins; a coefficient
+    beyond float range raises NumericalError.
+    """
+    x, p = g[0::2, 0::2], g[1::2, 1::2] * np.outer([1.0, -1.0, -1.0], [1.0, -1.0, -1.0])
+    # beyond float range is NumericalError; a Newton step or gain that divides by 0 drops out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p0, p1 = np.trace(x), np.trace(p)
+        q0, q2 = (p0 * p0 - np.sum(x * x)) / 2, (p1 * p1 - np.sum(p * p)) / 2
+        r0, r1, r2, r3 = _det3(np.stack([x, p], axis=-1).tolist())
+        xx, pp, xp = x @ x, p @ p, x @ p + p @ x
+        h = np.stack([2 * q0 * x - p0 * xx - 3 * r0 * np.eye(3),
+                      p1 * xx - p0 * xp + 2 * q0 * p - r1 * np.eye(3),
+                      p1 * xp - p0 * pp - 2 * q2 * x + r2 * np.eye(3),
+                      p1 * pp - 2 * q2 * p + 3 * r3 * np.eye(3)], axis=-1)
+        rho = np.array([r for r in _roots(_det3(h.tolist()).tolist()) if r > 0])[:, None]
+        nu, vectors = np.linalg.eigh(x + rho[:, :, None] * p)
+        w = vectors.transpose(0, 2, 1) @ p @ vectors  # w[k, j, i] = v_j^T P v_i
+        slope = np.diagonal(w, axis1=1, axis2=2)
+        bend = 2 * np.sum(w * w / (nu[:, None, :] - nu[:, :, None] + np.diag([np.inf] * 3)), 1)
+        step = (nu - 2 * rho * slope) / (slope + 2 * rho * bend)
+        branch = np.argmin(np.where(np.isnan(step), np.inf, abs(step)), axis=1)
+        rho = rho[:, 0] + step[np.arange(len(step)), branch]
+        ok = (rho > 0) & (rho < np.inf)
+        u = np.linalg.eigh(x + rho[ok, None, None] * p)[1][np.arange(ok.sum()), :, branch[ok]]
+        gain = abs(u[:, 0]) / np.hypot(u[:, 1], u[:, 2])
+    lo, hi = math.exp(-6.0), math.exp(6.0)
+    v = u[(u[:, 1] * u[:, 2] >= 0) & (lo <= gain) & (gain <= hi)].tolist()
+    for idx, end in (([0, 1, 2, 3], (1.0, 0.0)), ([0, 1, 4, 5], (0.0, 1.0))):
+        g_end, sx = _duan_search(g[np.ix_(idx, idx)].tolist(), (1, -1))
+        v.append((sx * g_end, *end))
+    den = [1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0]  # (1 + s^2)^4, |v|^4 up to a constant
+    for bound in (lo, hi):  # v (1 + s^2) = (1, s, s^2) c: +bound at s in [0, 1], -bound at s <= -1
+        c = np.array([[bound, 1.0, 0.0], [0.0, 0.0, 2.0], [bound, -1.0, 0.0]])
+        num = _polymul(*([q[0][0], 2 * q[0][1], 2 * q[0][2] + q[1][1], 2 * q[1][2], q[2][2]]
+                         for q in ((c @ x @ c.T).tolist(), (c @ p @ c.T).tolist())))
+        v += [(bound * (1 + s * s), 1 - s * s, 2 * s) for s in _stationary_points(num, den)
+              if (1 - s * s) * s >= 0]
+    v = np.array(v)
+    values = (np.einsum("ki,ij,kj->k", v, x, v) * np.einsum("ki,ij,kj->k", v, p, v)
+              / np.einsum("ki,ki->k", v, v) ** 2)
+    t = v[:, 1] ** 2 / (v[:, 1] ** 2 + v[:, 2] ** 2)
+    return float(t[values <= values.min() + 1e-12 * abs(values.min())].max())
+
+
 def recover_interfere(state: ScenarioState, bs_t_be: float | None = None) -> ScenarioState:
     """Superimpose B with an ancilla mode whose x quadrature encodes -xbar.
 
     The ancilla is a vacuum mode carrying loading coefficient -1 of the
     modulation source on its x quadrature; interfering it with B partially
-    cancels the displacement noise.  When bs_t_be is not given it is chosen
-    by 1-D minimization of the optimized Duan value of (A, B).
+    cancels the displacement noise.  A bs_t_be not given is the mix of the
+    least Duan value of (A, B) over gain and mix (:func:`_interfere_mix`).
     """
     # raises if the xbar source is missing or the ancilla is already there
     st = state.with_vacuum_mode("Et", {MODULATION_SOURCE: -1.0})
     if bs_t_be is None:
-        # the mixed (A, B) CM is one congruence of the effective (A, B, Et) CM:
-        # the (A, B) rows of the B-Et beamsplitter
-        g = st.effective_cm(["A", "B", "Et"]).entries
-
-        def duan_at(t2):
-            rows = beamsplitter(t2, 3, (1, 2)).entries[:4]
-            e = (rows @ g @ rows.T).tolist()
-            return _duan(e, *_duan_search(e, (1, -1)))
-
-        bs_t_be = bounded_brent(duan_at, 1e-6, 1.0 - 1e-9, xatol=1e-9)[0]
+        bs_t_be = _interfere_mix(st.effective_cm(["A", "B", "Et"]).entries)
     out = st.apply_symplectic(
         beamsplitter(bs_t_be, st.n_modes, (st.mode_index("B"), st.mode_index("Et"))))
     return replace(out, meta=dict(out.meta, bs_t_be=float(bs_t_be)))

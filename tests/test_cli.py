@@ -15,7 +15,7 @@ from gausscorr.core import CovMatrix
 from gausscorr.errors import NumericalError
 from gausscorr.channels import InputSpec, tmsv_cm
 from gausscorr.scenarios import (ScenarioState, attenuation_sweep, build_split_state,
-                                 correlation_flow)
+                                 correlation_flow, recover_interfere)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -412,6 +412,26 @@ def test_recover_command_beyond_float_range_exit_code(tmp_path, capsys, mode, hu
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err)["error"] == "NumericalError"
+
+
+@pytest.mark.parametrize("huge", [("v_x",), ("v_x", "v_p")])
+def test_recover_interfere_beyond_float_range_raises(huge):
+    # at v_x = 1e200 the mix search's resultant overflows: NumericalError from
+    # the search itself, not numpy's LinAlgError or a NaN bs_t_be
+    spec = InputSpec(**{"kind": "squeezed", "squeezing_db": -3.0, "v_x": 9.84, "v_p": 38.4,
+                        **dict.fromkeys(huge, 1e200)})
+    with pytest.raises(NumericalError, match="beyond float range"):
+        recover_interfere(build_split_state(spec, 0.5))
+
+
+def test_recover_command_interfere_coherent_run_mixes_nothing(capsys):
+    # every mix of the coherent run reaches the separable value 1 at some gain:
+    # the tie rule reports the least mixing, t = 1, not where a search stopped
+    path = ROOT / "scripts" / "configs" / "coherent_sweep.json"
+    assert main(["recover", "--config", str(path), "--mode", "interfere"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bs_t_be"] == 1.0
+    assert abs(out["value"] - 1.0) <= 1e-12 and out["entangled"] is False
 
 
 def test_recover_command_no_modulation_not_entangled(tmp_path, capsys):

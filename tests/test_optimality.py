@@ -98,3 +98,11 @@ def test_certificate_internally_consistent(v_x, gap):
     assert cert.certified == (cert.cond_tau_real and cert.cond_eta
                               and cert.cond_r_range and cert.cond_vx_threshold)
     assert cert.eta == pytest.approx(1.0 - cert.tau_channel, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", ["2.0", True, None, 2j], ids=repr)
+@pytest.mark.parametrize("which", ["v_x", "v_p"])
+def test_certify_takes_the_real_number_rule(which, value):
+    # "9.84" raised TypeError from the ordering comparison, and True read as 1
+    with pytest.raises(InvalidInputError, match="real number"):
+        certify(**{"v_x": 9.84, "v_p": 38.4, which: value})

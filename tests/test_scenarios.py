@@ -112,6 +112,14 @@ def test_sweep_rejects_a_string_transmittance():
         attenuation_sweep(st, ["0.5"])
 
 
+@pytest.mark.parametrize("cmr_a", ["2.0", True, None, 2j], ids=repr)
+def test_sweep_cmr_takes_the_real_number_rule(cmr_a):
+    # "2.0", None and 2j raised TypeError from math.isfinite, and True read as 1
+    st = build_split_state(COHERENT, 0.5)
+    with pytest.raises(InvalidInputError, match="real number"):
+        attenuation_sweep(st, [0.5], cmr_a)
+
+
 def test_sweep_rejects_negative_cmr_on_every_grid():
     st = build_split_state(COHERENT, 0.5)
     for grid in ([], [1.0, 0.5]):
@@ -208,37 +216,39 @@ def test_stacked_sweep_takes_no_per_point_path(monkeypatch):
 
 
 def test_one_loss_map_and_one_beamsplitter(monkeypatch):
-    # attenuate, the sweep and the flow all reach channels._loss_stack, and every
-    # evaluation of the interference search takes its rows from beamsplitter
+    # attenuate, the sweep and the flow all reach channels._loss_stack; the
+    # interference search solves on the (A, B, Et) CM and builds no beamsplitter,
+    # so the one beamsplitter is the returned state's, at the reported bs_t_be
     assert scenarios._loss_stack is channels._loss_stack
     state = build_split_state(SQUEEZED, 0.5)
-    loss_stack, beamsplitter, brent = (channels._loss_stack, scenarios.beamsplitter,
-                                       scenarios.bounded_brent)
-    stacks, splitters, evaluations = [], [], []
+    loss_stack, beamsplitter = channels._loss_stack, scenarios.beamsplitter
+    apply_symplectic = ScenarioState.apply_symplectic
+    stacks, splitters, applied = [], [], []
 
     def counting_stack(*args):
         stacks.append(args)
         return loss_stack(*args)
 
     def counting_splitter(*args):
-        splitters.append(args[0])
-        return beamsplitter(*args)
+        splitters.append((args, beamsplitter(*args)))
+        return splitters[-1][1]
 
-    def counting_brent(f, *args, **kwargs):
-        return brent(lambda t2: evaluations.append(t2) or f(t2), *args, **kwargs)
+    def recording_apply(self, s):
+        applied.append(s)
+        return apply_symplectic(self, s)
     for module in (channels, scenarios):
         monkeypatch.setattr(module, "_loss_stack", counting_stack)
     monkeypatch.setattr(scenarios, "beamsplitter", counting_splitter)
-    monkeypatch.setattr(scenarios, "bounded_brent", counting_brent)
     for run, calls in ((lambda: channels.attenuate(tmsv_cm(2.0), 0, 0.5), 1),
                        (lambda: attenuation_sweep(state, [1.0, 0.5]), 1),
                        (lambda: correlation_flow(state, [1.0, 0.5]), 2)):
         stacks.clear()
         run()
         assert len(stacks) == calls
+    monkeypatch.setattr(ScenarioState, "apply_symplectic", recording_apply)
     out = recover_interfere(state)
-    assert len(evaluations) > 10
-    assert splitters == evaluations + [out.meta["bs_t_be"]]
+    assert [args for args, _ in splitters] == [(out.meta["bs_t_be"], 4, (1, 3))]
+    assert len(applied) == 1 and applied[0] is splitters[0][1]
 
 
 def test_sweep_s_a_constant():
@@ -564,7 +574,8 @@ def test_interfere_pipeline_recovers_entanglement():
 
 
 def test_interfere_finds_the_best_mix():
-    # the Brent search over bs_t_be must not stop above any point of a grid
+    # the exact joint solve over the gain and bs_t_be must not end above any
+    # point of a grid
     rng = np.random.default_rng(31)
     grid = np.linspace(0.0, 1.0, 201)
     for k in range(10):
@@ -582,6 +593,55 @@ def test_interfere_finds_the_best_mix():
         dense = min(duan_optimize(recover_interfere(st, t2).effective_cm(["A", "B"])).value
                     for t2 in grid)
         assert rep.value <= dense * (1 + 1e-9), k
+
+
+def _interfere_grid_min(st):
+    # the least Duan value over a 2001-point bs_t_be grid, each point at its best gain
+    return min(duan_optimize(recover_interfere(st, t2).effective_cm(["A", "B"])).value
+               for t2 in np.linspace(0.0, 1.0, 2001))
+
+
+def test_interfere_beats_a_dense_grid_at_paper_scale():
+    rng = np.random.default_rng(38)
+    states = []
+    for k in range(8):
+        if k % 4 < 2:
+            db = -rng.uniform(0.5, 10.0)
+            spec = InputSpec(kind="squeezed", squeezing_db=db, v_x=rng.uniform(1.5, 30.0),
+                             v_p=rng.uniform(1 / db_to_variance(db), 60.0))
+        else:
+            spec = InputSpec(kind="coherent", squeezing_db=0.0,
+                             v_x=rng.uniform(1.0, 30.0), v_p=rng.uniform(1.0, 3.0))
+        st = build_split_state(spec, rng.uniform(0.1, 0.9))
+        states.append(attenuate_mode(st, "B", rng.uniform(0.05, 1.0)) if k % 2 else st)
+    # one-sided splits put the optimum on a gain bound (bs_t = 1) or on a plane
+    # of optima that meets only the gain bounds (the coherent run at bs_t = 0)
+    states += [build_split_state(COHERENT, 0.0), build_split_state(SQUEEZED, 1.0)]
+    for k, st in enumerate(states):
+        _, rep = run_recovery(st, "interfere")
+        assert rep.value <= _interfere_grid_min(st) * (1 + 1e-12), k
+
+
+def test_interfere_polishes_clustered_roots():
+    # three stationary points lie within 1.5e-3 of each other in rho here, and
+    # rounding moves the resultant's roots by up to about 5e-3: unpolished, the
+    # mix was 2e-7 off and the value 2e-12 above a fine grid around it
+    spec = InputSpec("squeezed", -1.038727285304918, 22.38554499150333, 49.27769696869895)
+    st = build_split_state(spec, 0.45615485859861316)
+    out, rep = run_recovery(st, "interfere")
+    t = out.meta["bs_t_be"]
+    fine = min(duan_optimize(recover_interfere(st, t2).effective_cm(["A", "B"])).value
+               for t2 in np.linspace(t - 1e-6, t + 1e-6, 1001))
+    assert rep.value <= fine * (1 + 1e-13)
+
+
+@pytest.mark.parametrize("bs_t", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("v_x", [1e2, 1e4, 1e6])
+def test_interfere_beats_a_dense_grid_at_large_modulation(v_x, bs_t):
+    # the resultant's coefficients span many decades here; its roots are polished
+    st = build_split_state(InputSpec("squeezed", -3.0, v_x, 10 * v_x), bs_t)
+    _, rep = run_recovery(st, "interfere")
+    assert rep.value <= _interfere_grid_min(st) * (1 + 1e-10)
 
 
 def test_interfere_no_mixing_keeps_state_separable():
